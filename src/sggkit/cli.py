@@ -213,7 +213,15 @@ def cmd_eval(args) -> int:
         if not args.stats:
             raise ValueError("--stats (for predicate frequencies) is required when --reweight-x > 0")
         with open(args.stats, encoding="utf-8") as f:
-            f_r = np.asarray(json.load(f)["predicate_freq"], dtype=np.float64)
+            payload = json.load(f)
+        try:
+            f_r = np.asarray(payload["predicate_freq"], dtype=np.float64)
+            valid = f_r.shape == (vocab.num_predicates,) and np.isfinite(f_r).all()
+        except (KeyError, TypeError, ValueError):
+            valid = False
+        if not valid or (f_r < 0).any():
+            raise ValueError(f"{args.stats}: 'predicate_freq' must be "
+                             f"{vocab.num_predicates} finite, non-negative numbers")
     k = args.k if args.k is not None else (50 if args.mode == "predcls" else 100)
     common = dict(
         mode=args.mode,

@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ingest import Dataset
-from .model import BoundingBox, SceneGraph, Triplet
+from .model import BoundingBox, SceneGraph, Triplet, categorical_triplets
 
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
@@ -82,6 +82,26 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _predicate_weights(f_r: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1 / f_r)^x per predicate, 0 where f_r <= 0, and that zero mask."""
+    if x < 0:
+        raise ValueError(f"reweighting exponent must be >= 0, got {x}")
+    f_r = np.asarray(f_r, dtype=np.float64)
+    zero = f_r <= 0
+    weights = np.zeros_like(f_r)
+    with np.errstate(over="ignore"):
+        weights[~zero] = (1.0 / f_r[~zero]) ** x
+    if not np.isfinite(weights).all():
+        raise ValueError(f"reweighting weights (1 / f_r)^{x} are not all finite")
+    return weights, zero
+
+
+def _reweighted(scores: np.ndarray, weights: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    if (zero & (scores > 0)).any():
+        raise ValueError("nonzero score for a predicate with zero training frequency")
+    return scores * weights
+
+
 def reweight_scores(
     pairs: Sequence[PairScores], f_r: np.ndarray, x: float
 ) -> tuple[PairScores, ...]:
@@ -89,21 +109,12 @@ def reweight_scores(
 
     The result is not renormalized: it is only used for ranking.
     """
-    if x < 0:
-        raise ValueError(f"reweighting exponent must be >= 0, got {x}")
     if x == 0:
         return tuple(pairs)
-    f_r = np.asarray(f_r, dtype=np.float64)
-    zero = f_r <= 0
-    weights = np.empty_like(f_r)
-    weights[~zero] = (1.0 / f_r[~zero]) ** x
-    weights[zero] = 0.0
-    out = []
-    for p in pairs:
-        if (zero & (p.scores > 0)).any():
-            raise ValueError("nonzero score for a predicate with zero training frequency")
-        out.append(PairScores(p.subject, p.object, p.scores * weights))
-    return tuple(out)
+    weights, zero = _predicate_weights(f_r, x)
+    return tuple(
+        PairScores(p.subject, p.object, _reweighted(p.scores, weights, zero)) for p in pairs
+    )
 
 
 def rank_triplets(
@@ -116,28 +127,40 @@ def rank_triplets(
     competes; without it every predicate does. Ties break by (subject index,
     object index, predicate id) ascending so ranking is reproducible.
     """
+    return _rank(pred, graph_constraint, k, None)
+
+
+def _rank(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
+    """rank_triplets on the pairs x predicates score matrix, reweighted first
+    unless `weights` (from _predicate_weights) is None; only the top k
+    become Python objects."""
+    if not pred.pairs:
+        return []
+    scores = np.stack([p.scores for p in pred.pairs])
+    if weights is not None:
+        scores = _reweighted(scores, *weights)
     labels = pred.object_scores.argmax(axis=1)
     label_scores = pred.object_scores.max(axis=1)
-    candidates = []
-    for p in pred.pairs:
-        base = label_scores[p.subject] * label_scores[p.object]
-        if graph_constraint:
-            predicate_ids: Iterable[int] = (int(p.scores.argmax()),)
-        else:
-            predicate_ids = range(p.scores.shape[0])
-        for predicate in predicate_ids:
-            candidates.append(
-                RankedTriplet(
-                    p.subject,
-                    p.object,
-                    int(labels[p.subject]),
-                    predicate,
-                    int(labels[p.object]),
-                    float(base * p.scores[predicate]),
-                )
-            )
-    candidates.sort(key=lambda t: (-t.score, t.subject, t.object, t.predicate))
-    return candidates[:k]
+    subjects = np.array([p.subject for p in pred.pairs])
+    objects = np.array([p.object for p in pred.pairs])
+    if graph_constraint:
+        best = scores.argmax(axis=1)
+        scores = np.take_along_axis(scores, best[:, None], axis=1)
+    flat = ((label_scores[subjects] * label_scores[objects])[:, None] * scores).ravel()
+    # Every candidate tied with the k-th best score stays in until the tie-break.
+    kept = np.arange(flat.size)
+    if flat.size > k:
+        kept = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    rows, predicates = np.divmod(kept, scores.shape[1])
+    if graph_constraint:
+        predicates = best[rows]
+    s, o, score = subjects[rows], objects[rows], flat[kept]
+    order = np.lexsort((predicates, o, s, -score))[:k]
+    s, o = s[order], o[order]
+    return list(map(RankedTriplet._make, zip(
+        s.tolist(), o.tolist(), labels[s].tolist(), predicates[order].tolist(),
+        labels[o].tolist(), score[order].tolist(),
+    )))
 
 
 def _matches(
@@ -162,25 +185,23 @@ def _matches(
     return ranked.subject == edge.subject and ranked.object == edge.object
 
 
-def match_count(
+def _matched_edges(
     ranked: Sequence[RankedTriplet],
     gt: SceneGraph,
     edge_indices: Sequence[int],
     mode: str,
     pred_boxes: tuple[BoundingBox, ...] | None = None,
-) -> int:
-    """Greedy matching: each ranked triplet and each GT instance used once."""
+) -> list[bool]:
+    """Greedy matching, each ranked triplet and each GT instance used once;
+    one flag per entry of `edge_indices`. A triplet only matches edges of its
+    own predicate, so one pass serves every predicate class."""
     used = [False] * len(edge_indices)
-    matched = 0
     for r in ranked:
         for slot, edge_index in enumerate(edge_indices):
-            if used[slot]:
-                continue
-            if _matches(r, gt, edge_index, mode, pred_boxes):
+            if not used[slot] and _matches(r, gt, edge_index, mode, pred_boxes):
                 used[slot] = True
-                matched += 1
                 break
-    return matched
+    return used
 
 
 @dataclass(frozen=True)
@@ -191,7 +212,13 @@ class RecallResult:
     total: int
 
 
-def _validated_inputs(predictions, gt, k, mode, aggregate):
+def _match_images(
+    predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
+) -> list[tuple[str, list[tuple[int, bool]]]]:
+    """Rank each image with eligible GT edges once and match its edges.
+
+    Per scored image: its id, then (predicate, matched) per eligible edge.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if aggregate not in AGGREGATES:
@@ -207,41 +234,17 @@ def _validated_inputs(predictions, gt, k, mode, aggregate):
     unknown = sorted(set(by_id) - gt_ids)
     if unknown:
         raise ValueError(f"predictions for images absent from ground truth: {unknown}")
-    return by_id
-
-
-def _evaluate(
-    predictions: Sequence[PredictedGraph],
-    gt: Dataset,
-    k: int,
-    mode: str,
-    subset_filter: Iterable[Triplet] | None,
-    graph_constraint: bool,
-    reweight_x: float,
-    f_r: np.ndarray | None,
-    aggregate: str,
-    predicate_filter: int | None = None,
-) -> RecallResult:
-    by_id = _validated_inputs(predictions, gt, k, mode, aggregate)
     subset = frozenset(subset_filter) if subset_filter is not None else None
     if reweight_x != 0 and f_r is None:
         raise ValueError("predicate frequencies f_r required when reweighting")
+    weights = _predicate_weights(f_r, reweight_x) if reweight_x != 0 else None
 
-    per_image: dict[str, float] = {}
+    images = []
     missing = []
-    matched_sum = 0
-    total_sum = 0
     for graph in gt.graphs:
-        edge_indices = []
-        for idx, edge in enumerate(graph.edges):
-            t = Triplet(
-                graph.nodes[edge.subject].category, edge.predicate, graph.nodes[edge.object].category
-            )
-            if subset is not None and t not in subset:
-                continue
-            if predicate_filter is not None and edge.predicate != predicate_filter:
-                continue
-            edge_indices.append(idx)
+        edge_indices = [
+            i for i, t in enumerate(categorical_triplets(graph)) if subset is None or t in subset
+        ]
         if not edge_indices:
             continue
         pred = by_id.get(graph.image_id)
@@ -255,25 +258,26 @@ def _evaluate(
             )
         if mode == "sggen" and pred.boxes is None:
             raise ValueError(f"image {graph.image_id!r}: sggen evaluation requires predicted boxes")
-        pairs = reweight_scores(pred.pairs, f_r, reweight_x) if reweight_x != 0 else pred.pairs
-        ranked = rank_triplets(
-            PredictedGraph(pred.image_id, pred.object_scores, tuple(pairs), pred.boxes),
-            graph_constraint,
-            k,
-        )
-        matched = match_count(ranked, graph, edge_indices, mode, pred.boxes)
-        per_image[graph.image_id] = matched / len(edge_indices)
-        matched_sum += matched
-        total_sum += len(edge_indices)
+        ranked = _rank(pred, graph_constraint, k, weights)
+        used = _matched_edges(ranked, graph, edge_indices, mode, pred.boxes)
+        predicates = [graph.edges[i].predicate for i in edge_indices]
+        images.append((graph.image_id, list(zip(predicates, used))))
     if missing:
         raise ValueError(f"missing predictions for images: {sorted(missing)}")
-    if not per_image:
+    if not images:
         raise ValueError("no ground-truth triplets left after filtering")
+    return images
+
+
+def _recall(images, aggregate: str) -> RecallResult:
+    per_image = {i: sum(u for _, u in edges) / len(edges) for i, edges in images}
+    matched = sum(u for _, edges in images for _, u in edges)
+    total = sum(len(edges) for _, edges in images)
     if aggregate == "image":
         value = 100.0 * sum(per_image.values()) / len(per_image)
     else:
-        value = 100.0 * matched_sum / total_sum
-    return RecallResult(value, per_image, matched_sum, total_sum)
+        value = 100.0 * matched / total
+    return RecallResult(value, per_image, matched, total)
 
 
 def recall_details(
@@ -294,9 +298,10 @@ def recall_details(
     top-K ranked triplets; images with no eligible instance are excluded
     from the mean.
     """
-    return _evaluate(
+    images = _match_images(
         predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
     )
+    return _recall(images, aggregate)
 
 
 def recall_at_k(
@@ -332,25 +337,19 @@ def mean_recall_details(
     f_r: np.ndarray | None = None,
     aggregate: str = "image",
 ) -> MeanRecallResult:
-    """Recall averaged uniformly over predicate classes present in the GT."""
-    subset = frozenset(subset_filter) if subset_filter is not None else None
-    present = set()
-    for graph in gt.graphs:
-        for edge in graph.edges:
-            t = Triplet(
-                graph.nodes[edge.subject].category, edge.predicate, graph.nodes[edge.object].category
-            )
-            if subset is not None and t not in subset:
-                continue
-            present.add(edge.predicate)
-    if not present:
-        raise ValueError("no ground-truth triplets left after filtering")
+    """Recall averaged uniformly over predicate classes present in the GT.
+
+    Each image is ranked and matched once; the matches are then split by
+    the predicate of the GT edge.
+    """
+    images = _match_images(
+        predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
+    )
+    present = sorted({p for _, edges in images for p, _ in edges})
     per_class = {}
-    for predicate in sorted(present):
-        per_class[predicate] = _evaluate(
-            predictions, gt, k, mode, subset, graph_constraint, reweight_x, f_r, aggregate,
-            predicate_filter=predicate,
-        ).value
+    for predicate in present:
+        of_class = [(i, [e for e in edges if e[0] == predicate]) for i, edges in images]
+        per_class[predicate] = _recall([m for m in of_class if m[1]], aggregate).value
     return MeanRecallResult(sum(per_class.values()) / len(per_class), per_class)
 
 

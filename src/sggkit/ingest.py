@@ -133,8 +133,10 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
 
 
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
-    """Read a JSON-Lines dataset; one scene graph per line, file order kept."""
+    """Read a JSON-Lines dataset; one scene graph per line, file order kept,
+    image ids unique."""
     graphs = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -144,7 +146,14 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            graphs.append(_graph_from_obj(obj, vocab, f"{path}:{lineno}"))
+            graph = _graph_from_obj(obj, vocab, f"{path}:{lineno}")
+            if graph.image_id in first_line:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate image_id {graph.image_id!r} "
+                    f"(first on line {first_line[graph.image_id]})"
+                )
+            first_line[graph.image_id] = lineno
+            graphs.append(graph)
     return Dataset(vocab, tuple(graphs))
 
 

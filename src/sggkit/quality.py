@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .ingest import Dataset
 from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
@@ -133,12 +132,16 @@ class HttpScorer:
                  backoff: float = 0.5):
         if not endpoint:
             raise ValueError("empty scorer endpoint")
+        if retries < 1:
+            raise ValueError(f"retries must be >= 1, got {retries}")
         self.url = endpoint.rstrip("/") + "/score"
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
 
     def score(self, text: str, target: str) -> float:
+        import requests  # only this client needs it; keeps it out of the CLI's start-up
+
         last_error = None
         for attempt in range(self.retries):
             try:

@@ -236,6 +236,14 @@ class TestPlausibility:
                     "--retries", "1", "--seed", "5", "--out", workspace / "p.json"])
         assert code == 1
 
+    def test_zero_retries_exit_2(self, workspace, capsys):
+        code = run(["plausibility", "--dataset", workspace / "train.jsonl",
+                    "--vocab", workspace / "vocab.json",
+                    "--endpoint", "http://127.0.0.1:9", "--retries", "0",
+                    "--seed", "5", "--out", workspace / "p.json"])
+        assert code == 2
+        assert "retries must be >= 1" in capsys.readouterr().err
+
 
 class TestEval:
     def write_predictions(self, workspace):
@@ -283,6 +291,47 @@ class TestEval:
                     "--vocab", workspace / "vocab.json",
                     "--reweight-x", "1.0", "--out", workspace / "e.json"])
         assert code == 2
+
+    def eval_with_stats(self, workspace, payload, x="1.0"):
+        self.write_predictions(workspace)
+        stats = workspace / "freq_stats.json"
+        stats.write_text(json.dumps(payload))  # NaN and Infinity as JSON extensions
+        return run(["eval", "--predictions", workspace / "preds.jsonl",
+                    "--gt", workspace / "test.jsonl", "--vocab", workspace / "vocab.json",
+                    "--reweight-x", x, "--stats", stats, "--out", workspace / "e.json"])
+
+    @pytest.mark.parametrize("payload", [
+        {"triplets": []},
+        {"predicate_freq": [0.5, 0.5]},
+        {"predicate_freq": [0.2, 0.3, 0.4, 0.1]},
+        {"predicate_freq": [0.5, float("nan"), 0.5]},
+        {"predicate_freq": [0.5, float("inf"), 0.5]},
+        {"predicate_freq": [0.5, -0.1, 0.6]},
+        {"predicate_freq": "frequent"},
+        ["not", "an", "object"],
+    ], ids=["missing", "too-short", "too-long", "nan", "inf", "negative", "string", "list"])
+    def test_invalid_predicate_freq_exit_2_naming_file(self, workspace, capsys, payload):
+        assert self.eval_with_stats(workspace, payload) == 2
+        err = capsys.readouterr().err
+        assert "freq_stats.json: 'predicate_freq' must be 3 finite, non-negative numbers" in err
+
+    def test_overflowing_weights_exit_2(self, workspace, capsys):
+        assert self.eval_with_stats(workspace, {"predicate_freq": [1e-300, 0.5, 0.5]}, "2") == 2
+        assert "not all finite" in capsys.readouterr().err
+
+    def test_valid_predicate_freq_reweights(self, workspace):
+        assert self.eval_with_stats(workspace, {"predicate_freq": [0.5, 0.3, 0.2]}) == 0
+        assert json.loads((workspace / "e.json").read_text())["value"] == 100.0
+
+    def test_duplicate_gt_image_id_exit_2(self, workspace, capsys):
+        self.write_predictions(workspace)
+        lines = (workspace / "test.jsonl").read_text().splitlines()
+        (workspace / "dup.jsonl").write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = run(["eval", "--predictions", workspace / "preds.jsonl",
+                    "--gt", workspace / "dup.jsonl", "--vocab", workspace / "vocab.json",
+                    "--out", workspace / "e.json"])
+        assert code == 2
+        assert f"dup.jsonl:{len(lines) + 1}: duplicate image_id 'te1'" in capsys.readouterr().err
 
     def test_mean_recall_metric(self, workspace):
         self.write_predictions(workspace)

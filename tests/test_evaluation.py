@@ -136,6 +136,13 @@ class TestReweight:
         with pytest.raises(ValueError, match="zero training frequency"):
             reweight_scores(pairs, np.array([1.0, 0.0]), 1.0)
 
+    def test_non_finite_weights_rejected(self):
+        pairs = self.pairs_of([0.5, 0.5])
+        with pytest.raises(ValueError, match="not all finite"):
+            reweight_scores(pairs, np.array([1e-300, 0.5]), 2.0)
+        with pytest.raises(ValueError, match="not all finite"):
+            reweight_scores(pairs, np.array([np.nan, 0.5]), 1.0)
+
     def test_uniform_frequency_preserves_all_rankings(self, vocab, rng):
         f = np.full(3, 1 / 3)
         for _ in range(30):
@@ -422,3 +429,103 @@ class TestMeanRecall:
         details = mean_recall_details([PredictedGraph("a", scores, pairs)], ds, 50,
                                       graph_constraint=True)
         assert details.per_class == {ON: 100.0, ABOVE: 0.0}
+
+
+# --- tie-heavy inputs: scores drawn from a few values ----------------------
+
+QUANTA = (0.0, 0.25, 0.5, 1.0)
+OBJECT_ROWS = ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5))
+
+
+def quantised_instance(rng, image_id="i", num_pred=3):
+    """Ground truth and prediction whose scores take only a few values, so
+    many candidates tie, also at the K-th score."""
+    n = int(rng.integers(2, 6))
+    cats = rng.integers(0, 3, size=n).tolist()
+    edges = []
+    for _ in range(int(rng.integers(1, 7))):
+        s, o = (int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.append((s, int(rng.integers(num_pred)), o))
+    graph = make_graph(image_id, cats, edges)
+    scores = np.array([OBJECT_ROWS[i] for i in rng.integers(len(OBJECT_ROWS), size=n)])
+    pairs = tuple(
+        PairScores(s, o, rng.choice(QUANTA, size=num_pred))
+        for s in range(n) for o in range(n) if s != o and rng.random() < 0.7
+    )
+    return graph, PredictedGraph(image_id, scores, pairs)
+
+
+def ks_around(num_candidates):
+    """K below, equal to and above the number of candidates."""
+    return sorted({1, max(1, num_candidates - 1), max(1, num_candidates), num_candidates + 1,
+                   2 * num_candidates + 3})
+
+
+class TestRankTiesAgainstBruteForce:
+    def test_quantised_scores(self, rng):
+        for _ in range(150):
+            num_pred = int(rng.integers(1, 5))
+            _, pred = quantised_instance(rng, num_pred=num_pred)
+            for constraint in (True, False):
+                num = len(pred.pairs) * (1 if constraint else num_pred)
+                for k in ks_around(num):
+                    assert rank_triplets(pred, constraint, k) == brute_rank(pred, constraint, k)
+
+    def test_image_without_pairs(self):
+        pred = PredictedGraph("i", np.array([OBJECT_ROWS[0], OBJECT_ROWS[1]]), ())
+        for constraint in (True, False):
+            for k in (1, 5):
+                assert rank_triplets(pred, constraint, k) == brute_rank(pred, constraint, k) == []
+
+    def test_reweighted_quantised_scores(self, rng):
+        for _ in range(100):
+            graph, pred = quantised_instance(rng)
+            f_r = rng.choice((0.1, 0.2, 0.4), size=3)
+            x = float(rng.choice((0.5, 1.0, 2.0)))
+            reweighted = PredictedGraph(
+                "i", pred.object_scores, reweight_scores(pred.pairs, f_r, x)
+            )
+            ds = Dataset(Vocabulary(("a", "b", "c"), ("p0", "p1", "p2")), (graph,))
+            for constraint in (True, False):
+                for k in ks_around(len(pred.pairs) * (1 if constraint else 3)):
+                    assert (rank_triplets(reweighted, constraint, k)
+                            == brute_rank(reweighted, constraint, k))
+                    expected = brute_image_recall(reweighted, graph, k, "sgcls", constraint)
+                    got = recall_details([pred], ds, k, graph_constraint=constraint,
+                                         reweight_x=x, f_r=f_r)
+                    assert got.matched == expected
+                    assert got.value == 100.0 * (expected / graph.num_edges)
+
+
+def brute_class_recall(instances, predicate, k, graph_constraint, aggregate):
+    """Recall on the edges of one predicate alone, through brute_image_recall."""
+    counts = []
+    for graph, pred in instances:
+        alone = make_graph(
+            graph.image_id, [n.category for n in graph.nodes],
+            [(e.subject, e.predicate, e.object) for e in graph.edges if e.predicate == predicate],
+        )
+        if alone.num_edges:
+            matched = brute_image_recall(pred, alone, k, "sgcls", graph_constraint)
+            counts.append((matched, alone.num_edges))
+    if aggregate == "image":
+        return 100.0 * sum(m / t for m, t in counts) / len(counts)
+    return 100.0 * sum(m for m, _ in counts) / sum(t for _, t in counts)
+
+
+class TestMeanRecallAgainstBruteForce:
+    @pytest.mark.parametrize("aggregate", ["image", "triplet"])
+    def test_per_class_is_recall_on_that_class_alone(self, rng, aggregate):
+        vocab = Vocabulary(("a", "b", "c"), ("p0", "p1", "p2"))
+        for _ in range(40):
+            instances = [quantised_instance(rng, f"img{i}") for i in range(int(rng.integers(1, 4)))]
+            ds = Dataset(vocab, tuple(g for g, _ in instances))
+            present = sorted({e.predicate for g in ds.graphs for e in g.edges})
+            for constraint in (True, False):
+                for k in (1, 3, 20):
+                    got = mean_recall_details([p for _, p in instances], ds, k,
+                                              graph_constraint=constraint, aggregate=aggregate)
+                    expected = {c: brute_class_recall(instances, c, k, constraint, aggregate)
+                                for c in present}
+                    assert got.per_class == expected
+                    assert got.value == sum(expected.values()) / len(expected)

@@ -80,6 +80,13 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="img1"):
             load_dataset(path, vocab)
 
+    def test_rejects_duplicate_image_id_at_second_line(self, tmp_path, vocab):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [self.line(), self.line(image_id="img2"), self.line()])
+        with pytest.raises(ParseError, match=r"d\.jsonl:3: duplicate image_id 'img1' "
+                                             r"\(first on line 1\)"):
+            load_dataset(path, vocab)
+
     def test_rejects_category_out_of_range(self, tmp_path, vocab):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [self.line(objects=[{"category": 9, "box": [0, 0, 1, 1]}],

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sggkit
 from sggkit.model import Triplet
 from sggkit.perturb import PerturbationConfig, PerturbationRecord, perturb_oracle_zs
 from sggkit.quality import (
@@ -237,6 +241,21 @@ class TestHttpScorer:
         with stub_lm_server(lambda text, target: 2.5, fail_first=2) as (url, _):
             scorer = HttpScorer(url, timeout=5, retries=3, backoff=0.01)
             assert scorer.score("a on [MASK]", "b") == 2.5
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_rejects_fewer_than_one_attempt(self, retries):
+        with pytest.raises(ValueError, match="retries must be >= 1"):
+            HttpScorer("http://127.0.0.1:9", retries=retries)
+
+    def test_cli_import_does_not_load_requests(self):
+        src = os.path.dirname(os.path.dirname(sggkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, sggkit.cli; print('requests' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_unreachable_raises_after_retries(self):
         scorer = HttpScorer("http://127.0.0.1:9", timeout=0.2, retries=2, backoff=0.01)
