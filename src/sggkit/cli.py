@@ -39,12 +39,43 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
             f.write(",".join(str(v) for v in row) + "\n")
 
 
-def _load_triplet_set(path: str | Path):
+def _load_side_file(path: str | Path, parse):
+    """parse(JSON payload of a side file: stats or a triplet set). Malformed
+    JSON, a missing key or a bad row is a ValueError that names the file."""
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            return parse(json.load(f))
+        except KeyError as e:
+            raise ValueError(f"{path}: missing key {e}") from e
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"{path}: {e}") from e
+
+
+def _triplet_set(payload):
     if isinstance(payload, dict):
         payload = payload["triplets"]
     return stats.triplet_set_from_json_obj(payload)
+
+
+def _load_triplet_set(path: str | Path):
+    return _load_side_file(path, _triplet_set)
+
+
+def _frequency_table(payload, vocab):
+    table = stats.TripletFrequencyTable.from_json_obj(payload["triplets"])
+    table.check_vocabulary(vocab)
+    return table
+
+
+def _predicate_freq(payload, num_predicates: int) -> np.ndarray:
+    try:
+        f_r = np.asarray(payload["predicate_freq"], dtype=np.float64)
+        valid = f_r.shape == (num_predicates,) and np.isfinite(f_r).all() and (f_r >= 0).all()
+    except (KeyError, TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"'predicate_freq' must be {num_predicates} finite, non-negative numbers")
+    return f_r
 
 
 def cmd_stats(args) -> int:
@@ -111,8 +142,7 @@ def cmd_perturb(args) -> int:
         embeddings = ingest.load_embeddings(args.embeddings, vocab)
     if args.method == "graphn":
         if args.stats:
-            with open(args.stats, encoding="utf-8") as f:
-                table = stats.TripletFrequencyTable.from_json_obj(json.load(f)["triplets"])
+            table = _load_side_file(args.stats, lambda payload: _frequency_table(payload, vocab))
         else:
             table = stats.build_frequency_table(dataset)
     if args.method == "oracle_zs":
@@ -212,16 +242,8 @@ def cmd_eval(args) -> int:
     if args.reweight_x != 0:
         if not args.stats:
             raise ValueError("--stats (for predicate frequencies) is required when --reweight-x > 0")
-        with open(args.stats, encoding="utf-8") as f:
-            payload = json.load(f)
-        try:
-            f_r = np.asarray(payload["predicate_freq"], dtype=np.float64)
-            valid = f_r.shape == (vocab.num_predicates,) and np.isfinite(f_r).all()
-        except (KeyError, TypeError, ValueError):
-            valid = False
-        if not valid or (f_r < 0).any():
-            raise ValueError(f"{args.stats}: 'predicate_freq' must be "
-                             f"{vocab.num_predicates} finite, non-negative numbers")
+        f_r = _load_side_file(args.stats,
+                              lambda payload: _predicate_freq(payload, vocab.num_predicates))
     k = args.k if args.k is not None else (50 if args.mode == "predcls" else 100)
     common = dict(
         mode=args.mode,

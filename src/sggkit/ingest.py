@@ -7,7 +7,7 @@ ignored for forward compatibility.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -42,6 +42,8 @@ class EmbeddingTable:
     """One row per object category, indexed by category id."""
 
     vectors: np.ndarray  # (num categories, dimension)
+    _norms: np.ndarray = field(init=False, repr=False)
+    _rankings: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -54,6 +56,7 @@ class EmbeddingTable:
         if zero.size:
             raise ValueError(f"all-zero embedding vector for category ids {zero.tolist()}")
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_norms", norms)
 
     @property
     def dimension(self) -> int:
@@ -65,6 +68,19 @@ class EmbeddingTable:
 
     def vector(self, category: int) -> np.ndarray:
         return self.vectors[category]
+
+    def neighbor_ranking(self, category: int) -> tuple[int, ...]:
+        """Every other category by descending cosine similarity to
+        `category`, ties toward the lower id; computed once per category."""
+        ranking = self._rankings.get(category)
+        if ranking is None:
+            # One row against all: a V @ V.T Gram matrix can differ in the
+            # last bit, and that can reorder near-ties.
+            query = self.vectors[category]
+            sims = (self.vectors @ query) / (self._norms * np.linalg.norm(query))
+            order = np.argsort(-sims, kind="stable")
+            ranking = self._rankings[category] = tuple(order[order != category].tolist())
+        return ranking
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

@@ -184,14 +184,7 @@ def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
         raise ValueError(f"k={k} must be < number of categories {emb.num_categories}")
     if k == 0:
         return []
-    v = emb.vectors
-    query = v[category]
-    sims = (v @ query) / (np.linalg.norm(v, axis=1) * np.linalg.norm(query))
-    order = sorted(
-        (i for i in range(emb.num_categories) if i != category),
-        key=lambda i: (-sims[i], i),
-    )
-    return order[:k]
+    return list(emb.neighbor_ranking(category)[:k])
 
 
 def perturb_neigh(
@@ -228,41 +221,41 @@ class GraphNCandidate:
     probability: float
 
 
-def _graphn_candidates(
+def _graphn_scores(
     categories: Sequence[int],
     graph: SceneGraph,
     node: int,
     table: TripletFrequencyTable,
     alpha: float,
-) -> list[GraphNCandidate]:
-    support: dict[int, list[int]] = {}
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(candidate categories, mean counts, probabilities), ascending by category.
+
+    The means equal Python's int / int while a category's summed counts stay
+    below 2**53, far above any training-set count.
+    """
+    total = np.zeros(table.category_bound, dtype=np.int64)
+    support = np.zeros(table.category_bound, dtype=np.int64)
     for edge in graph.edges:
         if edge.subject == node:
-            for cat, count in table.by_predicate_object.get(
-                (edge.predicate, categories[edge.object]), ()
-            ):
-                support.setdefault(cat, []).append(count)
+            hit = table.by_predicate_object.get((edge.predicate, categories[edge.object]))
         elif edge.object == node:
-            for cat, count in table.by_subject_predicate.get(
-                (categories[edge.subject], edge.predicate), ()
-            ):
-                support.setdefault(cat, []).append(count)
-    support.pop(categories[node], None)
-
-    kept = []
-    for cat in sorted(support):
-        mean_count = sum(support[cat]) / len(support[cat])
-        if mean_count < alpha:
+            hit = table.by_subject_predicate.get((categories[edge.subject], edge.predicate))
+        else:
             continue
-        kept.append((cat, mean_count))
-    if not kept:
-        return []
-    inv = [1.0 / c for _, c in kept]
-    norm = sum(inv)
-    return [
-        GraphNCandidate(cat, mean_count, w / norm)
-        for (cat, mean_count), w in zip(kept, inv)
-    ]
+        if hit is not None:
+            cats, counts = hit
+            total[cats] += counts
+            support[cats] += 1
+    if categories[node] < table.category_bound:
+        support[categories[node]] = 0
+    cats = np.flatnonzero(support)
+    means = total[cats] / support[cats]
+    kept = ~(means < alpha)  # the `mean < alpha` cutoff exactly, NaN alpha included
+    cats, means = cats[kept], means[kept]
+    inv = 1.0 / means
+    # Python's sum adds left to right; np.sum's pairwise order can change
+    # the last bit of the probabilities that rng.choice consumes.
+    return cats, means, inv / sum(inv.tolist())
 
 
 def graphn_candidates(
@@ -282,7 +275,8 @@ def graphn_candidates(
     """
     if node < 0 or node >= graph.num_nodes:
         raise IndexError(f"node {node} out of range (n={graph.num_nodes})")
-    return _graphn_candidates([n.category for n in graph.nodes], graph, node, table, alpha)
+    scores = _graphn_scores([n.category for n in graph.nodes], graph, node, table, alpha)
+    return [GraphNCandidate(*row) for row in zip(*(a.tolist() for a in scores))]
 
 
 def perturb_graphn(
@@ -305,11 +299,10 @@ def perturb_graphn(
     categories = [n.category for n in graph.nodes]
     replacements = []
     for node in sample_nodes(graph, cfg.intensity, rng):
-        candidates = _graphn_candidates(categories, graph, node, table, cfg.alpha)
-        if not candidates:
+        cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)
+        if not cats.size:
             continue
-        probs = np.array([c.probability for c in candidates])
-        intermediate = candidates[int(rng.choice(len(candidates), p=probs))].category
+        intermediate = int(cats[rng.choice(cats.size, p=probs)])
         pool = [intermediate] + (
             semantic_neighbors(emb, intermediate, cfg.top_k) if cfg.top_k > 0 else []
         )
@@ -317,6 +310,65 @@ def perturb_graphn(
         old = categories[node]
         if new == old:
             continue
+        categories[node] = new
+        replacements.append((node, old, new))
+    perturbed = graph.with_categories(categories)
+    record = PerturbationRecord(
+        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
+    )
+    return perturbed, record
+
+
+def _reference_membership(
+    triplets: Iterable[Triplet], num_predicates: int, num_categories: int
+) -> np.ndarray:
+    """Boolean is_reference[predicate, subject, object]. Triplets outside
+    these ranges can never be formed here, so they are left out."""
+    member = np.zeros((num_predicates, num_categories, num_categories), dtype=bool)
+    inside = [
+        t for t in triplets
+        if 0 <= t.predicate < num_predicates
+        and 0 <= t.subject_category < num_categories
+        and 0 <= t.object_category < num_categories
+    ]
+    if inside:
+        s, p, o = np.array(inside, dtype=np.intp).T
+        member[p, s, o] = True
+    return member
+
+
+def _perturb_oracle_zs(
+    graph: SceneGraph,
+    cfg: PerturbationConfig,
+    member: np.ndarray,
+    num_categories: int,
+    rng: np.random.Generator,
+) -> tuple[SceneGraph, PerturbationRecord]:
+    """perturb_oracle_zs against a membership array that covers every
+    predicate and category of `graph`; candidates are below num_categories."""
+    categories = [n.category for n in graph.nodes]
+    incident: dict[int, list] = {}
+    for edge in graph.edges:
+        incident.setdefault(edge.subject, []).append(edge)
+        incident.setdefault(edge.object, []).append(edge)
+
+    replacements = []
+    for node in sample_nodes(graph, cfg.intensity, rng):
+        edges = incident.get(node)
+        if not edges:
+            continue
+        old = categories[node]
+        allowed = np.ones(member.shape[1], dtype=bool)
+        for edge in edges:
+            if edge.subject == node:
+                allowed &= member[edge.predicate, :, categories[edge.object]]
+            else:
+                allowed &= member[edge.predicate, categories[edge.subject]]
+        allowed[old] = False
+        candidates = np.flatnonzero(allowed[:num_categories])
+        if not candidates.size:
+            continue
+        new = int(candidates[int(rng.integers(candidates.size))])
         categories[node] = new
         replacements.append((node, old, new))
     perturbed = graph.with_categories(categories)
@@ -349,43 +401,10 @@ def perturb_oracle_zs(
             max(t.object_category for t in zs_triplets),
             max(n.category for n in graph.nodes),
         )
-    categories = [n.category for n in graph.nodes]
-    incident: dict[int, list] = {}
-    for edge in graph.edges:
-        incident.setdefault(edge.subject, []).append(edge)
-        incident.setdefault(edge.object, []).append(edge)
-
-    replacements = []
-    for node in sample_nodes(graph, cfg.intensity, rng):
-        edges = incident.get(node)
-        if not edges:
-            continue
-        old = categories[node]
-        candidates = []
-        for cat in range(num_categories):
-            if cat == old:
-                continue
-            ok = True
-            for edge in edges:
-                if edge.subject == node:
-                    t = Triplet(cat, edge.predicate, categories[edge.object])
-                else:
-                    t = Triplet(categories[edge.subject], edge.predicate, cat)
-                if t not in zs_triplets:
-                    ok = False
-                    break
-            if ok:
-                candidates.append(cat)
-        if not candidates:
-            continue
-        new = candidates[int(rng.integers(len(candidates)))]
-        categories[node] = new
-        replacements.append((node, old, new))
-    perturbed = graph.with_categories(categories)
-    record = PerturbationRecord(
-        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
-    )
-    return perturbed, record
+    size = max(num_categories, 1 + max((n.category for n in graph.nodes), default=0))
+    num_predicates = 1 + max((e.predicate for e in graph.edges), default=0)
+    member = _reference_membership(zs_triplets, num_predicates, size)
+    return _perturb_oracle_zs(graph, cfg, member, num_categories, rng)
 
 
 @dataclass(frozen=True)
@@ -397,11 +416,12 @@ class PerturbationResources:
     zs_triplets: frozenset[Triplet] | None = None
 
 
-def perturb_graph(
+def _perturb_graph(
     graph: SceneGraph,
     cfg: PerturbationConfig,
     vocab: Vocabulary,
     resources: PerturbationResources,
+    zs_member: np.ndarray | None,
     rng: np.random.Generator,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     if cfg.method == "rand":
@@ -410,9 +430,7 @@ def perturb_graph(
         return perturb_neigh(graph, cfg, vocab, resources.embeddings, rng)
     if cfg.method == "graphn":
         return perturb_graphn(graph, cfg, vocab, resources.embeddings, resources.table, rng)
-    return perturb_oracle_zs(
-        graph, cfg, resources.zs_triplets, rng, num_categories=vocab.num_objects
-    )
+    return _perturb_oracle_zs(graph, cfg, zs_member, vocab.num_objects, rng)
 
 
 def _check_resources(cfg: PerturbationConfig, resources: PerturbationResources) -> None:
@@ -438,12 +456,18 @@ def perturb_dataset(
     """
     resources = resources or PerturbationResources()
     _check_resources(cfg, resources)
+    vocab = dataset.vocabulary
+    zs_member = None
+    if cfg.method == "oracle_zs":
+        zs_member = _reference_membership(
+            resources.zs_triplets, vocab.num_predicates, vocab.num_objects
+        )
     perturbed = []
     records = []
     for graph in dataset.graphs:
         rng = np.random.default_rng(graph_seed(graph.image_id, cfg.master_seed))
         try:
-            new_graph, record = perturb_graph(graph, cfg, dataset.vocabulary, resources, rng)
+            new_graph, record = _perturb_graph(graph, cfg, vocab, resources, zs_member, rng)
         except CannotPerturbError as e:
             raise CannotPerturbError(f"image {graph.image_id!r}: {e}") from e
         perturbed.append(new_graph)

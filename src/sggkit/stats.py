@@ -6,11 +6,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .ingest import Dataset
-from .model import SceneGraph, Triplet, categorical_triplets
+from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
 
 FEW10_MAX = 10
 FEW100_MAX = 100
@@ -42,20 +43,48 @@ class TripletFrequencyTable:
         return len(self.counts)
 
     @cached_property
-    def by_predicate_object(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """(predicate, object category) -> [(subject category, count)]."""
-        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for t, c in self.counts.items():
-            index.setdefault((t.predicate, t.object_category), []).append((t.subject_category, c))
-        return index
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(subject, predicate, object, count) int64 arrays in `counts` order."""
+        n = len(self.counts)
+        try:
+            spo = np.fromiter(chain.from_iterable(self.counts), np.int64, 3 * n).reshape(n, 3)
+            count = np.fromiter(self.counts.values(), np.int64, n)
+        except OverflowError as e:
+            raise ValueError("frequency table id or count does not fit in 64 bits") from e
+        if (spo < 0).any():
+            raise ValueError("negative category or predicate id in frequency table")
+        return spo[:, 0], spo[:, 1], spo[:, 2], count
 
     @cached_property
-    def by_subject_predicate(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """(subject category, predicate) -> [(object category, count)]."""
-        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for t, c in self.counts.items():
-            index.setdefault((t.subject_category, t.predicate), []).append((t.object_category, c))
-        return index
+    def category_bound(self) -> int:
+        """One more than the largest subject or object category; 0 when empty."""
+        s, _, o, _ = self._columns
+        return 1 + int(max(s.max(), o.max())) if len(s) else 0
+
+    @cached_property
+    def by_predicate_object(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """(predicate, object category) -> (subject categories, counts)."""
+        s, p, o, c = self._columns
+        return _group(p, o, s, c)
+
+    @cached_property
+    def by_subject_predicate(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """(subject category, predicate) -> (object categories, counts)."""
+        s, p, o, c = self._columns
+        return _group(s, p, o, c)
+
+    def check_vocabulary(self, vocab: Vocabulary) -> None:
+        """Reject the first triplet whose ids fall outside `vocab`."""
+        s, p, o, _ = self._columns
+        outside = np.flatnonzero(
+            (s >= vocab.num_objects) | (o >= vocab.num_objects) | (p >= vocab.num_predicates)
+        )
+        if outside.size:
+            i = outside[0]
+            raise ValueError(
+                f"triplet (s={s[i]}, p={p[i]}, o={o[i]}) outside the vocabulary "
+                f"(|C|={vocab.num_objects}, |R|={vocab.num_predicates})"
+            )
 
     def to_json_obj(self) -> list[dict]:
         """Sorted, diff-stable listing of the table."""
@@ -73,6 +102,22 @@ class TripletFrequencyTable:
                 raise ValueError(f"duplicate triplet {t} in frequency table")
             counts[t] = int(row["count"])
         return cls(counts)
+
+
+def _group(a, b, member, count) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """{(a, b): (member, count)}, one entry per distinct (a, b); the values
+    are views into one sorted copy, so memory grows with the triplets."""
+    if not len(a):
+        return {}
+    key = a * (int(b.max()) + 1) + b
+    order = np.argsort(key, kind="stable")
+    key, member, count = key[order], member[order], count[order]
+    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    pairs = zip(a[order[heads]].tolist(), b[order[heads]].tolist())
+    bounds = [*heads.tolist(), len(key)]
+    return {
+        pair: (member[i:j], count[i:j]) for pair, i, j in zip(pairs, bounds, bounds[1:])
+    }
 
 
 def build_frequency_table(train: Dataset) -> TripletFrequencyTable:

@@ -375,3 +375,68 @@ class TestFeatMetrics:
                     "--fake", workspace / "fake.tsv", "-k", "3",
                     "--out", workspace / "fm.json"])
         assert code == 2
+
+
+def side_file_command(workspace, flag, side):
+    """An argv whose only defect is the JSON side file `side` given to `flag`."""
+    vocab = ["--vocab", workspace / "vocab.json"]
+    perturbed = ["--dataset", workspace / "train.jsonl", *vocab,
+                 "--out-dataset", workspace / "p.jsonl", "--out-records", workspace / "r.jsonl"]
+    if flag == "perturb --zs":
+        return ["perturb", "--method", "oracle_zs", "--zs", side, *perturbed]
+    if flag == "perturb --stats":
+        return ["perturb", "--method", "graphn", "--embeddings", workspace / "glove.txt",
+                "--stats", side, *perturbed]
+    if flag == "hit-rate --reference":
+        (workspace / "r.jsonl").write_text(
+            '{"image_id":"tr0","replacements":[],"affected_edges":[]}\n')
+        return ["hit-rate", "--records", workspace / "r.jsonl",
+                "--perturbed", workspace / "train.jsonl", *vocab,
+                "--reference", f"zs={side}", "--out", workspace / "h.json"]
+    TestEval().write_predictions(workspace)
+    evaluated = ["eval", "--predictions", workspace / "preds.jsonl",
+                 "--gt", workspace / "test.jsonl", *vocab, "--out", workspace / "e.json"]
+    if flag == "eval --subset":
+        return [*evaluated, "--subset", side]
+    return [*evaluated, "--reweight-x", "1", "--stats", side]
+
+
+class TestSideFiles:
+    @pytest.mark.parametrize("flag,content,message", [
+        (flag, "{", "Expecting property name")
+        for flag in ("perturb --zs", "perturb --stats", "hit-rate --reference",
+                     "eval --subset", "eval --stats")
+    ] + [
+        (flag, '{"predicate_freq": [0.5]}', "missing key 'triplets'")
+        for flag in ("perturb --zs", "perturb --stats", "hit-rate --reference", "eval --subset")
+    ] + [
+        (flag, '{"triplets": [{"s": 0, "p": 1}]}', "missing key 'o'")
+        for flag in ("perturb --zs", "perturb --stats", "hit-rate --reference", "eval --subset")
+    ] + [
+        ("perturb --stats", '{"triplets": [{"s": 0, "p": 1, "o": 2}]}', "missing key 'count'"),
+        ("perturb --stats", '{"triplets": [{"s": 0, "p": 1, "o": 2, "count": 18446744073709551616}]}',
+         "does not fit in 64 bits"),
+        ("perturb --zs", '{"triplets": [{"s": "x", "p": 1, "o": 2}]}', "invalid literal"),
+        ("eval --subset", '{"triplets": [7]}', "not subscriptable"),
+    ])
+    def test_bad_side_file_exit_2_naming_file(self, workspace, capsys, flag, content, message):
+        side = workspace / "side.json"
+        side.write_text(content)
+        assert run(side_file_command(workspace, flag, side)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {side}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("row", [
+        {"s": 7, "p": 0, "o": 1}, {"s": 0, "p": 0, "o": 5}, {"s": 0, "p": 3, "o": 1},
+        {"s": -1, "p": 0, "o": 1},
+    ], ids=["subject", "object", "predicate", "negative"])
+    def test_graphn_stats_outside_vocabulary_exit_2(self, workspace, capsys, row):
+        side = workspace / "stats.json"
+        rows = [{"s": 0, "p": 0, "o": 1, "count": 4}, {**row, "count": 2}]
+        side.write_text(json.dumps({"triplets": rows}))
+        assert run(side_file_command(workspace, "perturb --stats", side)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {side}: " in err
+        assert "vocabulary" in err or "negative" in err
+        assert not (workspace / "p.jsonl").exists()

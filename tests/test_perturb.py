@@ -1,14 +1,41 @@
 from __future__ import annotations
 
+import gc
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from sggkit.ingest import Dataset, EmbeddingTable
-from sggkit.model import Triplet, Vocabulary, categorical_triplets
+import sggkit
+
+from sggkit.cli import main as cli_main
+from sggkit.ingest import (
+    Dataset,
+    EmbeddingTable,
+    graph_to_obj,
+    load_dataset,
+    load_embeddings,
+    load_vocabulary,
+)
+from sggkit.model import (
+    BoundingBox,
+    ObjectNode,
+    Relationship,
+    SceneGraph,
+    Triplet,
+    Vocabulary,
+    categorical_triplets,
+)
 from sggkit.perturb import (
+    METHODS,
     CannotPerturbError,
     PerturbationConfig,
     PerturbationRecord,
@@ -23,9 +50,25 @@ from sggkit.perturb import (
     sample_nodes,
     semantic_neighbors,
 )
-from sggkit.stats import TripletFrequencyTable, build_frequency_table
+from sggkit.stats import (
+    TripletFrequencyTable,
+    build_frequency_table,
+    triplet_set_from_json_obj,
+)
 
-from .conftest import ABOVE, CAT, DOG, ON, PERSON, SURFBOARD, WAVE, dataset_of, make_graph
+from .conftest import (
+    ABOVE,
+    CAT,
+    DOG,
+    ON,
+    PERSON,
+    SURFBOARD,
+    WAVE,
+    dataset_of,
+    make_graph,
+    write_jsonl,
+    write_vocab,
+)
 
 CHI2_P = 0.001
 
@@ -464,3 +507,289 @@ class TestRecordInvariants:
             k for k, e in enumerate(graph.edges) if node in (e.subject, e.object)
         )
         assert record.affected_edges == expected
+
+
+
+def brute_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
+    """Reference top-k: a Python sort of every other category by
+    (-cosine, id), recomputing all norms per call."""
+    v = emb.vectors
+    query = v[category]
+    sims = (v @ query) / (np.linalg.norm(v, axis=1) * np.linalg.norm(query))
+    order = sorted(
+        (i for i in range(emb.num_categories) if i != category),
+        key=lambda i: (-sims[i], i),
+    )
+    return order[:k]
+
+
+def brute_graphn_candidates(graph, node, table, alpha) -> list[tuple[int, float, float]]:
+    """Reference graphn scoring: dict-of-list support merging, Python
+    int means and a left-to-right sum of the inverse weights."""
+    by_po: dict = {}
+    by_sp: dict = {}
+    for t, c in table.counts.items():
+        by_po.setdefault((t.predicate, t.object_category), []).append((t.subject_category, c))
+        by_sp.setdefault((t.subject_category, t.predicate), []).append((t.object_category, c))
+    categories = [n.category for n in graph.nodes]
+    support: dict[int, list[int]] = {}
+    for edge in graph.edges:
+        if edge.subject == node:
+            for cat, count in by_po.get((edge.predicate, categories[edge.object]), ()):
+                support.setdefault(cat, []).append(count)
+        elif edge.object == node:
+            for cat, count in by_sp.get((categories[edge.subject], edge.predicate), ()):
+                support.setdefault(cat, []).append(count)
+    support.pop(categories[node], None)
+    kept = []
+    for cat in sorted(support):
+        mean_count = sum(support[cat]) / len(support[cat])
+        if mean_count < alpha:
+            continue
+        kept.append((cat, mean_count))
+    if not kept:
+        return []
+    inv = [1.0 / c for _, c in kept]
+    norm = sum(inv)
+    return [(cat, mean_count, w / norm) for (cat, mean_count), w in zip(kept, inv)]
+
+
+@st.composite
+def graphn_cases(draw):
+    """A triplet table with small counts (so means often equal alpha), and a
+    graph whose categories may lie beyond the table's."""
+    num_cats = draw(st.integers(2, 16))
+    num_preds = draw(st.integers(1, 2))
+    triplet = st.tuples(st.integers(0, num_cats - 1), st.integers(0, num_preds - 1),
+                        st.integers(0, num_cats - 1))
+    counts = draw(st.dictionaries(triplet, st.integers(1, 7), max_size=120))
+    categories = draw(st.lists(st.integers(0, num_cats + 2), min_size=2, max_size=6))
+    n = len(categories)
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, num_preds), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[2]),
+        max_size=8,
+    ))
+    node = draw(st.integers(0, n - 1))
+    alpha = draw(st.sampled_from([0, 1, 1.5, 2, 7 / 3, 3, 3.5, 4, 8]))
+    return table_of(counts), make_graph("g", categories, edges), node, alpha
+
+
+@st.composite
+def tie_heavy_embeddings(draw):
+    """Small-integer rows, so exact ties, orthogonal rows and duplicates occur."""
+    num_cats = draw(st.integers(2, 10))
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+        min_size=num_cats, max_size=num_cats,
+    ))
+    duplicate = draw(st.tuples(st.integers(0, num_cats - 1), st.integers(0, num_cats - 1)))
+    rows[duplicate[0]] = rows[duplicate[1]]
+    return EmbeddingTable(np.array(rows, dtype=float))
+
+
+class TestBruteForceOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(graphn_cases())
+    def test_graphn_candidates_equal_reference(self, case):
+        table, graph, node, alpha = case
+        cands = graphn_candidates(graph, node, table, alpha)
+        assert [(c.category, c.mean_count, c.probability) for c in cands] == \
+            brute_graphn_candidates(graph, node, table, alpha)
+
+    def test_graphn_many_candidates_sum_left_to_right(self):
+        # 40 candidates with counts 1, 3, ..., 79: numpy's pairwise sum of
+        # their inverses differs from the left-to-right sum in the last bit
+        table = table_of({(s, ON, 40): 2 * s + 1 for s in range(40)})
+        graph = make_graph("g", [41, 40], [(0, ON, 1)])
+        cands = graphn_candidates(graph, 0, table, alpha=0)
+        assert len(cands) == 40
+        assert [(c.category, c.mean_count, c.probability) for c in cands] == \
+            brute_graphn_candidates(graph, 0, table, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_embeddings(), st.data())
+    def test_neighbors_equal_reference(self, emb, data):
+        for category in range(emb.num_categories):
+            k = data.draw(st.integers(0, emb.num_categories - 1))
+            assert semantic_neighbors(emb, category, k) == brute_neighbors(emb, category, k)
+            # a second call is served from the table's cache
+            assert semantic_neighbors(emb, category, k) == brute_neighbors(emb, category, k)
+
+
+GOLDEN_OBJECTS, GOLDEN_PREDICATES = 16, 6
+GOLDEN_FLAGS = ["--intensity", "0.4", "--top-k", "3", "--alpha", "2", "--seed", "5"]
+# sha256 of (perturbed dataset, records) written by `sggkit perturb` on the
+# inputs of write_golden_inputs. A change to any perturbation byte, e.g. from
+# an optimisation that reorders float arithmetic, breaks these on purpose.
+GOLDEN_SHA256 = {
+    "rand": ("bbb364104808171c7d22bcc0f935c7507cd1a653ab9247d754d2e22857b7da51",
+             "974ed6c4d6ed72e8047f3b11afdfbf91f08758b315dfa79c2cab40cd0f133ff1"),
+    "neigh": ("6ed674ba433693bdefccebd69f55a81158711a74bdd0ac4366825ee0e74d016f",
+              "bd2d5a790ba19d4b06cf4ed548a9eadec33c53901ab7faab3d2125bb089209c4"),
+    "graphn": ("6f83c1e6a5b6b7a1d342f918c1ea908f7905bf5c015c39d11b40f931a0302fae",
+               "b06bd8edb32fd1d6f13e90964e5cd0ad152d66d3505745b1cfc67e9bac8c820b"),
+    "oracle_zs": ("937bdfd6fca1626634ea4aec16b215dbc7df64a83043226144b0a52df2ec2052",
+                  "d8b73897b7e7c05cb8ba474f2a21519a296839ed5db3932e8e4fa64cd73aa249"),
+}
+GOLDEN_VOCAB = Vocabulary(
+    tuple(f"c{i}" for i in range(GOLDEN_OBJECTS)), tuple(f"p{i}" for i in range(GOLDEN_PREDICATES))
+)
+
+
+def seeded_graph(rng, image_id) -> SceneGraph:
+    """1-8 nodes, up to 2n edges without self-loops; duplicate edges occur."""
+    n = int(rng.integers(1, 9))
+    nodes = tuple(
+        ObjectNode(int(c), BoundingBox(float(i), 0.0, float(i) + 2.5, 4.0))
+        for i, c in enumerate(rng.integers(0, GOLDEN_OBJECTS, size=n))
+    )
+    edges = []
+    if n > 1:
+        for _ in range(int(rng.integers(0, 2 * n))):
+            s, o = rng.choice(n, size=2, replace=False)
+            edges.append(Relationship(int(s), int(rng.integers(0, GOLDEN_PREDICATES)), int(o)))
+    return SceneGraph(image_id, 64, 48, nodes, tuple(edges))
+
+
+def write_side_files(root, rng, train: Dataset, suffix: str = "") -> None:
+    """Embeddings (small integers, so exact cosine ties, and one duplicated
+    row), the triplet table of `train` and a random reference set."""
+    vectors = rng.integers(-2, 3, size=(GOLDEN_OBJECTS, 4)).astype(float)
+    vectors[~vectors.any(axis=1)] = 1.0
+    vectors[5] = vectors[9]
+    with open(root / f"emb{suffix}.txt", "w", encoding="utf-8") as f:
+        for name, row in zip(GOLDEN_VOCAB.object_names, vectors):
+            f.write(name + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    table = build_frequency_table(train)
+    (root / f"stats{suffix}.json").write_text(json.dumps({"triplets": table.to_json_obj()}))
+    zs = sorted({
+        (int(s), int(p), int(o))
+        for s, p, o in zip(rng.integers(0, GOLDEN_OBJECTS, 400),
+                           rng.integers(0, GOLDEN_PREDICATES, 400),
+                           rng.integers(0, GOLDEN_OBJECTS, 400))
+    })
+    (root / f"zs{suffix}.json").write_text(
+        json.dumps({"triplets": [{"s": s, "p": p, "o": o} for s, p, o in zs]})
+    )
+
+
+def write_golden_inputs(root) -> None:
+    """Vocabulary, a 60-graph dataset and the side files, all from one
+    seeded generator; `*_b` side files come from another seed."""
+    rng = np.random.default_rng(20201)
+    write_vocab(root / "vocab.json", GOLDEN_VOCAB.object_names, GOLDEN_VOCAB.predicate_names)
+    train = Dataset(GOLDEN_VOCAB, tuple(seeded_graph(rng, f"tr{i}") for i in range(120)))
+    graphs = [seeded_graph(rng, f"img{i}") for i in range(60)]
+    write_jsonl(root / "dataset.jsonl", [graph_to_obj(g) for g in graphs])
+    write_side_files(root, rng, train)
+    rng = np.random.default_rng(7)
+    train = Dataset(GOLDEN_VOCAB, tuple(seeded_graph(rng, f"tr{i}") for i in range(120)))
+    write_side_files(root, rng, train, "_b")
+
+
+def perturb_argv(root, method, suffix, out_prefix) -> list[str]:
+    extra = {
+        "rand": [],
+        "neigh": ["--embeddings", root / f"emb{suffix}.txt"],
+        "graphn": ["--embeddings", root / f"emb{suffix}.txt",
+                   "--stats", root / f"stats{suffix}.json"],
+        "oracle_zs": ["--zs", root / f"zs{suffix}.json"],
+    }[method]
+    return [str(a) for a in [
+        "perturb", "--method", method, *GOLDEN_FLAGS, "--dataset", root / "dataset.jsonl",
+        "--vocab", root / "vocab.json", *extra,
+        "--out-dataset", root / f"{out_prefix}.jsonl",
+        "--out-records", root / f"{out_prefix}_records.jsonl",
+    ]]
+
+
+def output_bytes(root, out_prefix) -> tuple[bytes, bytes]:
+    return (root / f"{out_prefix}.jsonl").read_bytes(), \
+        (root / f"{out_prefix}_records.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    write_golden_inputs(root)
+    return root
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_golden_output_hashes(golden_dir, method):
+    assert cli_main(perturb_argv(golden_dir, method, "", f"golden_{method}")) == 0
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in output_bytes(golden_dir, f"golden_{method}"))
+    assert digests == GOLDEN_SHA256[method]
+
+
+def load_resources(root, method, suffix, vocab) -> PerturbationResources:
+    if method == "oracle_zs":
+        rows = json.loads((root / f"zs{suffix}.json").read_text())["triplets"]
+        return PerturbationResources(zs_triplets=triplet_set_from_json_obj(rows))
+    table = None
+    if method == "graphn":
+        rows = json.loads((root / f"stats{suffix}.json").read_text())["triplets"]
+        table = TripletFrequencyTable.from_json_obj(rows)
+    return PerturbationResources(load_embeddings(root / f"emb{suffix}.txt", vocab), table)
+
+
+@pytest.mark.parametrize("method", ["neigh", "graphn", "oracle_zs"])
+def test_runs_in_one_process_match_fresh_processes(golden_dir, method):
+    """Lookups built for one run's embeddings, table or reference set must
+    not leak into a later run in the same process, even when the later
+    inputs reuse the memory (and so the id) of the earlier ones."""
+    src = os.path.dirname(os.path.dirname(sggkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    vocab = load_vocabulary(golden_dir / "vocab.json")
+    fresh = {}
+    for suffix in ("", "_b"):
+        out = f"fresh_{method}{suffix}"
+        subprocess.run([sys.executable, "-m", "sggkit.cli",
+                        *perturb_argv(golden_dir, method, suffix, out)],
+                       env=env, capture_output=True, check=True)
+        lines = (golden_dir / f"{out}_records.jsonl").read_text().splitlines()
+        fresh[suffix] = (load_dataset(golden_dir / f"{out}.jsonl", vocab).graphs,
+                         [PerturbationRecord.from_json_obj(json.loads(line)) for line in lines])
+    assert fresh[""] != fresh["_b"]
+    dataset = load_dataset(golden_dir / "dataset.jsonl", vocab)
+    cfg = PerturbationConfig(method, intensity=0.4, top_k=3, alpha=2, master_seed=5)
+    for suffix in ("", "_b", "", "_b"):
+        resources = load_resources(golden_dir, method, suffix, vocab)
+        out, records = perturb_dataset(dataset, cfg, resources)
+        assert (out.graphs, records) == fresh[suffix]
+        del resources, out, records
+        gc.collect()
+
+
+@pytest.fixture(scope="module")
+def shuffle_case(golden_dir):
+    """The golden dataset and each method's resources, loaded once."""
+    vocab = load_vocabulary(golden_dir / "vocab.json")
+    dataset = load_dataset(golden_dir / "dataset.jsonl", vocab)
+    graphn = load_resources(golden_dir, "graphn", "", vocab)
+    resources = PerturbationResources(
+        graphn.embeddings, graphn.table,
+        load_resources(golden_dir, "oracle_zs", "", vocab).zs_triplets,
+    )
+    reference = {}
+    for method in METHODS:
+        cfg = PerturbationConfig(method, intensity=0.5, top_k=3, alpha=2, master_seed=11)
+        out, records = perturb_dataset(dataset, cfg, resources)
+        reference[method] = cfg, {r.image_id: (g, r) for g, r in zip(out.graphs, records)}
+    return dataset, resources, reference
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(60)))
+def test_shuffled_input_gives_same_per_image_output(shuffle_case, method, order):
+    dataset, resources, reference = shuffle_case
+    cfg, expected = reference[method]
+    shuffled = Dataset(dataset.vocabulary, tuple(dataset.graphs[i] for i in order))
+    out, records = perturb_dataset(shuffled, cfg, resources)
+    assert [r.image_id for r in records] == [g.image_id for g in shuffled.graphs]
+    assert {r.image_id: (g, r) for g, r in zip(out.graphs, records)} == expected
