@@ -4,6 +4,13 @@ density and coverage, plus the Gaussian-fit Fréchet distance.
 All computations are exact (no approximate neighbor index) and operate on
 raw Euclidean distances; normalize features beforehand if that matters for
 your data.
+
+Distance matrices are never held whole: they are computed one block of rows
+at a time, each block's difference array bounded by `BLOCK_BYTES`, so memory
+grows as O((n + m) * d) plus one block rather than as n * m * d. Every
+distance is the same per-pair expression (difference, square, sum over the
+last axis, square root) whatever the block size, so results are exact and
+do not depend on it.
 """
 from __future__ import annotations
 
@@ -24,11 +31,24 @@ def _as_features(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+# Bytes of one (rows, m, d) float64 difference block. At 250 x 256, 1 MiB
+# blocks (which stay in a core's L2 cache) ran faster than 8 MiB ones.
+BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, m: int, d: int):
+    """Row ranges [i0, i1) of an n x m distance matrix over d-dim points."""
+    step = max(1, BLOCK_BYTES // (m * d * 8))
+    for i0 in range(0, n, step):
+        yield i0, min(i0 + step, n)
+
+
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Direct differences, not the Gram-matrix expansion: keeps distances
     # bitwise reproducible against a naive per-pair computation.
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
 def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
@@ -39,9 +59,12 @@ def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValueError(f"need at least k+1 = {k + 1} points, got {n}")
-    d = _pairwise_distances(x, x)
-    np.fill_diagonal(d, np.inf)
-    return np.partition(d, k - 1, axis=1)[:, k - 1]
+    radii = np.empty(n)
+    for i0, i1 in _row_blocks(n, n, x.shape[1]):
+        d = _pairwise_distances(x[i0:i1], x)
+        d[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
+        radii[i0:i1] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    return radii
 
 
 @dataclass(frozen=True)
@@ -73,13 +96,24 @@ def precision_recall_density_coverage(
         raise ValueError("real and fake features must share dimensionality")
     real_radii = knn_radii(real, k)
     fake_radii = knn_radii(fake, k)
-    d = _pairwise_distances(real, fake)  # (n_real, n_fake)
+    n_real, n_fake = real.shape[0], fake.shape[0]
 
-    in_real_balls = d <= real_radii[:, None]
-    precision = float(in_real_balls.any(axis=0).mean())
-    recall = float((d <= fake_radii[None, :]).any(axis=1).mean())
-    density = float(in_real_balls.sum(axis=0).mean() / k)
-    coverage = float(in_real_balls.any(axis=1).mean())
+    in_some_real_ball = np.zeros(n_fake, dtype=bool)
+    real_ball_counts = np.zeros(n_fake, dtype=np.int64)
+    covered = np.empty(n_real, dtype=bool)
+    recalled = np.empty(n_real, dtype=bool)
+    for i0, i1 in _row_blocks(n_real, n_fake, real.shape[1]):
+        d = _pairwise_distances(real[i0:i1], fake)  # (block, n_fake)
+        in_real_balls = d <= real_radii[i0:i1, None]
+        in_some_real_ball |= in_real_balls.any(axis=0)
+        real_ball_counts += in_real_balls.sum(axis=0)
+        covered[i0:i1] = in_real_balls.any(axis=1)
+        recalled[i0:i1] = (d <= fake_radii[None, :]).any(axis=1)
+
+    precision = float(in_some_real_ball.mean())
+    recall = float(recalled.mean())
+    density = float(real_ball_counts.mean() / k)
+    coverage = float(covered.mean())
     return PRDCResult(precision, recall, density, coverage)
 
 

@@ -246,7 +246,11 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
-    """Read a TSV feature matrix: header line "N D", then N rows of D floats."""
+    """Read a TSV feature matrix: header line "N D", then N rows of D floats.
+
+    Memory is sized from the rows actually read, never from the header alone,
+    so a header claiming more rows than the file holds is an input error.
+    """
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
@@ -257,26 +261,25 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
             raise ParseError(f"{path}:1: header must be two integers") from e
         if n < 0 or d < 1:
             raise ParseError(f"{path}:1: invalid shape {n}x{d}")
-        out = np.empty((n, d), dtype=np.float64)
-        row = 0
+        rows = []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
+            row = len(rows)
             if row >= n:
                 raise ParseError(f"{path}:{lineno}: more than {n} rows")
             values = line.split()
             if len(values) != d:
                 raise ParseError(f"{path}:{lineno}: row {row} has {len(values)} values, expected {d}")
             try:
-                out[row] = [float(v) for v in values]
+                rows.append(np.array([float(v) for v in values]))
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: row {row}: bad float") from e
-            if not np.isfinite(out[row]).all():
+            if not np.isfinite(rows[-1]).all():
                 raise ParseError(f"{path}:{lineno}: row {row}: non-finite value")
-            row += 1
-    if row != n:
-        raise ParseError(f"{path}: expected {n} rows, found {row}")
-    return out
+    if len(rows) != n:
+        raise ParseError(f"{path}:1: expected {n} rows, found {len(rows)}")
+    return np.stack(rows) if rows else np.empty((0, d), dtype=np.float64)
 
 
 def load_predictions(path: str | Path, vocab: Vocabulary):

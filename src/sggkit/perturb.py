@@ -65,7 +65,7 @@ class PerturbationConfig:
             raise ValueError(f"intensity must lie in [0, 1], got {self.intensity}")
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # rejects NaN too; inf means no cutoff
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 

@@ -154,6 +154,12 @@ class TestPerturb:
     def test_neigh_without_embeddings_exit_2(self, workspace):
         assert self.run_perturb(workspace, "neigh", "py") == 2
 
+    def test_nan_alpha_exit_2(self, workspace, capsys):
+        extra = ["--embeddings", workspace / "glove.txt", "--alpha", "nan"]
+        assert self.run_perturb(workspace, "graphn", "pn", extra) == 2
+        assert "alpha must be >= 0, got nan" in capsys.readouterr().err
+        assert not (workspace / "pn.jsonl").exists()
+
 
 class TestHitRate:
     def test_oracle_records_hit_zs_fully(self, workspace):
@@ -375,6 +381,18 @@ class TestFeatMetrics:
                     "--fake", workspace / "fake.tsv", "-k", "3",
                     "--out", workspace / "fm.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("header", ["100000000000 256", "3 100000000000"])
+    def test_oversized_header_exit_2_naming_line_1(self, workspace, capsys, header):
+        huge = workspace / "huge.tsv"
+        huge.write_text(header + "\n")
+        self.write_features(workspace / "fake.tsv", [[0.0, 0.0], [1.0, 1.0]])
+        code = run(["feat-metrics", "--real", huge, "--fake", workspace / "fake.tsv",
+                    "--out", workspace / "fm.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {huge}:1: expected" in err
+        assert "Traceback" not in err
 
 
 def side_file_command(workspace, flag, side):

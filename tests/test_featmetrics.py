@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sggkit import featmetrics
 from sggkit.featmetrics import (
     frechet_distance,
     knn_radii,
@@ -41,6 +43,105 @@ def naive_prdc(real, fake, k):
         any(naive_distance(r, f) <= r_radii[i] for f in fake) for i, r in enumerate(real)
     ) / len(real)
     return precision, recall, density, coverage
+
+
+# The whole-matrix broadcast the row-blocked code replaced, kept as an exact
+# oracle: every output must equal it bit for bit, whatever the block size.
+def broadcast_distances(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def broadcast_radii(x, k):
+    d = broadcast_distances(x, x)
+    np.fill_diagonal(d, np.inf)
+    return np.partition(d, k - 1, axis=1)[:, k - 1]
+
+
+def broadcast_prdc(real, fake, k):
+    real_radii = broadcast_radii(real, k)
+    fake_radii = broadcast_radii(fake, k)
+    d = broadcast_distances(real, fake)
+    in_real_balls = d <= real_radii[:, None]
+    precision = float(in_real_balls.any(axis=0).mean())
+    recall = float((d <= fake_radii[None, :]).any(axis=1).mean())
+    density = float(in_real_balls.sum(axis=0).mean() / k)
+    coverage = float(in_real_balls.any(axis=1).mean())
+    return precision, recall, density, coverage
+
+
+def feature_sets(n_real, n_fake, d, seed):
+    """Two overlapping sets; each holds 6 copies of one shared point, so
+    radii of 0 (k <= 5) and distances of exactly 0 both occur."""
+    rng = np.random.default_rng(seed)
+    real = rng.normal(size=(n_real, d))
+    fake = rng.normal(size=(n_fake, d)) + rng.normal(scale=0.3)
+    shared = rng.normal(size=d)
+    real[-6:] = shared
+    fake[:6] = shared
+    return real, fake
+
+
+# (n_real, n_fake, d, k): m != n, d up to 300, and n = k + 1
+BLOCK_CASES = [(23, 17, 300, 5), (41, 29, 64, 3), (6, 35, 7, 5), (30, 6, 2, 5), (50, 50, 9, 1)]
+
+
+def rows_budget(rows, m, d):
+    """A block budget that makes an n x m distance matrix over d dims take
+    `rows` rows per block: 1, a non-divisor of n, or all n."""
+    return rows * m * d * 8
+
+
+def non_divisor(n):
+    return next(r for r in range(2, n) if n % r) if n > 2 else 1
+
+
+class TestRowBlocksExact:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+    def test_radii_equal_broadcast(self, monkeypatch, case, rows):
+        n_real, n_fake, d, k = case
+        for x in feature_sets(n_real, n_fake, d, seed=n_real * d):
+            n = x.shape[0]
+            r = {"one": 1, "non-divisor": non_divisor(n), "all": n}[rows]
+            monkeypatch.setattr(featmetrics, "BLOCK_BYTES", rows_budget(r, n, d))
+            assert list(featmetrics._row_blocks(n, n, d))[0] == (0, r)
+            np.testing.assert_array_equal(knn_radii(x, k), broadcast_radii(x, k))
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+    def test_prdc_equals_broadcast(self, monkeypatch, case, rows):
+        n_real, n_fake, d, k = case
+        real, fake = feature_sets(n_real, n_fake, d, seed=n_fake * d)
+        r = {"one": 1, "non-divisor": non_divisor(n_real), "all": n_real}[rows]
+        monkeypatch.setattr(featmetrics, "BLOCK_BYTES", rows_budget(r, n_fake, d))
+        assert list(featmetrics._row_blocks(n_real, n_fake, d))[0] == (0, r)
+        result = precision_recall_density_coverage(real, fake, k)
+        assert result.as_tuple() == broadcast_prdc(real, fake, k)
+
+    def test_zero_radii_and_exact_hits_occur(self):
+        real, fake = feature_sets(23, 17, 300, seed=0)
+        assert (knn_radii(real, 5)[-6:] == 0.0).all()
+        assert precision_recall_density_coverage(real, fake, 5).precision >= 6 / 17
+
+    def test_default_budget_equals_broadcast_at_bench_size(self):
+        real, fake = feature_sets(250, 250, 256, seed=1)
+        result = precision_recall_density_coverage(real, fake, 5)
+        assert result.as_tuple() == broadcast_prdc(real, fake, 5)
+
+
+def test_prdc_memory_is_bounded_by_blocks():
+    # The broadcast needs 1000 x 1000 x 64 float64s (512 MB) per matrix; even
+    # one whole 1000 x 1000 distance matrix (7.6 MiB) would break this bound.
+    rng = np.random.default_rng(12)
+    real, fake = rng.normal(size=(1000, 64)), rng.normal(size=(1000, 64))
+    tracemalloc.start()
+    try:
+        precision_recall_density_coverage(real, fake, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < featmetrics.BLOCK_BYTES + 2 * 2**20
 
 
 class TestKnnRadii:

@@ -171,6 +171,18 @@ class TestLoadFeatureMatrix:
         with pytest.raises(ParseError, match="expected 3 rows"):
             load_feature_matrix(path)
 
+    def test_header_beyond_the_file_is_not_allocated(self, tmp_path):
+        # 10^11 x 256 float64 would be 186 TiB: the header alone sizes nothing
+        path = tmp_path / "f.tsv"
+        path.write_text("100000000000 256\n" + " ".join(["0"] * 256) + "\n")
+        with pytest.raises(ParseError, match=r"f\.tsv:1: expected 100000000000 rows, found 1"):
+            load_feature_matrix(path)
+
+    def test_empty_with_huge_dimension_is_valid(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("0 100000000000\n")
+        assert load_feature_matrix(path).shape == (0, 100000000000)
+
 
 class TestLoadPredictions:
     def test_label_mode_one_hot(self, tmp_path, vocab):

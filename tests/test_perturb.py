@@ -487,6 +487,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PerturbationConfig("graphn", top_k=-1)
 
+    def test_nan_alpha_rejected_inf_accepted(self):
+        with pytest.raises(ValueError, match="alpha"):
+            PerturbationConfig("graphn", alpha=float("nan"))
+        assert PerturbationConfig("graphn", alpha=float("inf")).alpha == float("inf")
+
 
 class TestRecordInvariants:
     def test_rejects_duplicate_nodes(self):
