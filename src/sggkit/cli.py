@@ -201,15 +201,15 @@ def cmd_hit_rate(args) -> int:
 
 
 def cmd_plausibility(args) -> int:
-    vocab = ingest.load_vocabulary(args.vocab)
-    dataset = ingest.load_dataset(args.dataset, vocab)
-    records = _load_records(args.records) if args.records else None
     endpoint = args.endpoint or os.environ.get(LM_ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(
             f"no scoring endpoint: set --endpoint or the {LM_ENDPOINT_ENV} environment variable"
         )
     scorer = quality.HttpScorer(endpoint, timeout=args.timeout, retries=args.retries)
+    vocab = ingest.load_vocabulary(args.vocab)
+    dataset = ingest.load_dataset(args.dataset, vocab)
+    records = _load_records(args.records) if args.records else None
     rng = np.random.default_rng(args.seed)
     report = quality.score_graphs(
         scorer,
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-token", default=quality.DEFAULT_MASK_TOKEN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
-                   help="max in-flight scoring requests")
+                   help="max in-flight scoring queries")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plausibility)
 

@@ -250,7 +250,7 @@ def _graphn_scores(
         support[categories[node]] = 0
     cats = np.flatnonzero(support)
     means = total[cats] / support[cats]
-    kept = ~(means < alpha)  # the `mean < alpha` cutoff exactly, NaN alpha included
+    kept = ~(means < alpha)  # the `mean < alpha` cutoff exactly
     cats, means = cats[kept], means[kept]
     inv = 1.0 / means
     # Python's sum adds left to right; np.sum's pairwise order can change
@@ -275,6 +275,8 @@ def graphn_candidates(
     """
     if node < 0 or node >= graph.num_nodes:
         raise IndexError(f"node {node} out of range (n={graph.num_nodes})")
+    if not alpha >= 0:  # rejects NaN too; inf means no cutoff
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     scores = _graphn_scores([n.category for n in graph.nodes], graph, node, table, alpha)
     return [GraphNCandidate(*row) for row in zip(*(a.tolist() for a in scores))]
 

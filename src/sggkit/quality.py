@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -124,8 +125,10 @@ class HttpScorer:
     """Client for the plausibility wire protocol.
 
     POST <endpoint>/score with {"text": ..., "target": ...}; the response
-    must be {"score": <float>}. Transport failures are retried with a short
-    backoff before raising.
+    must be a 200 with {"score": <number>}. Each attempt opens its own
+    connection, straight to the endpoint (no proxy). A transport error, a
+    non-200 status, a body that is not JSON or a missing or non-numeric
+    score is retried with a short backoff before raising.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 3,
@@ -134,28 +137,56 @@ class HttpScorer:
             raise ValueError("empty scorer endpoint")
         if retries < 1:
             raise ValueError(f"retries must be >= 1, got {retries}")
-        self.url = endpoint.rstrip("/") + "/score"
+        parts = urlsplit(endpoint)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"scorer endpoint must be an http:// or https:// URL, "
+                             f"got {endpoint!r}")
+        if not parts.hostname:
+            raise ValueError(f"scorer endpoint has no host: {endpoint!r}")
+        if parts.username is not None or parts.query or parts.fragment:
+            raise ValueError(f"scorer endpoint must not carry credentials, a query or a "
+                             f"fragment: {endpoint!r}")
+        # http.client (and ssl with it) loads here, not at import: the CLI's
+        # other commands never pay for it.
+        import http.client
+
+        self._connection = (http.client.HTTPSConnection if parts.scheme == "https"
+                            else http.client.HTTPConnection)
+        try:
+            self._host, self._port = parts.hostname, parts.port
+            self._connection(self._host, self._port)  # checks the host; connects nowhere
+        except (ValueError, http.client.InvalidURL) as e:
+            raise ValueError(f"bad scorer endpoint {endpoint!r}: {e}") from e
+        self._path = parts.path.rstrip("/") + "/score"
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
 
     def score(self, text: str, target: str) -> float:
-        import requests  # only this client needs it; keeps it out of the CLI's start-up
+        import http.client
 
+        body = json.dumps({"text": text, "target": target}).encode()
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         last_error = None
         for attempt in range(self.retries):
+            if attempt:
+                time.sleep(self.backoff * attempt)
+            conn = self._connection(self._host, self._port, timeout=self.timeout)
             try:
-                resp = requests.post(
-                    self.url, json={"text": text, "target": target}, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                payload = resp.json()
-                return float(payload["score"])
-            except (requests.RequestException, json.JSONDecodeError, KeyError,
-                    TypeError, ValueError) as e:
+                conn.request("POST", self._path, body, headers)
+                response = conn.getresponse()
+                payload = response.read()
+                if response.status != 200:
+                    last_error = f"HTTP {response.status} {response.reason}"
+                    continue
+                value = json.loads(payload)["score"]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError(f"non-numeric score {value!r}")
+                return float(value)
+            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as e:
                 last_error = e
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * (attempt + 1))
+            finally:
+                conn.close()
         raise ScorerError(f"scoring failed after {self.retries} attempts: {last_error}")
 
 
@@ -221,7 +252,7 @@ def score_graphs(
     With records, the masked node is a uniformly chosen perturbed node (one
     with graph context); without, a uniformly chosen non-isolated node.
     Graphs offering no such node are skipped and counted. Queries are built
-    sequentially for determinism; requests may run concurrently.
+    sequentially for determinism; queries may run concurrently.
     """
     by_id = {}
     if records is not None:

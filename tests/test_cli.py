@@ -242,6 +242,21 @@ class TestPlausibility:
                     "--retries", "1", "--seed", "5", "--out", workspace / "p.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("scheme", ["", "ftp://"])
+    def test_endpoint_without_http_scheme_exit_2_sending_nothing(self, workspace, capsys,
+                                                                  scheme):
+        from .lm_stub import stub_lm_server
+
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(["plausibility", "--dataset", workspace / "train.jsonl",
+                        "--vocab", workspace / "vocab.json",
+                        "--endpoint", scheme + url.removeprefix("http://"),
+                        "--seed", "5", "--out", workspace / "p.json"])
+        assert code == 2
+        assert "must be an http:// or https:// URL" in capsys.readouterr().err
+        assert state["connections"] == 0
+        assert not (workspace / "p.json").exists()
+
     def test_zero_retries_exit_2(self, workspace, capsys):
         code = run(["plausibility", "--dataset", workspace / "train.jsonl",
                     "--vocab", workspace / "vocab.json",

@@ -269,6 +269,14 @@ class TestGraphNCandidates:
         for c in cands:
             assert c.probability == pytest.approx(inv[c.category] / norm, abs=1e-15)
 
+    def test_nan_and_negative_alpha_rejected_inf_accepted(self):
+        table = table_of({(PERSON, ON, SURFBOARD): 4, (CAT, ON, SURFBOARD): 1})
+        graph = make_graph("g", [DOG, SURFBOARD], [(0, ON, 1)])
+        for alpha in (float("nan"), -1):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                graphn_candidates(graph, 0, table, alpha)
+        assert graphn_candidates(graph, 0, table, float("inf")) == []
+
     def test_alpha_monotonicity(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
