@@ -165,13 +165,7 @@ def cmd_perturb(args) -> int:
 
 
 def _load_records(path: str | Path) -> list[perturb.PerturbationRecord]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(perturb.PerturbationRecord.from_json_obj(json.loads(line)))
-    return records
+    return [perturb.PerturbationRecord.from_json_obj(obj) for _, obj in ingest.iter_jsonl(path)]
 
 
 def cmd_hit_rate(args) -> int:

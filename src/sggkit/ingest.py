@@ -95,21 +95,42 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     for key in ("objects", "predicates"):
         if key not in raw:
             raise ParseError(f"{path}: missing key {key!r}")
-        names = raw[key]
-        if not isinstance(names, list) or not names:
-            raise ParseError(f"{path}: {key!r} must be a non-empty array")
-        for name in names:
-            if not isinstance(name, str) or not name:
-                raise ParseError(f"{path}: empty or non-string name in {key!r}")
-        if len(set(names)) != len(names):
-            raise ParseError(f"{path}: duplicate name in {key!r}")
-    return Vocabulary(tuple(raw["objects"]), tuple(raw["predicates"]))
+        if not isinstance(raw[key], list):
+            raise ParseError(f"{path}: {key!r} must be an array")
+    try:
+        return Vocabulary(tuple(raw["objects"]), tuple(raw["predicates"]))
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
+def iter_jsonl(path: str | Path):
+    """Yield ("path:line", object) for each non-blank line of a JSON-Lines
+    file. Every line must hold a JSON object whose "image_id" is a non-empty
+    string not used on an earlier line."""
+    first_line: dict[str, int] = {}
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{where}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+            image_id = obj.get("image_id")
+            if not isinstance(image_id, str) or not image_id:
+                raise ParseError(f"{where}: missing or empty 'image_id'")
+            if image_id in first_line:
+                raise ParseError(f"{where}: duplicate image_id {image_id!r} "
+                                 f"(first on line {first_line[image_id]})")
+            first_line[image_id] = lineno
+            yield where, obj
 
 
 def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
-    image_id = obj.get("image_id")
-    if not isinstance(image_id, str) or not image_id:
-        raise ParseError(f"{where}: missing or empty 'image_id'")
+    image_id = obj["image_id"]
     ctx = f"{where} (image_id={image_id!r})"
     try:
         width = int(obj["width"])
@@ -151,25 +172,7 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Read a JSON-Lines dataset; one scene graph per line, file order kept,
     image ids unique."""
-    graphs = []
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            graph = _graph_from_obj(obj, vocab, f"{path}:{lineno}")
-            if graph.image_id in first_line:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate image_id {graph.image_id!r} "
-                    f"(first on line {first_line[graph.image_id]})"
-                )
-            first_line[graph.image_id] = lineno
-            graphs.append(graph)
+    graphs = [_graph_from_obj(obj, vocab, where) for where, obj in iter_jsonl(path)]
     return Dataset(vocab, tuple(graphs))
 
 
@@ -287,70 +290,54 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
     from .evaluation import PairScores, PredictedGraph
 
     preds = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
+    for where, obj in iter_jsonl(path):
+        image_id = obj["image_id"]
+        ctx = f"{where} (image_id={image_id!r})"
+
+        if "object_scores" in obj:
+            scores = np.asarray(obj["object_scores"], dtype=np.float64)
+            if scores.ndim != 2 or scores.shape[1] != vocab.num_objects:
+                raise ParseError(
+                    f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
+                )
+        elif "object_labels" in obj:
+            labels = obj["object_labels"]
+            scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
+            for i, lab in enumerate(labels):
+                lab = int(lab)
+                if not 0 <= lab < vocab.num_objects:
+                    raise ParseError(f"{ctx}: object label {lab} out of range")
+                scores[i, lab] = 1.0
+        else:
+            raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
+
+        pairs = []
+        for k, p in enumerate(obj.get("pairs", [])):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where}: invalid JSON: {e}") from e
-            image_id = obj.get("image_id")
-            if not isinstance(image_id, str) or not image_id:
-                raise ParseError(f"{where}: missing or empty 'image_id'")
-            ctx = f"{where} (image_id={image_id!r})"
+                s, o = int(p["subject"]), int(p["object"])
+                ps = np.asarray(p["predicate_scores"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as e:
+                raise ParseError(f"{ctx}: malformed pair {k}") from e
+            if ps.shape != (vocab.num_predicates,):
+                raise ParseError(
+                    f"{ctx}: pair {k}: predicate_scores length {ps.size}, "
+                    f"expected {vocab.num_predicates}"
+                )
+            if ((ps < 0) | (ps > 1)).any() or not np.isfinite(ps).all():
+                raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
+            pairs.append(PairScores(s, o, ps))
 
-            if "object_scores" in obj:
-                scores = np.asarray(obj["object_scores"], dtype=np.float64)
-                if scores.ndim != 2 or scores.shape[1] != vocab.num_objects:
-                    raise ParseError(
-                        f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
-                    )
-            elif "object_labels" in obj:
-                labels = obj["object_labels"]
-                scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
-                for i, lab in enumerate(labels):
-                    lab = int(lab)
-                    if not 0 <= lab < vocab.num_objects:
-                        raise ParseError(f"{ctx}: object label {lab} out of range")
-                    scores[i, lab] = 1.0
-            else:
-                raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
-            n = scores.shape[0]
-
-            pairs = []
-            for k, p in enumerate(obj.get("pairs", [])):
-                try:
-                    s, o = int(p["subject"]), int(p["object"])
-                    ps = np.asarray(p["predicate_scores"], dtype=np.float64)
-                except (KeyError, TypeError, ValueError) as e:
-                    raise ParseError(f"{ctx}: malformed pair {k}") from e
-                if ps.shape != (vocab.num_predicates,):
-                    raise ParseError(
-                        f"{ctx}: pair {k}: predicate_scores length {ps.size}, "
-                        f"expected {vocab.num_predicates}"
-                    )
-                if not (0 <= s < n and 0 <= o < n):
-                    raise ParseError(f"{ctx}: pair {k}: node index out of range")
-                if ((ps < 0) | (ps > 1)).any() or not np.isfinite(ps).all():
-                    raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
-                pairs.append(PairScores(s, o, ps))
-
-            boxes = None
-            if obj.get("boxes") is not None:
-                try:
-                    boxes = tuple(
-                        BoundingBox(*(float(c) for c in b)) for b in obj["boxes"]
-                    )
-                except (TypeError, ValueError) as e:
-                    raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
-                if len(boxes) != n:
-                    raise ParseError(f"{ctx}: {len(boxes)} boxes for {n} nodes")
-
+        boxes = None
+        if obj.get("boxes") is not None:
             try:
-                preds.append(PredictedGraph(image_id, scores, tuple(pairs), boxes))
-            except ValueError as e:
-                raise ParseError(f"{ctx}: {e}") from e
+                boxes = tuple(
+                    BoundingBox(*(float(c) for c in b)) for b in obj["boxes"]
+                )
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
+
+        try:
+            preds.append(PredictedGraph(image_id, scores, tuple(pairs), boxes))
+        except ValueError as e:
+            raise ParseError(f"{ctx}: {e}") from e
     return preds

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sggkit
 from sggkit.ingest import (
     Dataset,
     ParseError,
+    iter_jsonl,
     load_dataset,
     load_embeddings,
     load_feature_matrix,
@@ -42,6 +46,79 @@ class TestLoadVocabulary:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             load_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"objects": "ab", "predicates": ["on"]}, "'objects' must be an array"),
+            ({"objects": [], "predicates": ["on"]}, "no object names"),
+            ({"objects": ["a", "a"], "predicates": ["on"]}, "duplicate object names"),
+            ({"objects": ["a"], "predicates": ["on", 3]}, "empty predicate name"),
+        ],
+    )
+    def test_name_errors_come_from_the_vocabulary_and_name_the_file(self, tmp_path, payload,
+                                                                    message):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=rf"vocab\.json: .*{message}"):
+            load_vocabulary(path)
+
+
+class TestIterJsonl:
+    def test_yields_file_line_and_object_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": "a"}\n\n  \n{"image_id": "b", "x": 1}\n')
+        assert list(iter_jsonl(path)) == [
+            (f"{path}:1", {"image_id": "a"}),
+            (f"{path}:4", {"image_id": "b", "x": 1}),
+        ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('"x"', "expected a JSON object, got str"),
+            ("{", "invalid JSON"),
+            ('{"width": 3}', "missing or empty 'image_id'"),
+            ('{"image_id": ""}', "missing or empty 'image_id'"),
+            ('{"image_id": 7}', "missing or empty 'image_id'"),
+        ],
+    )
+    def test_rejects_line_naming_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": "a"}\n' + line + "\n")
+        with pytest.raises(ParseError, match=rf"d\.jsonl:2: {message}"):
+            list(iter_jsonl(path))
+
+    def test_rejects_repeated_image_id_at_its_second_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": "a"}\n{"image_id": "b"}\n\n{"image_id": "a"}\n')
+        with pytest.raises(ParseError, match=r"d\.jsonl:4: duplicate image_id 'a' "
+                                             r"\(first on line 1\)"):
+            list(iter_jsonl(path))
+
+    def test_json_loads_only_in_the_reader_and_the_scorer(self):
+        """Every JSON-Lines file goes through iter_jsonl; the scoring client
+        parses its HTTP replies. No other code parses JSON text line by line."""
+        callers = set()
+
+        def visit(node, module, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, module, scope + [child.name])
+                    continue
+                if isinstance(child, ast.ImportFrom) and child.module == "json":
+                    assert "loads" not in {a.name for a in child.names}, module
+                func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+                if (isinstance(func, ast.Attribute) and func.attr == "loads"
+                        and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                    callers.add(".".join([module] + scope))
+                visit(child, module, scope)
+
+        for path in sorted(Path(sggkit.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+        assert "ingest.iter_jsonl" in callers
+        assert callers <= {"ingest.iter_jsonl", "quality.HttpScorer.score"}, callers
 
 
 class TestLoadDataset:
