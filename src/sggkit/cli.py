@@ -165,7 +165,15 @@ def cmd_perturb(args) -> int:
 
 
 def _load_records(path: str | Path) -> list[perturb.PerturbationRecord]:
-    return [perturb.PerturbationRecord.from_json_obj(obj) for _, obj in ingest.iter_jsonl(path)]
+    records = []
+    for where, obj in ingest.iter_jsonl(path):
+        try:
+            records.append(perturb.PerturbationRecord.from_json_obj(obj))
+        except KeyError as e:
+            raise ValueError(f"{where}: missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{where}: malformed record: {e}") from e
+    return records
 
 
 def cmd_hit_rate(args) -> int:

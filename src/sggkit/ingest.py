@@ -103,6 +103,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise ParseError(f"{path}: {e}") from e
 
 
+def json_int(value) -> int:
+    """`value` if it is a JSON integer; a bool, a string or any float (3.0
+    included) is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def iter_jsonl(path: str | Path):
     """Yield ("path:line", object) for each non-blank line of a JSON-Lines
     file. Every line must hold a JSON object whose "image_id" is a non-empty
@@ -133,15 +141,15 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
     image_id = obj["image_id"]
     ctx = f"{where} (image_id={image_id!r})"
     try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-    except (KeyError, TypeError, ValueError) as e:
+        width = json_int(obj["width"])
+        height = json_int(obj["height"])
+    except (KeyError, TypeError) as e:
         raise ParseError(f"{ctx}: bad 'width'/'height'") from e
 
     nodes = []
     for i, o in enumerate(obj.get("objects", [])):
         try:
-            category = int(o["category"])
+            category = json_int(o["category"])
             x1, y1, x2, y2 = (float(c) for c in o["box"])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{ctx}: malformed object {i}") from e
@@ -153,8 +161,8 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
     edges = []
     for k, r in enumerate(obj.get("relationships", [])):
         try:
-            s, p, o_ = int(r["subject"]), int(r["predicate"]), int(r["object"])
-        except (KeyError, TypeError, ValueError) as e:
+            s, p, o_ = json_int(r["subject"]), json_int(r["predicate"]), json_int(r["object"])
+        except (KeyError, TypeError) as e:
             raise ParseError(f"{ctx}: malformed relationship {k}") from e
         try:
             edges.append(Relationship(s, p, o_))
@@ -301,10 +309,12 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                     f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
                 )
         elif "object_labels" in obj:
-            labels = obj["object_labels"]
+            try:
+                labels = [json_int(lab) for lab in obj["object_labels"]]
+            except TypeError as e:
+                raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
             scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
             for i, lab in enumerate(labels):
-                lab = int(lab)
                 if not 0 <= lab < vocab.num_objects:
                     raise ParseError(f"{ctx}: object label {lab} out of range")
                 scores[i, lab] = 1.0
@@ -314,7 +324,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
         pairs = []
         for k, p in enumerate(obj.get("pairs", [])):
             try:
-                s, o = int(p["subject"]), int(p["object"])
+                s, o = json_int(p["subject"]), json_int(p["object"])
                 ps = np.asarray(p["predicate_scores"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{ctx}: malformed pair {k}") from e

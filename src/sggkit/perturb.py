@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, EmbeddingTable
+from .ingest import Dataset, EmbeddingTable, json_int
 from .model import SceneGraph, Triplet, Vocabulary, degree
 from .stats import TripletFrequencyTable
 
@@ -99,9 +99,27 @@ class PerturbationRecord:
     def from_json_obj(cls, obj: dict) -> "PerturbationRecord":
         return cls(
             obj["image_id"],
-            tuple((int(r["node"]), int(r["old"]), int(r["new"])) for r in obj["replacements"]),
-            tuple(int(e) for e in obj["affected_edges"]),
+            tuple((json_int(r["node"]), json_int(r["old"]), json_int(r["new"]))
+                  for r in obj["replacements"]),
+            tuple(json_int(e) for e in obj["affected_edges"]),
         )
+
+    def check(self, graph: SceneGraph) -> None:
+        """Raise ValueError unless this record describes `graph`, the
+        perturbed graph of its image: each replaced node exists and now has
+        its new category, and affected_edges is the ascending list of every
+        edge touching a replaced node."""
+        ctx = f"record image {self.image_id!r}"
+        for n, _, new in self.replacements:
+            if not 0 <= n < graph.num_nodes:
+                raise ValueError(f"{ctx}: replaced node {n} out of range (n={graph.num_nodes})")
+            if graph.nodes[n].category != new:
+                raise ValueError(f"{ctx}: node {n} has category {graph.nodes[n].category}, "
+                                 f"not its new category {new}")
+        expected = _affected_edges(graph, (n for n, _, _ in self.replacements))
+        if tuple(self.affected_edges) != expected:
+            raise ValueError(f"{ctx}: affected_edges {list(self.affected_edges)} are not the "
+                             f"edges touching the replaced nodes, {list(expected)}")
 
 
 def _num_to_sample(intensity: float, n: int) -> int:

@@ -36,27 +36,41 @@ class HitRateResult:
         return self.total == 0
 
 
+def _records_by_image(
+    records: Sequence[PerturbationRecord], dataset: Dataset
+) -> dict[str, PerturbationRecord]:
+    """Records keyed by image id, each checked against its perturbed graph.
+    A repeated id or one missing from the dataset is a ValueError."""
+    graphs = {g.image_id: g for g in dataset.graphs}
+    by_id: dict[str, PerturbationRecord] = {}
+    for record in records:
+        if record.image_id in by_id:
+            raise ValueError(f"duplicate perturbation record for image {record.image_id!r}")
+        if record.image_id not in graphs:
+            raise ValueError(f"record image {record.image_id!r} missing from perturbed dataset")
+        record.check(graphs[record.image_id])
+        by_id[record.image_id] = record
+    return by_id
+
+
 def hit_rate(
     records: Sequence[PerturbationRecord],
     perturbed: Dataset,
     reference: Iterable[Triplet],
 ) -> HitRateResult:
     """Fraction (as a percentage) of perturbed-edge compositions that match
-    the reference set; instances are counted with multiplicity."""
+    the reference set; instances are counted with multiplicity. Graphs
+    without a record count nothing."""
     reference = frozenset(reference)
-    by_id = {g.image_id: g for g in perturbed.graphs}
+    by_id = _records_by_image(records, perturbed)
     hits = 0
     total = 0
-    for record in records:
-        graph = by_id.get(record.image_id)
-        if graph is None:
-            raise ValueError(f"record image {record.image_id!r} missing from perturbed dataset")
+    for graph in perturbed.graphs:
+        record = by_id.get(graph.image_id)
+        if record is None:
+            continue
         triplets = categorical_triplets(graph)
         for edge_index in record.affected_edges:
-            if edge_index >= len(triplets):
-                raise ValueError(
-                    f"record image {record.image_id!r}: affected edge {edge_index} out of range"
-                )
             total += 1
             if triplets[edge_index] in reference:
                 hits += 1
@@ -254,9 +268,7 @@ def score_graphs(
     Graphs offering no such node are skipped and counted. Queries are built
     sequentially for determinism; queries may run concurrently.
     """
-    by_id = {}
-    if records is not None:
-        by_id = {r.image_id: r for r in records}
+    by_id = {} if records is None else _records_by_image(records, dataset)
 
     queries: list[tuple[str, PlausibilityQuery]] = []
     skipped = 0

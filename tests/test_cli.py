@@ -473,3 +473,175 @@ class TestSideFiles:
         assert f"error: {side}: " in err
         assert "vocabulary" in err or "negative" in err
         assert not (workspace / "p.jsonl").exists()
+
+
+def jsonl_command(workspace, command, path):
+    """`command` reading `path` as its JSON-Lines input: the dataset of
+    stats, the predictions of eval, the records of hit-rate."""
+    vocab = ["--vocab", workspace / "vocab.json"]
+    if command == "stats":
+        return ["stats", "--train", path, *vocab, "--out", workspace / "s.json"]
+    if command == "eval":
+        return ["eval", "--predictions", path, "--gt", workspace / "test.jsonl", *vocab,
+                "--out", workspace / "e.json"]
+    (workspace / "ref.json").write_text('{"triplets": []}')
+    return ["hit-rate", "--records", path, "--perturbed", workspace / "train.jsonl", *vocab,
+            "--reference", f"zs={workspace / 'ref.json'}", "--out", workspace / "h.json"]
+
+
+def replacing_record(graph, node):
+    """A valid record for `graph` read as a perturbed graph whose `node` was
+    replaced."""
+    new = graph.nodes[node].category
+    return {
+        "image_id": graph.image_id,
+        "replacements": [{"node": node, "old": (new + 1) % len(OBJECTS), "new": new}],
+        "affected_edges": [k for k, e in enumerate(graph.edges) if node in (e.subject, e.object)],
+    }
+
+
+def jsonl_lines(workspace, command):
+    """Valid input lines for `command`, at least two, each with integer fields."""
+    vocab = load_vocabulary(workspace / "vocab.json")
+    if command == "stats":
+        return [graph_to_obj(g) for g in load_dataset(workspace / "train.jsonl", vocab).graphs[:2]]
+    if command == "eval":
+        test = load_dataset(workspace / "test.jsonl", vocab)
+        return [perfect_prediction_line(g) for g in test.graphs]
+    train = load_dataset(workspace / "train.jsonl", vocab)
+    return [replacing_record(train.graphs[0], 0), replacing_record(train.graphs[1], 1)]
+
+
+def with_value(obj, keys, value):
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return obj
+
+
+INTEGER_FIELDS = [
+    ("stats", ("width",)),
+    ("stats", ("height",)),
+    ("stats", ("objects", 0, "category")),
+    ("stats", ("relationships", 0, "subject")),
+    ("stats", ("relationships", 0, "predicate")),
+    ("stats", ("relationships", 0, "object")),
+    ("eval", ("object_labels", 0)),
+    ("eval", ("pairs", 0, "subject")),
+    ("eval", ("pairs", 0, "object")),
+    ("hit-rate", ("replacements", 0, "node")),
+    ("hit-rate", ("replacements", 0, "old")),
+    ("hit-rate", ("replacements", 0, "new")),
+    ("hit-rate", ("affected_edges", 0)),
+]
+
+
+class TestJsonLinesContract:
+    @pytest.mark.parametrize("command", ["stats", "eval", "hit-rate"])
+    def test_valid_lines_exit_0(self, workspace, command):
+        path = workspace / "in.jsonl"
+        write_jsonl(path, jsonl_lines(workspace, command))
+        assert run(jsonl_command(workspace, command, path)) == 0
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "hit-rate"])
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', '{"image_id": "a",'],
+                             ids=["list", "string", "invalid-json"])
+    def test_reader_errors_exit_2_naming_file_and_line(self, workspace, capsys, command, line):
+        path = workspace / "in.jsonl"
+        path.write_text(json.dumps(jsonl_lines(workspace, command)[0]) + "\n" + line + "\n")
+        assert run(jsonl_command(workspace, command, path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: " in err
+        assert "Traceback" not in err
+
+    def test_record_without_replacements_exit_2_naming_file_and_line(self, workspace, capsys):
+        first, second = jsonl_lines(workspace, "hit-rate")
+        del second["replacements"]
+        path = workspace / "in.jsonl"
+        write_jsonl(path, [first, second])
+        assert run(jsonl_command(workspace, "hit-rate", path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: missing key 'replacements'" in err
+        assert "Traceback" not in err
+
+    def test_repeated_record_image_id_exit_2_at_second_occurrence(self, workspace, capsys):
+        first, second = jsonl_lines(workspace, "hit-rate")
+        path = workspace / "in.jsonl"
+        write_jsonl(path, [first, second, first])
+        assert run(jsonl_command(workspace, "hit-rate", path)) == 2
+        assert (f"error: {path}:3: duplicate image_id 'tr0' (first on line 1)"
+                in capsys.readouterr().err)
+        assert not (workspace / "h.json").exists()
+
+    @pytest.mark.parametrize("value", [1.9, 3.0, True, "2"], ids=["float", "integral-float",
+                                                                "bool", "string"])
+    @pytest.mark.parametrize("command, keys", INTEGER_FIELDS,
+                             ids=[f"{c}:{'.'.join(map(str, k))}" for c, k in INTEGER_FIELDS])
+    def test_integer_field_must_be_a_json_integer(self, workspace, capsys, command, keys, value):
+        first, second = jsonl_lines(workspace, command)[:2]
+        path = workspace / "in.jsonl"
+        write_jsonl(path, [first, with_value(second, keys, value)])
+        assert run(jsonl_command(workspace, command, path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2" in err
+        assert "Traceback" not in err
+
+
+class TestRecordsAgainstGraphs:
+    def perturbed(self, workspace):
+        vocab = load_vocabulary(workspace / "vocab.json")
+        return load_dataset(workspace / "train.jsonl", vocab).graphs[0]
+
+    # In every train graph, node 1 touches edge 0 only: edges are (0, 1), (2, 0).
+    @pytest.mark.parametrize("field, value", [
+        ("affected_edges", [-1]),
+        ("affected_edges", [-1, -1, -1]),
+        ("affected_edges", [0, 0]),
+        ("affected_edges", [1]),
+        ("affected_edges", [0, 1]),
+        ("affected_edges", []),
+        ("node", 3),
+        ("node", -1),
+        ("new", "other"),
+    ])
+    def test_hit_rate_record_not_matching_its_graph_exit_2(self, workspace, capsys, field,
+                                                           value):
+        graph = self.perturbed(workspace)
+        record = replacing_record(graph, 1)
+        assert record["affected_edges"] == [0]
+        if field == "affected_edges":
+            record["affected_edges"] = value
+        elif value == "other":
+            old = record["replacements"][0]["new"]
+            record["replacements"][0].update(old=old, new=(old + 1) % len(OBJECTS))
+        else:
+            record["replacements"][0]["node"] = value
+        path = workspace / "in.jsonl"
+        write_jsonl(path, [record])
+        assert run(jsonl_command(workspace, "hit-rate", path)) == 2
+        err = capsys.readouterr().err
+        assert "error: record image 'tr0': " in err
+        assert "Traceback" not in err
+        assert not (workspace / "h.json").exists()
+
+    def test_plausibility_record_node_out_of_range_exit_2_sending_nothing(self, workspace,
+                                                                          capsys):
+        from .lm_stub import stub_lm_server
+
+        graph = self.perturbed(workspace)
+        write_jsonl(workspace / "one.jsonl", [graph_to_obj(graph)])
+        record = replacing_record(graph, 1)
+        record["replacements"][0]["node"] = 99
+        write_jsonl(workspace / "r.jsonl", [record])
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(["plausibility", "--dataset", workspace / "one.jsonl",
+                        "--vocab", workspace / "vocab.json", "--records", workspace / "r.jsonl",
+                        "--endpoint", url, "--out", workspace / "p.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: record image 'tr0': replaced node 99 out of range" in err
+        assert "Traceback" not in err
+        assert state["connections"] == 0
+        assert not (workspace / "p.json").exists()

@@ -12,6 +12,7 @@ from sggkit.ingest import (
     Dataset,
     ParseError,
     iter_jsonl,
+    json_int,
     load_dataset,
     load_embeddings,
     load_feature_matrix,
@@ -119,6 +120,16 @@ class TestIterJsonl:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
         assert "ingest.iter_jsonl" in callers
         assert callers <= {"ingest.iter_jsonl", "quality.HttpScorer.score"}, callers
+
+
+class TestJsonInt:
+    def test_returns_json_integers(self):
+        assert [json_int(v) for v in (0, -3, 10**30)] == [0, -3, 10**30]
+
+    @pytest.mark.parametrize("value", [3.0, 1.9, True, False, "2", None, [1]])
+    def test_rejects_every_other_value(self, value):
+        with pytest.raises(TypeError, match="expected an integer"):
+            json_int(value)
 
 
 class TestLoadDataset:

@@ -521,6 +521,55 @@ class TestRecordInvariants:
         )
         assert record.affected_edges == expected
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_records_pass_the_graph_check(self, vocab, method):
+        ds = TestPerturbDataset().corpus(vocab, n=40)
+        resources = PerturbationResources(
+            embeddings=embeddings_for(5),
+            table=build_frequency_table(ds),
+            zs_triplets=frozenset({Triplet(DOG, ON, SURFBOARD), Triplet(CAT, ABOVE, WAVE)}),
+        )
+        cfg = PerturbationConfig(method, intensity=0.5, top_k=2, alpha=1, master_seed=3)
+        perturbed, records = perturb_dataset(ds, cfg, resources)
+        assert sum(len(r.replacements) for r in records) > 0
+        for graph, record in zip(perturbed.graphs, records):
+            record.check(graph)
+
+    # g: person-on-surfboard, wave-above-person, wave-on-dog; node 0 became dog
+    @pytest.mark.parametrize("replacements, affected, message", [
+        (((0, PERSON, DOG),), (0, 1), None),
+        (((0, PERSON, DOG),), (1, 0), "affected_edges"),
+        (((0, PERSON, DOG),), (0,), "affected_edges"),
+        (((0, PERSON, DOG),), (0, 1, 2), "affected_edges"),
+        (((0, PERSON, DOG),), (0, 0, 1), "affected_edges"),
+        (((0, PERSON, DOG),), (-2, 1), "affected_edges"),
+        (((0, PERSON, CAT),), (0, 1), "node 0 has category 3, not its new category 4"),
+        (((4, PERSON, DOG),), (), "replaced node 4 out of range"),
+        (((-1, PERSON, DOG),), (), "replaced node -1 out of range"),
+    ])
+    def test_check_against_the_perturbed_graph(self, replacements, affected, message):
+        graph = make_graph("g", [DOG, SURFBOARD, WAVE, DOG],
+                           [(0, ON, 1), (2, ABOVE, 0), (2, ON, 3)])
+        record = PerturbationRecord("g", replacements, affected)
+        if message is None:
+            record.check(graph)
+        else:
+            with pytest.raises(ValueError, match=f"record image 'g': .*{message}"):
+                record.check(graph)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, True, "1", None])
+    @pytest.mark.parametrize("field", ["node", "old", "new", "affected_edges"])
+    def test_from_json_obj_takes_json_integers_only(self, field, value):
+        obj = {"image_id": "g", "replacements": [{"node": 1, "old": 0, "new": 2}],
+               "affected_edges": [1]}
+        assert PerturbationRecord.from_json_obj(obj).replacements == ((1, 0, 2),)
+        if field == "affected_edges":
+            obj["affected_edges"] = [value]
+        else:
+            obj["replacements"][0][field] = value
+        with pytest.raises(TypeError, match="expected an integer"):
+            PerturbationRecord.from_json_obj(obj)
+
 
 
 def brute_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:

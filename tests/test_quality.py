@@ -67,6 +67,29 @@ class TestHitRate:
         with pytest.raises(ValueError, match="missing"):
             hit_rate([PerturbationRecord("nope", (), ())], ds, set())
 
+    def test_graph_without_record_counts_nothing(self, vocab):
+        ds, records = self.one_graph_setup(vocab)
+        result = hit_rate(records[:1], ds, {Triplet(DOG, ON, SURFBOARD)})
+        assert (result.hits, result.total) == (1, 3)
+
+    def test_repeated_record_rejected(self, vocab):
+        ds, records = self.one_graph_setup(vocab)
+        with pytest.raises(ValueError, match="duplicate perturbation record for image 'b'"):
+            hit_rate(records + records[1:], ds, set())
+
+    @pytest.mark.parametrize("affected", [(-1, -1, -1), (0, 0, 0), (0, 1), (0, 1, 2, 2)])
+    def test_affected_edges_must_be_the_incident_edges(self, vocab, affected):
+        ds, records = self.one_graph_setup(vocab)
+        records[0] = PerturbationRecord("a", ((0, PERSON, DOG),), affected)
+        with pytest.raises(ValueError, match="record image 'a': affected_edges"):
+            hit_rate(records, ds, {Triplet(DOG, ON, SURFBOARD)})
+
+    def test_replaced_node_must_carry_its_new_category(self, vocab):
+        ds, records = self.one_graph_setup(vocab)
+        records[1] = PerturbationRecord("b", ((0, PERSON, DOG),), (0,))
+        with pytest.raises(ValueError, match="record image 'b': node 0 has category 4"):
+            hit_rate(records, ds, set())
+
     def test_graphn_without_neighbor_diversification_hits_training_set(self, vocab):
         # with top_k = 0 every replacement keeps its supporting composition,
         # so on single-edge-per-node graphs the training-set hit rate is 100
@@ -204,6 +227,26 @@ class TestScoreGraphs:
         report = score_graphs(ConstantScorer(), ds, rng, records=records)
         assert report.scored == 0 and report.skipped == 1
         assert math.isnan(report.mean)
+
+    def test_records_are_checked_before_any_query(self, vocab, rng):
+        class Refuse:
+            def score(self, text, target):
+                raise AssertionError("no query may be sent")
+
+        ds = dataset_of(vocab, make_graph("a", [DOG, SURFBOARD], [(0, ON, 1)]),
+                        make_graph("b", [CAT, WAVE], [(1, ABOVE, 0)]))
+        good = [PerturbationRecord("a", ((0, PERSON, DOG),), (0,)),
+                PerturbationRecord("b", ((0, PERSON, CAT),), (0,))]
+        cases = [
+            (good + good[1:], "duplicate perturbation record for image 'b'"),
+            (good[:1] + [PerturbationRecord("b", ((99, PERSON, CAT),), (0,))],
+             "record image 'b': replaced node 99 out of range"),
+            (good + [PerturbationRecord("z", (), ())], "record image 'z' missing"),
+            (good[:1], "no perturbation record for image 'b'"),
+        ]
+        for records, message in cases:
+            with pytest.raises(ValueError, match=message):
+                score_graphs(Refuse(), ds, rng, records=records)
 
     def test_frequency_stub_orders_frequent_above_zero_shot(self, vocab, rng):
         train = dataset_of(
