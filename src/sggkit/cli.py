@@ -4,6 +4,8 @@ Subcommands wire the library into reproducible batch workflows: dataset
 statistics, shot-subset extraction, perturbation, hit-rate and plausibility
 scoring, recall evaluation and feature-distribution metrics. Reports are
 JSON (CSV optional where tabular), data goes to files, logs to stderr.
+Each subcommand imports only the library modules it runs; the parser's
+choices and defaults are literals, which tests pin to the library's own.
 
 Exit codes: 0 success, 1 I/O or runtime-environment failure, 2 usage or
 validation error.
@@ -15,10 +17,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from . import evaluation, featmetrics, ingest, perturb, quality, stats
 
 LM_ENDPOINT_ENV = "SGG_LM_ENDPOINT"
 
@@ -51,23 +49,21 @@ def _load_side_file(path: str | Path, parse):
             raise ValueError(f"{path}: {e}") from e
 
 
-def _triplet_set(payload):
-    if isinstance(payload, dict):
-        payload = payload["triplets"]
-    return stats.triplet_set_from_json_obj(payload)
-
-
 def _load_triplet_set(path: str | Path):
-    return _load_side_file(path, _triplet_set)
+    from . import stats
+    return _load_side_file(path, lambda payload: stats.triplet_set_from_json_obj(
+        payload["triplets"] if isinstance(payload, dict) else payload))
 
 
 def _frequency_table(payload, vocab):
+    from . import stats
     table = stats.TripletFrequencyTable.from_json_obj(payload["triplets"])
     table.check_vocabulary(vocab)
     return table
 
 
-def _predicate_freq(payload, num_predicates: int) -> np.ndarray:
+def _predicate_freq(payload, num_predicates: int):
+    import numpy as np
     try:
         f_r = np.asarray(payload["predicate_freq"], dtype=np.float64)
         valid = f_r.shape == (num_predicates,) and np.isfinite(f_r).all() and (f_r >= 0).all()
@@ -79,6 +75,7 @@ def _predicate_freq(payload, num_predicates: int) -> np.ndarray:
 
 
 def cmd_stats(args) -> int:
+    from . import ingest, stats
     vocab = ingest.load_vocabulary(args.vocab)
     train = ingest.load_dataset(args.train, vocab)
     if len(train) == 0:
@@ -102,6 +99,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_subsets(args) -> int:
+    from . import ingest, stats
     vocab = ingest.load_vocabulary(args.vocab)
     train = ingest.load_dataset(args.train, vocab)
     test = ingest.load_dataset(args.test, vocab)
@@ -126,6 +124,7 @@ def cmd_subsets(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import ingest, perturb, stats
     vocab = ingest.load_vocabulary(args.vocab)
     dataset = ingest.load_dataset(args.dataset, vocab)
     cfg = perturb.PerturbationConfig(
@@ -165,6 +164,7 @@ def cmd_perturb(args) -> int:
 
 
 def _load_records(path: str | Path) -> list[perturb.PerturbationRecord]:
+    from . import ingest, perturb
     records = []
     for where, obj in ingest.iter_jsonl(path):
         try:
@@ -177,6 +177,7 @@ def _load_records(path: str | Path) -> list[perturb.PerturbationRecord]:
 
 
 def cmd_hit_rate(args) -> int:
+    from . import ingest, quality
     vocab = ingest.load_vocabulary(args.vocab)
     perturbed = ingest.load_dataset(args.perturbed, vocab)
     records = _load_records(args.records)
@@ -203,6 +204,8 @@ def cmd_hit_rate(args) -> int:
 
 
 def cmd_plausibility(args) -> int:
+    import numpy as np
+    from . import ingest, quality
     endpoint = args.endpoint or os.environ.get(LM_ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(
@@ -236,6 +239,7 @@ def cmd_plausibility(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation, ingest
     vocab = ingest.load_vocabulary(args.vocab)
     gt = ingest.load_dataset(args.gt, vocab)
     predictions = ingest.load_predictions(args.predictions, vocab)
@@ -287,6 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_feat_metrics(args) -> int:
+    from . import featmetrics, ingest
     real = ingest.load_feature_matrix(args.real)
     fake = ingest.load_feature_matrix(args.fake)
     result = featmetrics.precision_recall_density_coverage(real, fake, args.k)
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subsets)
 
     p = sub.add_parser("perturb", help="perturb node categories of a dataset")
-    p.add_argument("--method", required=True, choices=perturb.METHODS)
+    p.add_argument("--method", required=True, choices=("rand", "neigh", "graphn", "oracle_zs"))
     p.add_argument("--intensity", "-L", type=float, default=0.2)
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--alpha", type=float, default=2.0)
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help=f"scoring service base URL (or ${LM_ENDPOINT_ENV})")
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--mask-token", default=quality.DEFAULT_MASK_TOKEN)
+    p.add_argument("--mask-token", default="[MASK]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
                    help="max in-flight scoring queries")
@@ -379,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--metric", choices=("recall", "mean-recall"), default="recall")
-    p.add_argument("--mode", choices=evaluation.MODES, default="sgcls")
+    p.add_argument("--mode", choices=("sgcls", "predcls", "sggen"), default="sgcls")
     p.add_argument("--k", type=int, default=None,
                    help="default: 100 (sgcls/sggen) or 50 (predcls)")
     p.add_argument("--graph-constraint", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--subset", help="triplet set JSON restricting ground truth")
     p.add_argument("--reweight-x", type=float, default=0.0)
     p.add_argument("--stats", help="stats.json supplying predicate frequencies for reweighting")
-    p.add_argument("--aggregate", choices=evaluation.AGGREGATES, default="image")
+    p.add_argument("--aggregate", choices=("image", "triplet"), default="image")
     p.add_argument("--per-image", action="store_true", help="include per-image recalls")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true")
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feat-metrics", help="distribution metrics between two feature files")
     p.add_argument("--real", required=True)
     p.add_argument("--fake", required=True)
-    p.add_argument("-k", type=int, default=featmetrics.DEFAULT_K)
+    p.add_argument("-k", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_feat_metrics)
@@ -411,7 +416,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         _log(f"error: {e}")
         return 2
-    except quality.ScorerError as e:
+    except RuntimeError as e:
+        from .quality import ScorerError  # loaded already if it was raised
+        if not isinstance(e, ScorerError):
+            raise
         _log(f"error: {e}")
         return 1
     except OSError as e:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from math import inf
 from pathlib import Path
 from typing import Iterable
 
@@ -137,51 +139,72 @@ def iter_jsonl(path: str | Path):
             yield where, obj
 
 
+def json_number(value) -> float:
+    """`value` as a float if it is a JSON number (an integer or a float); a
+    bool or a string is a TypeError."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+# The loaders build model objects as the generated dataclass `__init__` does, one field at a
+# time so that no instance keeps a dict of its own, but without the checks they have made.
+_new, _set = object.__new__, object.__setattr__
+
+
 def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
+    """The graph on one dataset line. Each value is checked once, as it is read, for
+    all that the model's constructors and `validate` check; they are not run again."""
     image_id = obj["image_id"]
     ctx = f"{where} (image_id={image_id!r})"
-    try:
-        width = json_int(obj["width"])
-        height = json_int(obj["height"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"{ctx}: bad 'width'/'height'") from e
+    width, height = obj.get("width"), obj.get("height")
+    if type(width) is not int or type(height) is not int or width <= 0 or height <= 0:
+        raise ParseError(f"{ctx}: 'width' and 'height' must be positive JSON integers")
 
-    nodes = []
+    nodes, num_objects = [], vocab.num_objects
     for i, o in enumerate(obj.get("objects", [])):
         try:
             category = json_int(o["category"])
-            x1, y1, x2, y2 = (float(c) for c in o["box"])
-        except (KeyError, TypeError, ValueError) as e:
+            x1, y1, x2, y2 = map(json_number, o["box"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{ctx}: malformed object {i}") from e
-        try:
-            nodes.append(ObjectNode(category, BoundingBox(x1, y1, x2, y2)))
-        except ValueError as e:
-            raise ParseError(f"{ctx}: object {i}: {e}") from e
+        # The chained comparisons also reject NaN, inf and negative corners.
+        if not (0 <= category < num_objects and 0 <= x1 < x2 < inf and 0 <= y1 < y2 < inf):
+            raise ParseError(f"{ctx}: object {i}: needs a category below |C|={num_objects} and "
+                             f"a box with 0 <= x1 < x2, 0 <= y1 < y2, all finite; got category "
+                             f"{category}, box {[x1, y1, x2, y2]}")
+        box, node = _new(BoundingBox), _new(ObjectNode)
+        _set(box, "x1", x1), _set(box, "y1", y1), _set(box, "x2", x2), _set(box, "y2", y2)
+        _set(node, "category", category), _set(node, "box", box)
+        nodes.append(node)
 
+    n, num_predicates = len(nodes), vocab.num_predicates
     edges = []
     for k, r in enumerate(obj.get("relationships", [])):
         try:
             s, p, o_ = json_int(r["subject"]), json_int(r["predicate"]), json_int(r["object"])
         except (KeyError, TypeError) as e:
             raise ParseError(f"{ctx}: malformed relationship {k}") from e
-        try:
-            edges.append(Relationship(s, p, o_))
-        except ValueError as e:
-            raise ParseError(f"{ctx}: relationship {k}: {e}") from e
+        if s == o_ or not (0 <= s < n and 0 <= o_ < n and 0 <= p < num_predicates):
+            raise ParseError(f"{ctx}: relationship {k}: needs two distinct nodes below n={n} and "
+                             f"a predicate below |R|={num_predicates}; got ({s}, {p}, {o_})")
+        edge = _new(Relationship)
+        _set(edge, "subject", s), _set(edge, "predicate", p), _set(edge, "object", o_)
+        edges.append(edge)
 
-    try:
-        graph = SceneGraph(image_id, width, height, tuple(nodes), tuple(edges))
-        graph.validate(vocab)
-    except ValueError as e:
-        raise ParseError(f"{where}: {e}") from e
+    graph = _new(SceneGraph)
+    _set(graph, "image_id", image_id), _set(graph, "width", width), _set(graph, "height", height)
+    _set(graph, "nodes", tuple(nodes)), _set(graph, "edges", tuple(edges))
     return graph
 
 
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Read a JSON-Lines dataset; one scene graph per line, file order kept,
-    image ids unique."""
-    graphs = [_graph_from_obj(obj, vocab, where) for where, obj in iter_jsonl(path)]
-    return Dataset(vocab, tuple(graphs))
+    image ids unique. Each graph is checked once, as it is read."""
+    graphs = tuple(_graph_from_obj(obj, vocab, where) for where, obj in iter_jsonl(path))
+    dataset = _new(Dataset)
+    _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
+    return dataset
 
 
 def graph_to_obj(graph: SceneGraph) -> dict:
@@ -303,7 +326,12 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
         ctx = f"{where} (image_id={image_id!r})"
 
         if "object_scores" in obj:
-            scores = np.asarray(obj["object_scores"], dtype=np.float64)
+            try:  # np.array alone would read [true, "1"] as [1.0, 1.0]
+                if not set(map(type, chain.from_iterable(obj["object_scores"]))) <= {int, float}:
+                    raise TypeError("expected arrays of JSON numbers")
+                scores = np.array(obj["object_scores"], dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ParseError(f"{ctx}: malformed 'object_scores': {e}") from e
             if scores.ndim != 2 or scores.shape[1] != vocab.num_objects:
                 raise ParseError(
                     f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
@@ -321,33 +349,34 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
         else:
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
-        pairs = []
+        ends, rows, r = [], [], vocab.num_predicates
         for k, p in enumerate(obj.get("pairs", [])):
             try:
-                s, o = json_int(p["subject"]), json_int(p["object"])
-                ps = np.asarray(p["predicate_scores"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as e:
+                ends.append((json_int(p["subject"]), json_int(p["object"])))
+                row = p["predicate_scores"]
+            except (KeyError, TypeError) as e:
                 raise ParseError(f"{ctx}: malformed pair {k}") from e
-            if ps.shape != (vocab.num_predicates,):
-                raise ParseError(
-                    f"{ctx}: pair {k}: predicate_scores length {ps.size}, "
-                    f"expected {vocab.num_predicates}"
-                )
-            if ((ps < 0) | (ps > 1)).any() or not np.isfinite(ps).all():
-                raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
-            pairs.append(PairScores(s, o, ps))
+            if type(row) is not list or len(row) != r or not set(map(type, row)) <= {int, float}:
+                raise ParseError(f"{ctx}: pair {k}: 'predicate_scores' must be {r} JSON numbers")
+            rows.append(row)
+        try:
+            pair_scores = np.array(rows, dtype=np.float64).reshape(len(rows), r)
+        except OverflowError as e:
+            raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
+        outside = np.flatnonzero(~((pair_scores >= 0) & (pair_scores <= 1)).all(axis=1))  # NaN too
+        if outside.size:
+            raise ParseError(f"{ctx}: pair {outside[0]}: scores must lie in [0, 1]")
+        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, pair_scores))
 
         boxes = None
         if obj.get("boxes") is not None:
             try:
-                boxes = tuple(
-                    BoundingBox(*(float(c) for c in b)) for b in obj["boxes"]
-                )
-            except (TypeError, ValueError) as e:
+                boxes = tuple(BoundingBox(*map(json_number, b)) for b in obj["boxes"])
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
 
         try:
-            preds.append(PredictedGraph(image_id, scores, tuple(pairs), boxes))
+            preds.append(PredictedGraph(image_id, scores, pairs, boxes))
         except ValueError as e:
             raise ParseError(f"{ctx}: {e}") from e
     return preds

@@ -7,26 +7,30 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .ingest import Dataset
+from .ingest import Dataset, json_int
 from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
 
 FEW10_MAX = 10
 FEW100_MAX = 100
 
 
-@dataclass(frozen=True, eq=False)
 class TripletFrequencyTable:
-    """Training-set occurrence count per categorical triplet."""
+    """Training-set count per categorical triplet, held as (s, p, o, count) int64 columns;
+    `from_json_obj` reads rows straight into them, and `counts` is built on first use."""
 
-    counts: dict[Triplet, int]
+    def __init__(self, counts: dict[Triplet, int]):
+        self.counts = counts
+        self._columns = _columns_of(chain.from_iterable((*t, c) for t, c in counts.items()),
+                                    len(counts))
 
-    def __post_init__(self):
-        for t, c in self.counts.items():
-            if c < 1:
-                raise ValueError(f"non-positive count {c} for {t}")
+    @cached_property
+    def counts(self) -> dict[Triplet, int]:
+        s, p, o, c = (a.tolist() for a in self._columns)
+        return dict(zip(map(Triplet, s, p, o), c))
 
     def count(self, triplet: Triplet) -> int:
         return self.counts.get(triplet, 0)
@@ -36,24 +40,11 @@ class TripletFrequencyTable:
 
     @property
     def total_triplets(self) -> int:
-        return sum(self.counts.values())
+        return sum(self._columns[3].tolist())
 
     @property
     def distinct_triplets(self) -> int:
-        return len(self.counts)
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(subject, predicate, object, count) int64 arrays in `counts` order."""
-        n = len(self.counts)
-        try:
-            spo = np.fromiter(chain.from_iterable(self.counts), np.int64, 3 * n).reshape(n, 3)
-            count = np.fromiter(self.counts.values(), np.int64, n)
-        except OverflowError as e:
-            raise ValueError("frequency table id or count does not fit in 64 bits") from e
-        if (spo < 0).any():
-            raise ValueError("negative category or predicate id in frequency table")
-        return spo[:, 0], spo[:, 1], spo[:, 2], count
+        return len(self._columns[3])
 
     @cached_property
     def category_bound(self) -> int:
@@ -95,13 +86,47 @@ class TripletFrequencyTable:
 
     @classmethod
     def from_json_obj(cls, rows: list[dict]) -> "TripletFrequencyTable":
-        counts = {}
-        for row in rows:
-            t = Triplet(int(row["s"]), int(row["p"]), int(row["o"]))
-            if t in counts:
-                raise ValueError(f"duplicate triplet {t} in frequency table")
-            counts[t] = int(row["count"])
-        return cls(counts)
+        """The table of `to_json_obj` rows, read straight into columns; ids
+        and counts must be JSON integers, and each triplet is listed once."""
+        flat = _int_values(rows, ("s", "p", "o", "count"))
+        table = cls.__new__(cls)
+        table._columns = _columns_of(flat, len(rows))
+        # Equal triplets are equal 24-byte rows; a stable sort puts repeats after their first.
+        spo = np.stack(table._columns[:3], axis=1).view(np.dtype((np.void, 24))).ravel()
+        order = np.argsort(spo, kind="stable")
+        repeats = order[1:][spo[order[1:]] == spo[order[:-1]]]
+        if repeats.size:
+            i = 4 * int(repeats.min())
+            raise ValueError(f"duplicate triplet {Triplet(*flat[i:i + 3])} in frequency table")
+        return table
+
+
+def _int_values(rows: list[dict], keys: tuple[str, ...]) -> list[int]:
+    """`keys` of each row, row after row, each a JSON integer (`ingest.json_int`)."""
+    flat = list(chain.from_iterable(map(itemgetter(*keys), rows)))
+    if not set(map(type, flat)) <= {int}:
+        for i, value in enumerate(flat):
+            try:
+                json_int(value)
+            except TypeError as e:
+                raise TypeError(f"row {i // len(keys)} {keys[i % len(keys)]!r}: {e}") from None
+    return flat
+
+
+def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(subject, predicate, object, count) int64 columns of `n` rows whose
+    values come flat, row after row; ids must be >= 0 and counts >= 1."""
+    try:
+        s, p, o, c = np.fromiter(values, np.int64, 4 * n).reshape(n, 4).T.copy()
+    except OverflowError as e:
+        raise ValueError("frequency table id or count does not fit in 64 bits") from e
+    if (s < 0).any() or (p < 0).any() or (o < 0).any():
+        raise ValueError("negative category or predicate id in frequency table")
+    if (c < 1).any():
+        i = int(np.flatnonzero(c < 1)[0])
+        raise ValueError(f"non-positive count {c[i]} for "
+                         f"{Triplet(int(s[i]), int(p[i]), int(o[i]))}")
+    return s, p, o, c
 
 
 def _group(a, b, member, count) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
@@ -240,4 +265,6 @@ def triplet_set_to_json_obj(triplets) -> list[dict]:
 
 
 def triplet_set_from_json_obj(rows: list[dict]) -> frozenset[Triplet]:
-    return frozenset(Triplet(int(r["s"]), int(r["p"]), int(r["o"])) for r in rows)
+    """The set of `triplet_set_to_json_obj` rows; ids must be JSON integers."""
+    flat = _int_values(rows, ("s", "p", "o"))
+    return frozenset(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))

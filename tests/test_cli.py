@@ -449,7 +449,8 @@ class TestSideFiles:
         ("perturb --stats", '{"triplets": [{"s": 0, "p": 1, "o": 2}]}', "missing key 'count'"),
         ("perturb --stats", '{"triplets": [{"s": 0, "p": 1, "o": 2, "count": 18446744073709551616}]}',
          "does not fit in 64 bits"),
-        ("perturb --zs", '{"triplets": [{"s": "x", "p": 1, "o": 2}]}', "invalid literal"),
+        ("perturb --zs", '{"triplets": [{"s": "x", "p": 1, "o": 2}]}',
+         "row 0 's': expected an integer, got 'x'"),
         ("eval --subset", '{"triplets": [7]}', "not subscriptable"),
     ])
     def test_bad_side_file_exit_2_naming_file(self, workspace, capsys, flag, content, message):
@@ -645,3 +646,100 @@ class TestRecordsAgainstGraphs:
         assert "Traceback" not in err
         assert state["connections"] == 0
         assert not (workspace / "p.json").exists()
+
+
+class TestSideFileIntegers:
+    """Ids and counts in stats and triplet-set files are JSON integers."""
+
+    @pytest.mark.parametrize("value", [1.9, True, "2"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("key", ["s", "p", "o"])
+    @pytest.mark.parametrize("flag", ["eval --subset", "hit-rate --reference", "perturb --zs",
+                                      "perturb --stats"])
+    def test_id_must_be_a_json_integer(self, workspace, capsys, flag, key, value):
+        rows = [{"s": 0, "p": 0, "o": 1, "count": 3}, {"s": 1, "p": 1, "o": 2, "count": 1}]
+        rows[1][key] = value
+        side = workspace / "side.json"
+        side.write_text(json.dumps({"triplets": rows}))
+        assert run(side_file_command(workspace, flag, side)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {side}: row 1 '{key}': expected an integer, got {value!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"],
+                             ids=["float", "integral-float", "bool", "string"])
+    def test_stats_count_must_be_a_json_integer(self, workspace, capsys, value):
+        side = workspace / "stats.json"
+        side.write_text(json.dumps({"triplets": [{"s": 0, "p": 0, "o": 1, "count": value}]}))
+        assert run(side_file_command(workspace, "perturb --stats", side)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {side}: row 0 'count': expected an integer, got {value!r}" in err
+        assert not (workspace / "p.jsonl").exists()
+
+
+def eval_lines_with_scores(workspace):
+    """Valid eval lines for every test graph; the second has object score
+    rows and boxes in place of labels."""
+    lines = jsonl_lines(workspace, "eval")
+    labels = lines[1].pop("object_labels")
+    lines[1]["object_scores"] = [[1.0 if c == lab else 0.0 for c in range(len(OBJECTS))]
+                                 for lab in labels]
+    lines[1]["boxes"] = [[10.0 * i, 0.0, 10.0 * i + 5, 5.0] for i in range(len(labels))]
+    return lines
+
+
+class TestJsonNumbers:
+    """Box corners and scores are JSON numbers: a bool or a string exits 2."""
+
+    @pytest.mark.parametrize("value", [True, "0", None], ids=["bool", "string", "null"])
+    @pytest.mark.parametrize("corner", [0, 2])
+    def test_dataset_box_corner(self, workspace, capsys, corner, value):
+        first, second = jsonl_lines(workspace, "stats")[:2]
+        path = workspace / "in.jsonl"
+        write_jsonl(path, [first, with_value(second, ("objects", 1, "box", corner), value)])
+        assert run(jsonl_command(workspace, "stats", path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2 (image_id='tr1'): malformed object 1" in err
+        assert not (workspace / "s.json").exists()
+
+    @pytest.mark.parametrize("value", [True, False, "1", "0.5"],
+                             ids=["true", "false", "string", "string-float"])
+    @pytest.mark.parametrize("keys", [
+        ("pairs", 0, "predicate_scores", 0),
+        ("pairs", 1, "predicate_scores", 2),
+        ("object_scores", 0, 0),
+        ("boxes", 1, 3),
+    ], ids=lambda k: ".".join(map(str, k)))
+    def test_prediction_number(self, workspace, capsys, keys, value):
+        """[true, 0.0, 0.0] passes np.asarray as [1.0, 0.0, 0.0]; the loader
+        must look at the JSON types."""
+        lines = eval_lines_with_scores(workspace)
+        lines[1] = with_value(lines[1], keys, value)
+        path = workspace / "in.jsonl"
+        write_jsonl(path, lines)
+        assert run(jsonl_command(workspace, "eval", path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2 (image_id='te1'): " in err
+        assert "Traceback" not in err
+        assert not (workspace / "e.json").exists()
+
+    def test_prediction_numbers_control(self, workspace):
+        path = workspace / "in.jsonl"
+        write_jsonl(path, eval_lines_with_scores(workspace))
+        assert run(jsonl_command(workspace, "eval", path)) == 0
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.5, 0.5], "pair 0: 'predicate_scores' must be 3 JSON numbers"),
+        ([0.5, 0.5, 1.5], "pair 0: scores must lie in [0, 1]"),
+        ([0.5, 0.5, float("nan")], "pair 0: scores must lie in [0, 1]"),
+        ([0.5, 0.5, -0.0001], "pair 0: scores must lie in [0, 1]"),
+        ([0.5, 0.5, 1e400], "pair 0: scores must lie in [0, 1]"),
+        (7, "pair 0: 'predicate_scores' must be 3 JSON numbers"),
+        ([[0.5], 0.5, 0.5], "pair 0: 'predicate_scores' must be 3 JSON numbers"),
+    ], ids=["short", "above-1", "nan", "negative", "inf", "not-an-array", "nested"])
+    def test_prediction_scores_rejected_naming_pair(self, workspace, capsys, row, message):
+        lines = jsonl_lines(workspace, "eval")
+        lines[0] = with_value(lines[0], ("pairs", 0, "predicate_scores"), row)
+        path = workspace / "in.jsonl"
+        write_jsonl(path, lines)
+        assert run(jsonl_command(workspace, "eval", path)) == 2
+        assert f"error: {path}:1 (image_id='te0'): {message}" in capsys.readouterr().err

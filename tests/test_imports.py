@@ -1,0 +1,102 @@
+"""The import surface: the CLI loads library modules only when a subcommand
+runs them, and every name the package exports still imports."""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sggkit
+from sggkit.cli import build_parser
+
+# Every name `sggkit/__init__.py` exported when it imported all submodules.
+EXPORTED = [
+    "BoundingBox", "ObjectNode", "Relationship", "SceneGraph", "Triplet", "Vocabulary",
+    "categorical_triplets", "degree",
+    "Dataset", "EmbeddingTable", "ParseError", "load_dataset", "load_embeddings",
+    "load_feature_matrix", "load_predictions", "load_vocabulary", "save_dataset",
+    "ShotSubsets", "SubsetBucket", "TripletFrequencyTable", "build_frequency_table",
+    "marginal_distributions", "predicate_frequencies", "shot_subsets",
+    "CannotPerturbError", "PerturbationConfig", "PerturbationRecord", "PerturbationResources",
+    "graphn_candidates", "perturb_dataset", "perturb_graphn", "perturb_neigh",
+    "perturb_oracle_zs", "perturb_rand", "sample_nodes", "semantic_neighbors",
+    "FrequencyStubScorer", "HttpScorer", "PlausibilityQuery", "ScorerError", "build_query",
+    "hit_rate", "score_graphs",
+    "PairScores", "PredictedGraph", "RankedTriplet", "iou", "mean_recall", "rank_triplets",
+    "recall_at_k", "recall_details", "reweight_scores",
+    "PRDCResult", "frechet_distance", "knn_radii", "precision_recall_density_coverage",
+    "summarize_feature_report",
+    "ProbTable", "adv_d_loss", "adv_g_loss", "adv_totals", "box_margin_l1", "cls_loss",
+    "edge_loss", "node_loss", "rec_loss", "total_loss",
+]
+SUBMODULES = ["model", "ingest", "stats", "perturb", "quality", "evaluation", "featmetrics",
+              "losses"]
+
+
+def run_python(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(sggkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_library_module():
+    loaded = run_python(
+        "import sys, sggkit.cli\n"
+        "sggkit.cli.build_parser().parse_args(['stats', '--train', 't', '--vocab', 'v',"
+        " '--out', 'o'])\n"
+        f"print(sorted(m for m in {SUBMODULES!r} if 'sggkit.' + m in sys.modules))"
+    )
+    assert loaded == "[]"
+
+
+def test_every_exported_name_imports_from_package():
+    """Each name through `from sggkit import <name>` in a fresh interpreter,
+    where it is loaded lazily; prints the names that fail or come from
+    outside the package."""
+    failed = run_python(
+        "failed = []\n"
+        f"for name in {EXPORTED!r}:\n"
+        "    try:\n"
+        "        exec(f'from sggkit import {name} as value')\n"
+        "        assert value.__module__.startswith('sggkit.')\n"
+        "    except Exception:\n"
+        "        failed.append(name)\n"
+        "print(failed)"
+    )
+    assert failed == "[]"
+
+
+def test_package_lists_every_exported_name():
+    assert sorted(sggkit.__all__) == sorted(EXPORTED)
+    assert set(EXPORTED) <= set(dir(sggkit))
+
+
+def test_submodules_are_package_attributes():
+    assert run_python(
+        "import sggkit\n"
+        f"print(all(getattr(sggkit, m).__name__ == 'sggkit.' + m for m in {SUBMODULES!r}))"
+    ) == "True"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sggkit.no_such_name  # noqa: B018
+
+
+def _option(command: str, dest: str):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if a.dest == dest)
+
+
+def test_parser_literals_match_the_library():
+    from sggkit import evaluation, featmetrics, perturb, quality
+
+    assert tuple(_option("perturb", "method").choices) == perturb.METHODS
+    assert tuple(_option("eval", "mode").choices) == evaluation.MODES
+    assert tuple(_option("eval", "aggregate").choices) == evaluation.AGGREGATES
+    assert _option("feat-metrics", "k").default == featmetrics.DEFAULT_K
+    assert _option("plausibility", "mask_token").default == quality.DEFAULT_MASK_TOKEN

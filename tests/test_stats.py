@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sggkit.ingest import Dataset
 from sggkit.model import Triplet, Vocabulary, categorical_triplets
@@ -13,6 +15,7 @@ from sggkit.stats import (
     marginal_distributions,
     predicate_frequencies,
     shot_subsets,
+    triplet_set_from_json_obj,
 )
 
 from .conftest import ABOVE, CAT, DOG, ON, PERSON, SURFBOARD, WAVE, dataset_of, make_graph
@@ -65,6 +68,85 @@ class TestFrequencyTable:
         table = build_frequency_table(toy_corpus(vocab))
         again = TripletFrequencyTable.from_json_obj(table.to_json_obj())
         assert again.counts == table.counts
+
+
+def brute_first_repeat(rows):
+    seen = set()
+    for i, row in enumerate(rows):
+        key = (row["s"], row["p"], row["o"])
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
+
+
+id_values = st.sampled_from([0, 1, 2, 2**31, 2**40, 2**62])
+
+
+class TestTableColumns:
+    """`from_json_obj` reads rows straight into columns; the dict form is
+    derived on demand and equals the one the row-by-row reader built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(id_values, id_values, id_values, st.integers(1, 2**62)),
+                    max_size=12))
+    def test_rows_read_like_a_dict_of_rows(self, spocs):
+        rows = [{"s": s, "p": p, "o": o, "count": c} for s, p, o, c in spocs]
+        repeat = brute_first_repeat(rows)
+        if repeat is not None:
+            r = rows[repeat]
+            with pytest.raises(ValueError, match=rf"duplicate triplet Triplet\(subject_category="
+                                                 rf"{r['s']}, predicate={r['p']}, "
+                                                 rf"object_category={r['o']}\)"):
+                TripletFrequencyTable.from_json_obj(rows)
+            return
+        table = TripletFrequencyTable.from_json_obj(rows)
+        expected = {Triplet(r["s"], r["p"], r["o"]): r["count"] for r in rows}
+        assert table.distinct_triplets == len(rows)
+        assert table.total_triplets == sum(expected.values())
+        assert list(table.counts.items()) == list(expected.items())
+        assert table.to_json_obj() == TripletFrequencyTable(expected).to_json_obj()
+        for got, want in zip(table._columns, TripletFrequencyTable(expected)._columns):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_loaded_table_builds_no_dict_for_graphn(self, vocab):
+        from sggkit.ingest import EmbeddingTable
+        from sggkit.perturb import PerturbationConfig, PerturbationResources, perturb_dataset
+
+        corpus = toy_corpus(vocab)
+        table = TripletFrequencyTable.from_json_obj(build_frequency_table(corpus).to_json_obj())
+        table.check_vocabulary(vocab)
+        assert table.distinct_triplets == 5
+        embeddings = EmbeddingTable(np.random.default_rng(0).normal(size=(vocab.num_objects, 4)))
+        resources = PerturbationResources(embeddings, table)
+        cfg = PerturbationConfig("graphn", intensity=1.0, top_k=2, alpha=0)
+        _, records = perturb_dataset(corpus, cfg, resources)
+        assert any(r.replacements for r in records)
+        assert "counts" not in vars(table)
+        assert table.count(Triplet(PERSON, ON, SURFBOARD)) == 3
+        assert "counts" in vars(table)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([{"s": 0, "p": 0, "o": 1, "count": 0}], "non-positive count 0"),
+        ([{"s": 0, "p": -1, "o": 1, "count": 2}], "negative category or predicate id"),
+        ([{"s": 0, "p": 0, "o": 2**63, "count": 2}], "does not fit in 64 bits"),
+        ([{"s": 0, "p": 0, "o": 1, "count": 2}, {"s": 0, "p": 0, "o": 1, "count": 2}],
+         "duplicate triplet"),
+    ])
+    def test_bad_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            TripletFrequencyTable.from_json_obj(rows)
+
+    @pytest.mark.parametrize("value", [1.9, 2.0, True, "2", None])
+    @pytest.mark.parametrize("key", ["s", "p", "o", "count"])
+    def test_values_must_be_json_integers(self, key, value):
+        rows = [{"s": 0, "p": 0, "o": 1, "count": 2}, {"s": 1, "p": 0, "o": 1, "count": 2}]
+        rows[1][key] = value
+        with pytest.raises(TypeError, match=rf"row 1 '{key}': expected an integer"):
+            TripletFrequencyTable.from_json_obj(rows)
+        if key != "count":
+            with pytest.raises(TypeError, match=rf"row 1 '{key}': expected an integer"):
+                triplet_set_from_json_obj(rows)
 
 
 class TestShotSubsets:
