@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # the commands import their library modules when they run
+    from . import perturb
 
 LM_ENDPOINT_ENV = "SGG_LM_ENDPOINT"
 
@@ -26,8 +31,11 @@ def _log(message: str) -> None:
 
 
 def _write_json(path: str | Path, payload) -> None:
+    """Strict JSON: a NaN or infinity is a ValueError, raised before the
+    file is opened, so no truncated report is left behind."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        f.write(text)
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
@@ -186,6 +194,8 @@ def cmd_hit_rate(args) -> int:
         name, _, path = spec_arg.partition("=")
         if not path:
             raise ValueError(f"--reference must be NAME=PATH, got {spec_arg!r}")
+        if not name or any(name == seen for seen, _ in references):
+            raise ValueError(f"--reference names must be distinct and non-empty, got {spec_arg!r}")
         references.append((name, _load_triplet_set(path)))
     results = {}
     rows = []
@@ -227,7 +237,7 @@ def cmd_plausibility(args) -> int:
     _write_json(
         args.out,
         {
-            "mean_score": report.mean,
+            "mean_score": report.mean if report.scored else None,
             "scored": report.scored,
             "skipped": report.skipped,
             "per_graph": report.per_graph,
@@ -240,6 +250,8 @@ def cmd_plausibility(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evaluation, ingest
+    if not 0 <= args.reweight_x < math.inf:
+        raise ValueError(f"--reweight-x must be finite and >= 0, got {args.reweight_x}")
     vocab = ingest.load_vocabulary(args.vocab)
     gt = ingest.load_dataset(args.gt, vocab)
     predictions = ingest.load_predictions(args.predictions, vocab)

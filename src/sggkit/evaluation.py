@@ -5,6 +5,7 @@ reweighting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,8 +85,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def _predicate_weights(f_r: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(1 / f_r)^x per predicate, 0 where f_r <= 0, and that zero mask."""
-    if x < 0:
-        raise ValueError(f"reweighting exponent must be >= 0, got {x}")
+    if not 0 <= x < math.inf:  # rejects NaN too
+        raise ValueError(f"reweighting exponent must be finite and >= 0, got {x}")
     f_r = np.asarray(f_r, dtype=np.float64)
     zero = f_r <= 0
     weights = np.zeros_like(f_r)

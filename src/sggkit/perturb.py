@@ -1,8 +1,8 @@
 """Scene-graph node perturbation strategies.
 
-Four strategies share the same frame: pick nodes with degree-weighted
-sampling, then replace each picked node's category. Boxes, edges and node
-count never change; only categories do.
+Four strategies share one frame, `_perturb`: pick nodes with degree-weighted
+sampling, then ask the strategy's choice rule for each picked node's new
+category. Boxes, edges and node count never change; only categories do.
 
   rand       uniform replacement over all other categories
   neigh      uniform replacement among the top-k cosine neighbors of the
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .ingest import Dataset, EmbeddingTable, json_int
-from .model import SceneGraph, Triplet, Vocabulary, degree
+from .model import SceneGraph, Triplet, Vocabulary
 from .stats import TripletFrequencyTable
 
 METHODS = ("rand", "neigh", "graphn", "oracle_zs")
@@ -165,9 +165,38 @@ def _affected_edges(graph: SceneGraph, changed: Iterable[int]) -> tuple[int, ...
     )
 
 
-def _uniform_other_category(current: int, num_categories: int, rng: np.random.Generator) -> int:
-    draw = int(rng.integers(num_categories - 1))
-    return draw if draw < current else draw + 1
+def _perturb(
+    graph: SceneGraph,
+    cfg: PerturbationConfig,
+    choose: Callable[[SceneGraph, list[int], int, np.random.Generator], int | None],
+    rng: np.random.Generator,
+) -> tuple[SceneGraph, PerturbationRecord]:
+    """The frame every method shares: sample nodes, then ask `choose` for
+    each one's new category given the current, partly perturbed categories.
+    None or the current category leaves the node alone."""
+    categories = [n.category for n in graph.nodes]
+    replacements = []
+    for node in sample_nodes(graph, cfg.intensity, rng):
+        old = categories[node]
+        new = choose(graph, categories, node, rng)
+        if new is None or new == old:
+            continue
+        categories[node] = new
+        replacements.append((node, old, new))
+    record = PerturbationRecord(
+        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
+    )
+    return graph.with_categories(categories), record
+
+
+def _rand_rule(num_objects: int) -> Callable:
+    if num_objects < 2:
+        raise CannotPerturbError("need at least 2 object categories")
+
+    def choose(graph, categories, node, rng):
+        draw = int(rng.integers(num_objects - 1))
+        return draw if draw < categories[node] else draw + 1
+    return choose
 
 
 def perturb_rand(
@@ -177,20 +206,7 @@ def perturb_rand(
     rng: np.random.Generator,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """Replace each sampled node by a uniform draw over the other categories."""
-    if vocab.num_objects < 2:
-        raise CannotPerturbError("need at least 2 object categories")
-    categories = [n.category for n in graph.nodes]
-    replacements = []
-    for node in sample_nodes(graph, cfg.intensity, rng):
-        old = categories[node]
-        new = _uniform_other_category(old, vocab.num_objects, rng)
-        categories[node] = new
-        replacements.append((node, old, new))
-    perturbed = graph.with_categories(categories)
-    record = PerturbationRecord(
-        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
-    )
-    return perturbed, record
+    return _perturb(graph, cfg, _rand_rule(vocab.num_objects), rng)
 
 
 def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
@@ -205,6 +221,20 @@ def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
     return list(emb.neighbor_ranking(category)[:k])
 
 
+def _neigh_rule(cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable | None) -> Callable:
+    if emb is None:
+        raise ValueError("method 'neigh' requires an embedding table")
+    if num_objects < 2:
+        raise CannotPerturbError("need at least 2 object categories")
+    if cfg.top_k < 1:
+        raise CannotPerturbError("neigh requires top_k >= 1")
+
+    def choose(graph, categories, node, rng):
+        neighbors = semantic_neighbors(emb, categories[node], cfg.top_k)
+        return neighbors[int(rng.integers(len(neighbors)))]
+    return choose
+
+
 def perturb_neigh(
     graph: SceneGraph,
     cfg: PerturbationConfig,
@@ -213,23 +243,7 @@ def perturb_neigh(
     rng: np.random.Generator,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """Replace each sampled node by a uniform draw over its top-k neighbors."""
-    if vocab.num_objects < 2:
-        raise CannotPerturbError("need at least 2 object categories")
-    if cfg.top_k < 1:
-        raise CannotPerturbError("neigh requires top_k >= 1")
-    categories = [n.category for n in graph.nodes]
-    replacements = []
-    for node in sample_nodes(graph, cfg.intensity, rng):
-        old = categories[node]
-        neighbors = semantic_neighbors(emb, old, cfg.top_k)
-        new = neighbors[int(rng.integers(len(neighbors)))]
-        categories[node] = new
-        replacements.append((node, old, new))
-    perturbed = graph.with_categories(categories)
-    record = PerturbationRecord(
-        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
-    )
-    return perturbed, record
+    return _perturb(graph, cfg, _neigh_rule(cfg, vocab.num_objects, emb), rng)
 
 
 @dataclass(frozen=True)
@@ -299,6 +313,23 @@ def graphn_candidates(
     return [GraphNCandidate(*row) for row in zip(*(a.tolist() for a in scores))]
 
 
+def _graphn_rule(
+    cfg: PerturbationConfig, emb: EmbeddingTable | None, table: TripletFrequencyTable | None
+) -> Callable:
+    if emb is None or table is None:
+        raise ValueError("method 'graphn' requires an embedding table and a triplet "
+                         "frequency table")
+
+    def choose(graph, categories, node, rng):
+        cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)
+        if not cats.size:
+            return None
+        intermediate = int(cats[rng.choice(cats.size, p=probs)])
+        pool = [intermediate, *semantic_neighbors(emb, intermediate, cfg.top_k)]
+        return pool[int(rng.integers(len(pool)))]
+    return choose
+
+
 def perturb_graphn(
     graph: SceneGraph,
     cfg: PerturbationConfig,
@@ -316,27 +347,7 @@ def perturb_graphn(
     with no surviving candidate are skipped, as are draws that land back on
     the node's current category, so intensity is an upper bound here.
     """
-    categories = [n.category for n in graph.nodes]
-    replacements = []
-    for node in sample_nodes(graph, cfg.intensity, rng):
-        cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)
-        if not cats.size:
-            continue
-        intermediate = int(cats[rng.choice(cats.size, p=probs)])
-        pool = [intermediate] + (
-            semantic_neighbors(emb, intermediate, cfg.top_k) if cfg.top_k > 0 else []
-        )
-        new = pool[int(rng.integers(len(pool)))]
-        old = categories[node]
-        if new == old:
-            continue
-        categories[node] = new
-        replacements.append((node, old, new))
-    perturbed = graph.with_categories(categories)
-    record = PerturbationRecord(
-        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
-    )
-    return perturbed, record
+    return _perturb(graph, cfg, _graphn_rule(cfg, emb, table), rng)
 
 
 def _reference_membership(
@@ -357,45 +368,36 @@ def _reference_membership(
     return member
 
 
-def _perturb_oracle_zs(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    member: np.ndarray,
-    num_categories: int,
-    rng: np.random.Generator,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    """perturb_oracle_zs against a membership array that covers every
-    predicate and category of `graph`; candidates are below num_categories."""
-    categories = [n.category for n in graph.nodes]
-    incident: dict[int, list] = {}
-    for edge in graph.edges:
-        incident.setdefault(edge.subject, []).append(edge)
-        incident.setdefault(edge.object, []).append(edge)
+def _oracle_zs_rule(
+    zs_triplets: Iterable[Triplet] | None, num_predicates: int, num_categories: int,
+    covered: int,
+) -> Callable:
+    """Membership covers `covered` >= num_categories categories, enough for
+    every category of the graphs perturbed; candidates are below
+    num_categories."""
+    if not zs_triplets:
+        raise ValueError("method 'oracle_zs' requires a non-empty reference triplet set")
+    member = _reference_membership(zs_triplets, num_predicates, covered)
 
-    replacements = []
-    for node in sample_nodes(graph, cfg.intensity, rng):
-        edges = incident.get(node)
-        if not edges:
-            continue
-        old = categories[node]
-        allowed = np.ones(member.shape[1], dtype=bool)
-        for edge in edges:
+    def choose(graph, categories, node, rng):
+        allowed = np.ones(covered, dtype=bool)
+        isolated = True
+        for edge in graph.edges:
             if edge.subject == node:
                 allowed &= member[edge.predicate, :, categories[edge.object]]
-            else:
+            elif edge.object == node:
                 allowed &= member[edge.predicate, categories[edge.subject]]
-        allowed[old] = False
+            else:
+                continue
+            isolated = False
+        if isolated:  # no composition evidence
+            return None
+        allowed[categories[node]] = False
         candidates = np.flatnonzero(allowed[:num_categories])
         if not candidates.size:
-            continue
-        new = int(candidates[int(rng.integers(candidates.size))])
-        categories[node] = new
-        replacements.append((node, old, new))
-    perturbed = graph.with_categories(categories)
-    record = PerturbationRecord(
-        graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
-    )
-    return perturbed, record
+            return None
+        return int(candidates[int(rng.integers(candidates.size))])
+    return choose
 
 
 def perturb_oracle_zs(
@@ -413,18 +415,15 @@ def perturb_oracle_zs(
     perturbed neighbors. Nodes with no incident edges carry no composition
     evidence and are skipped.
     """
-    if not zs_triplets:
-        raise ValueError("reference triplet set is empty")
+    top = max((n.category for n in graph.nodes), default=0)
     if num_categories is None:
         num_categories = 1 + max(
-            max(t.subject_category for t in zs_triplets),
-            max(t.object_category for t in zs_triplets),
-            max(n.category for n in graph.nodes),
+            [top, *(max(t.subject_category, t.object_category) for t in zs_triplets)]
         )
-    size = max(num_categories, 1 + max((n.category for n in graph.nodes), default=0))
     num_predicates = 1 + max((e.predicate for e in graph.edges), default=0)
-    member = _reference_membership(zs_triplets, num_predicates, size)
-    return _perturb_oracle_zs(graph, cfg, member, num_categories, rng)
+    rule = _oracle_zs_rule(zs_triplets, num_predicates, num_categories,
+                           max(num_categories, 1 + top))
+    return _perturb(graph, cfg, rule, rng)
 
 
 @dataclass(frozen=True)
@@ -434,32 +433,6 @@ class PerturbationResources:
     embeddings: EmbeddingTable | None = None
     table: TripletFrequencyTable | None = None
     zs_triplets: frozenset[Triplet] | None = None
-
-
-def _perturb_graph(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    vocab: Vocabulary,
-    resources: PerturbationResources,
-    zs_member: np.ndarray | None,
-    rng: np.random.Generator,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    if cfg.method == "rand":
-        return perturb_rand(graph, cfg, vocab, rng)
-    if cfg.method == "neigh":
-        return perturb_neigh(graph, cfg, vocab, resources.embeddings, rng)
-    if cfg.method == "graphn":
-        return perturb_graphn(graph, cfg, vocab, resources.embeddings, resources.table, rng)
-    return _perturb_oracle_zs(graph, cfg, zs_member, vocab.num_objects, rng)
-
-
-def _check_resources(cfg: PerturbationConfig, resources: PerturbationResources) -> None:
-    if cfg.method in ("neigh", "graphn") and resources.embeddings is None:
-        raise ValueError(f"method {cfg.method!r} requires an embedding table")
-    if cfg.method == "graphn" and resources.table is None:
-        raise ValueError("method 'graphn' requires a triplet frequency table")
-    if cfg.method == "oracle_zs" and not resources.zs_triplets:
-        raise ValueError("method 'oracle_zs' requires a non-empty reference triplet set")
 
 
 def perturb_dataset(
@@ -472,24 +445,26 @@ def perturb_dataset(
     Each graph gets its own generator seeded from a stable 64-bit hash of
     its image id XORed with the master seed, so results do not depend on
     processing order or parallelism. One record is emitted per graph, empty
-    when nothing changed.
+    when nothing changed. A missing resource or a vocabulary or
+    configuration that admits no replacement is raised before any graph is
+    perturbed.
     """
     resources = resources or PerturbationResources()
-    _check_resources(cfg, resources)
     vocab = dataset.vocabulary
-    zs_member = None
-    if cfg.method == "oracle_zs":
-        zs_member = _reference_membership(
-            resources.zs_triplets, vocab.num_predicates, vocab.num_objects
-        )
+    if cfg.method == "rand":
+        rule = _rand_rule(vocab.num_objects)
+    elif cfg.method == "neigh":
+        rule = _neigh_rule(cfg, vocab.num_objects, resources.embeddings)
+    elif cfg.method == "graphn":
+        rule = _graphn_rule(cfg, resources.embeddings, resources.table)
+    else:
+        rule = _oracle_zs_rule(resources.zs_triplets, vocab.num_predicates,
+                               vocab.num_objects, vocab.num_objects)
     perturbed = []
     records = []
     for graph in dataset.graphs:
         rng = np.random.default_rng(graph_seed(graph.image_id, cfg.master_seed))
-        try:
-            new_graph, record = _perturb_graph(graph, cfg, vocab, resources, zs_member, rng)
-        except CannotPerturbError as e:
-            raise CannotPerturbError(f"image {graph.image_id!r}: {e}") from e
+        new_graph, record = _perturb(graph, cfg, rule, rng)
         perturbed.append(new_graph)
         records.append(record)
     return Dataset(dataset.vocabulary, tuple(perturbed)), records

@@ -139,10 +139,12 @@ class HttpScorer:
     """Client for the plausibility wire protocol.
 
     POST <endpoint>/score with {"text": ..., "target": ...}; the response
-    must be a 200 with {"score": <number>}. Each attempt opens its own
-    connection, straight to the endpoint (no proxy). A transport error, a
-    non-200 status, a body that is not JSON or a missing or non-numeric
-    score is retried with a short backoff before raising.
+    must be a 200 with {"score": <finite number>}. Each attempt opens its
+    own connection, straight to the endpoint (no proxy), and waits at most
+    `timeout` seconds (finite, > 0) per socket operation. A transport
+    error, a non-200 status, a body that is not JSON or a missing,
+    non-numeric or non-finite score is retried with a short backoff before
+    raising.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 3,
@@ -151,6 +153,8 @@ class HttpScorer:
             raise ValueError("empty scorer endpoint")
         if retries < 1:
             raise ValueError(f"retries must be >= 1, got {retries}")
+        if not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
         parts = urlsplit(endpoint)
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"scorer endpoint must be an http:// or https:// URL, "
@@ -196,8 +200,11 @@ class HttpScorer:
                 value = json.loads(payload)["score"]
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise TypeError(f"non-numeric score {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite score {value!r}")
                 return float(value)
-            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as e:
+            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError,
+                    OverflowError) as e:  # OverflowError: an integer score beyond float
                 last_error = e
             finally:
                 conn.close()
@@ -266,8 +273,11 @@ def score_graphs(
     With records, the masked node is a uniformly chosen perturbed node (one
     with graph context); without, a uniformly chosen non-isolated node.
     Graphs offering no such node are skipped and counted. Queries are built
-    sequentially for determinism; queries may run concurrently.
+    sequentially for determinism; up to max_workers (>= 1) queries run
+    concurrently. The mean is NaN when no graph was scored.
     """
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     by_id = {} if records is None else _records_by_image(records, dataset)
 
     queries: list[tuple[str, PlausibilityQuery]] = []

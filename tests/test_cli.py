@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sggkit.cli import main
+from sggkit.cli import _write_json, main
 from sggkit.ingest import graph_to_obj, load_dataset, load_vocabulary
 from sggkit.model import Triplet
 from sggkit.stats import build_frequency_table, shot_subsets
@@ -202,6 +202,44 @@ class TestHitRate:
         assert lines[1].startswith("all,0")
 
 
+    @pytest.mark.parametrize("names", [("zs", "zs"), ("",)], ids=["repeated", "empty"])
+    @pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["json", "csv"])
+    def test_repeated_or_empty_reference_name_exit_2(self, workspace, capsys, names, csv):
+        (workspace / "records.jsonl").write_text(
+            '{"image_id":"tr0","replacements":[],"affected_edges":[]}\n'
+        )
+        ref = workspace / "ref.json"
+        ref.write_text('{"triplets": [{"s":0,"p":0,"o":1}]}')
+        references = [a for name in names for a in ("--reference", f"{name}={ref}")]
+        code = run(["hit-rate", "--records", workspace / "records.jsonl",
+                    "--perturbed", workspace / "train.jsonl",
+                    "--vocab", workspace / "vocab.json", *references,
+                    "--out", workspace / "hit.out", *csv])
+        assert code == 2
+        assert "--reference names must be distinct and non-empty" in capsys.readouterr().err
+        assert not (workspace / "hit.out").exists()
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity extensions."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestWriteJson:
+    def test_non_finite_value_rejected_before_the_file_is_opened(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text("previous report\n")
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                _write_json(report, {"value": value})
+            assert report.read_text() == "previous report\n"
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "new.json", {"nested": [1.0, float("nan")]})
+        assert not (tmp_path / "new.json").exists()
+
+
 class TestPlausibility:
     def test_stub_backend_round_trip(self, workspace):
         from .lm_stub import stub_lm_server
@@ -256,6 +294,46 @@ class TestPlausibility:
         assert "must be an http:// or https:// URL" in capsys.readouterr().err
         assert state["connections"] == 0
         assert not (workspace / "p.json").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--timeout", "-1", "timeout must be a finite number > 0, got -1.0"),
+        ("--timeout", "nan", "timeout must be a finite number > 0, got nan"),
+        ("--timeout", "0", "timeout must be a finite number > 0, got 0.0"),
+        ("--timeout", "inf", "timeout must be a finite number > 0, got inf"),
+        ("--jobs", "0", "max_workers must be >= 1, got 0"),
+        ("--jobs", "-3", "max_workers must be >= 1, got -3"),
+    ])
+    def test_bad_timeout_or_jobs_exit_2_sending_nothing(self, workspace, capsys, flag, value,
+                                                        message):
+        from .lm_stub import stub_lm_server
+
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(["plausibility", "--dataset", workspace / "train.jsonl",
+                        "--vocab", workspace / "vocab.json", "--endpoint", url,
+                        flag, value, "--seed", "5", "--out", workspace / "p.json"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert state["connections"] == 0
+        assert not (workspace / "p.json").exists()
+
+    def test_nothing_scored_writes_null_mean(self, workspace):
+        from .lm_stub import stub_lm_server
+
+        vocab = load_vocabulary(workspace / "vocab.json")
+        graphs = load_dataset(workspace / "train.jsonl", vocab).graphs
+        write_jsonl(workspace / "r.jsonl", [
+            {"image_id": g.image_id, "replacements": [], "affected_edges": []} for g in graphs
+        ])
+        report = workspace / "p.json"
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(["plausibility", "--dataset", workspace / "train.jsonl",
+                        "--vocab", workspace / "vocab.json", "--records", workspace / "r.jsonl",
+                        "--endpoint", url, "--out", report])
+        assert code == 0
+        payload = strict_json(report.read_text())
+        assert payload["mean_score"] is None
+        assert (payload["scored"], payload["skipped"]) == (0, len(graphs))
+        assert state["connections"] == 0
 
     def test_zero_retries_exit_2(self, workspace, capsys):
         code = run(["plausibility", "--dataset", workspace / "train.jsonl",
@@ -312,6 +390,23 @@ class TestEval:
                     "--vocab", workspace / "vocab.json",
                     "--reweight-x", "1.0", "--out", workspace / "e.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_reweight_exit_2(self, workspace, capsys, x):
+        # unit frequencies make (1 / f_r)^x finite, so this is the exponent check
+        assert self.eval_with_stats(workspace, {"predicate_freq": [1.0, 1.0, 1.0]}, x) == 2
+        assert f"--reweight-x must be finite and >= 0, got {x}" in capsys.readouterr().err
+        assert not (workspace / "e.json").exists()
+
+    def test_negative_reweight_without_stats_names_the_exponent(self, workspace, capsys):
+        self.write_predictions(workspace)
+        code = run(["eval", "--predictions", workspace / "preds.jsonl",
+                    "--gt", workspace / "test.jsonl", "--vocab", workspace / "vocab.json",
+                    "--reweight-x", "-1", "--out", workspace / "e.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--reweight-x must be finite and >= 0, got -1.0" in err
+        assert "--stats" not in err
 
     def eval_with_stats(self, workspace, payload, x="1.0"):
         self.write_predictions(workspace)

@@ -143,6 +143,14 @@ class TestReweight:
         with pytest.raises(ValueError, match="not all finite"):
             reweight_scores(pairs, np.array([np.nan, 0.5]), 1.0)
 
+    @pytest.mark.parametrize("x", [-1.0, float("nan"), float("inf")])
+    def test_exponent_must_be_finite_and_non_negative(self, x):
+        # with every frequency 1.0 the weights (1 / 1)^x are 1.0 even for NaN
+        # and infinity, so only the exponent check catches them
+        pairs = self.pairs_of([0.5, 0.5])
+        with pytest.raises(ValueError, match="exponent must be finite and >= 0"):
+            reweight_scores(pairs, np.array([1.0, 1.0]), x)
+
     def test_uniform_frequency_preserves_all_rankings(self, vocab, rng):
         f = np.full(3, 1 / 3)
         for _ in range(30):

@@ -1,10 +1,16 @@
 """The import surface: the CLI loads library modules only when a subcommand
-runs them, and every name the package exports still imports."""
+runs them, every name the package exports still imports, and every
+annotation resolves."""
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +106,48 @@ def test_parser_literals_match_the_library():
     assert tuple(_option("eval", "aggregate").choices) == evaluation.AGGREGATES
     assert _option("feat-metrics", "k").default == featmetrics.DEFAULT_K
     assert _option("plausibility", "mask_token").default == quality.DEFAULT_MASK_TOKEN
+
+
+def _type_checking_names(module) -> dict:
+    """The names `module` imports under `if TYPE_CHECKING:`: a type checker
+    sees them, the running module does not."""
+    names: dict = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec")
+            exec(code, {"__name__": module.__name__, "__package__": "sggkit"}, names)
+    return names
+
+
+def _defined_in(module):
+    """Every function, class and method `module` defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                member = member.fget if isinstance(member, property) else member
+                if inspect.isfunction(member):
+                    yield member
+
+
+SOURCE_MODULES = sorted(
+    "sggkit" if p.stem == "__init__" else f"sggkit.{p.stem}"
+    for p in Path(sggkit.__file__).parent.glob("*.py")
+)
+
+
+@pytest.mark.parametrize("name", SOURCE_MODULES)
+def test_every_annotation_resolves(name):
+    """typing.get_type_hints on everything a module defines; no linter runs
+    on this code, so a name used only in an annotation is checked here."""
+    module = importlib.import_module(name)
+    localns = _type_checking_names(module) or None
+    defined = list(_defined_in(module))
+    for obj in defined:
+        typing.get_type_hints(obj, localns=localns)
+    assert defined

@@ -855,3 +855,34 @@ def test_shuffled_input_gives_same_per_image_output(shuffle_case, method, order)
     out, records = perturb_dataset(shuffled, cfg, resources)
     assert [r.image_id for r in records] == [g.image_id for g in shuffled.graphs]
     assert {r.image_id: (g, r) for g, r in zip(out.graphs, records)} == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_per_graph_functions_match_the_dataset_run(shuffle_case, method):
+    """Each public perturb_<method>, seeded as perturb_dataset seeds the
+    image, gives that image's graph and record: both go through one frame."""
+    dataset, resources, reference = shuffle_case
+    cfg, expected = reference[method]
+    vocab, emb, table = dataset.vocabulary, resources.embeddings, resources.table
+    perturb_one = {
+        "rand": lambda g, rng: perturb_rand(g, cfg, vocab, rng),
+        "neigh": lambda g, rng: perturb_neigh(g, cfg, vocab, emb, rng),
+        "graphn": lambda g, rng: perturb_graphn(g, cfg, vocab, emb, table, rng),
+        "oracle_zs": lambda g, rng: perturb_oracle_zs(g, cfg, resources.zs_triplets, rng,
+                                                      vocab.num_objects),
+    }[method]
+    replaced = 0
+    for graph in dataset.graphs:
+        seed = graph_seed(graph.image_id, cfg.master_seed)
+        perturbed, record = perturb_one(graph, np.random.default_rng(seed))
+        assert (perturbed, record) == expected[graph.image_id]
+        record.check(perturbed)
+        assert perturbed.with_categories(n.category for n in graph.nodes) == graph
+        changed = {i for i, (a, b) in enumerate(zip(graph.nodes, perturbed.nodes))
+                   if a.category != b.category}
+        assert changed == {n for n, _, _ in record.replacements}
+        assert all(graph.nodes[n].category == old for n, old, _ in record.replacements)
+        sampled = sample_nodes(graph, cfg.intensity, np.random.default_rng(seed))
+        assert changed <= set(sampled)
+        replaced += len(changed)
+    assert replaced > 0

@@ -248,6 +248,16 @@ class TestScoreGraphs:
             with pytest.raises(ValueError, match=message):
                 score_graphs(Refuse(), ds, rng, records=records)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected_before_any_query(self, vocab, rng, workers):
+        class Refuse:
+            def score(self, text, target):
+                raise AssertionError("no query may be sent")
+
+        ds = dataset_of(vocab, make_graph("a", [DOG, SURFBOARD], [(0, ON, 1)]))
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            score_graphs(Refuse(), ds, rng, max_workers=workers)
+
     def test_frequency_stub_orders_frequent_above_zero_shot(self, vocab, rng):
         train = dataset_of(
             vocab,
@@ -329,7 +339,9 @@ class TestHttpScorer:
         assert len(state["requests"]) == 2
 
     @pytest.mark.parametrize("body", [b"{}", b'{"score": "9.8"}', b'{"score": true}',
-                                      b'{"score": null}', b"[9.8]"])
+                                      b'{"score": null}', b"[9.8]", b'{"score": NaN}',
+                                      b'{"score": -Infinity}',
+                                      b'{"score": 1' + b"0" * 400 + b"}"])
     def test_missing_or_non_numeric_score_fails_after_every_attempt(self, body):
         with stub_lm_server(lambda text, target: 2.5, bodies=(body,) * 3) as (url, state):
             scorer = HttpScorer(url, timeout=5, retries=3, backoff=0.01)
@@ -372,6 +384,11 @@ class TestHttpScorer:
     def test_rejects_fewer_than_one_attempt(self, retries):
         with pytest.raises(ValueError, match="retries must be >= 1"):
             HttpScorer("http://127.0.0.1:9", retries=retries)
+
+    @pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan"), float("inf"), None, "5"])
+    def test_rejects_timeout_that_is_not_a_finite_positive_number(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+            HttpScorer("http://127.0.0.1:9", timeout=timeout)
 
     def test_cli_import_does_not_load_requests(self):
         src = os.path.dirname(os.path.dirname(sggkit.__file__))
