@@ -303,11 +303,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_feat_metrics(args) -> int:
+    import numpy as np
     from . import featmetrics, ingest
     real = ingest.load_feature_matrix(args.real)
     fake = ingest.load_feature_matrix(args.fake)
-    result = featmetrics.precision_recall_density_coverage(real, fake, args.k)
-    fd = featmetrics.frechet_distance(real, fake)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        result = featmetrics.precision_recall_density_coverage(real, fake, args.k)
+        fd = featmetrics.frechet_distance(real, fake)
     report = {
         "k": args.k,
         "n_real": int(real.shape[0]),
@@ -319,6 +321,10 @@ def cmd_feat_metrics(args) -> int:
         "average": result.average,
         "frechet_distance": fd,
     }
+    overflowed = [name for name, value in report.items() if not math.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"{args.real} and {args.fake}: {', '.join(overflowed)} not finite: "
+                         "the features are too large for float64 arithmetic")
     if args.csv:
         header = list(report)
         _write_csv(args.out, header, [[report[h] for h in header]])

@@ -5,12 +5,18 @@ All computations are exact (no approximate neighbor index) and operate on
 raw Euclidean distances; normalize features beforehand if that matters for
 your data.
 
-Distance matrices are never held whole: they are computed one block of rows
-at a time, each block's difference array bounded by `BLOCK_BYTES`, so memory
-grows as O((n + m) * d) plus one block rather than as n * m * d. Every
-distance is the same per-pair expression (difference, square, sum over the
-last axis, square root) whatever the block size, so results are exact and
-do not depend on it.
+Every distance is the per-pair expression of `_pairwise_distances`
+(difference, square, sum over the last axis, square root), and every result
+equals what that expression gives on the whole matrix, bit for bit. The
+expression runs only where it decides something. Distance matrices are
+never held whole: one block of rows at a time, squared distances come from
+a BLAS Gram product, ‖a‖² + ‖b‖² − 2·a·bᵀ, with a per-row bound ε on how far
+they can be from the per-pair sums. A radius test, or a k-th-neighbour
+candidate, is decided from the Gram value when that value lies more than ε
+from the threshold; the pairs inside that band are recomputed exactly. The
+decisions hold for any summation order BLAS uses, so results depend neither
+on the block size nor on the BLAS build or thread count. Memory grows as
+O((n + m) * d) plus one block of `BLOCK_BYTES`.
 """
 from __future__ import annotations
 
@@ -31,24 +37,99 @@ def _as_features(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-# Bytes of one (rows, m, d) float64 difference block. At 250 x 256, 1 MiB
-# blocks (which stay in a core's L2 cache) ran faster than 8 MiB ones.
+# Bytes of the float64 arrays that one row block keeps alive at once.
 BLOCK_BYTES = 1 << 20
+# (rows, m) float64 arrays alive at once in a block of Gram distances.
+_BLOCK_ARRAYS = 2
+
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1022  # smallest normal float64
+_NORM_SUM_MAX = 2.0 ** 1020  # beyond it the Gram expression could overflow
 
 
 def _row_blocks(n: int, m: int, d: int):
-    """Row ranges [i0, i1) of an n x m distance matrix over d-dim points."""
+    """Row ranges [i0, i1) of n rows of m * d float64s each, at most
+    BLOCK_BYTES per range and at least one row."""
     step = max(1, BLOCK_BYTES // (m * d * 8))
     for i0 in range(0, n, step):
         yield i0, min(i0 + step, n)
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Direct differences, not the Gram-matrix expansion: keeps distances
-    # bitwise reproducible against a naive per-pair computation.
-    diff = a[:, None, :] - b[None, :, :]
+    # Direct differences of paired rows, a[p] against b[p]: the reference
+    # expression every distance here equals bit for bit. The Gram values
+    # only decide which pairs need it.
+    diff = a - b
     diff *= diff
     return np.sqrt(diff.sum(axis=-1))
+
+
+def _exact_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`_pairwise_distances` of the index pairs (a[i[p]], b[j[p]]), a block
+    of pairs at a time."""
+    out = np.empty(i.size)
+    for p0, p1 in _row_blocks(i.size, 1, a.shape[1]):
+        out[p0:p1] = _pairwise_distances(a[i[p0:p1]], b[j[p0:p1]])
+    return out
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+# Why ε bounds the Gram error. Take one pair (a, b) of d-dim rows, u = 2**-53,
+# S = ‖a‖² + ‖b‖² and the exact D = Σ (a_l − b_l)². Standard bounds (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 3) hold for any order
+# of summation, blocked or not, with or without FMA: a sum of n terms errs by
+# at most (n − 1)·u·Σ|terms|, a length-d dot product by d·u·Σ|a_l·b_l|, up
+# to O(u²) terms.
+# - The per-pair sum s (`_pairwise_distances` before its square root) rounds
+#   each difference, each square and d − 1 additions of non-negative terms:
+#   |s − D| ≤ (d + 2)·u·D ≤ (2d + 4)·u·S, since D ≤ 2S.
+# - The Gram value G = ((−2·a·b) + ‖a‖²) + ‖b‖² errs by d·u·S through the two
+#   norms, by d·u·S through the doubled dot product (Σ|a_l·b_l| ≤ S/2), and by
+#   2·u·S in each of its two additions, whose results stay below 2S:
+#   |G − D| ≤ (2d + 4)·u·S.
+# So |G − s| ≤ (4d + 8)·u·S. ε takes twice that, with S the row's largest
+# ‖a‖² + ‖b_j‖² as computed. The spare half covers the O(u²) terms, the
+# rounding of ε itself and that of the tests that use it (see `_decide`),
+# which cost a few u·S. A product that underflows loses at most 2**-1022,
+# even when flushed to zero, and fewer than 8(d + 2) products enter one
+# pair's test: hence the second term of ε. Where S could exceed 2**1020 an
+# intermediate could overflow, so ε is inf there: the whole row is exact, and
+# wherever ε is finite, G is too.
+@np.errstate(over="ignore", invalid="ignore")
+def _gram(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):
+    """Gram squared distances G (rows of a by rows of b) and each row's ε,
+    with |G[i, j] − s[i, j]| <= ε[i] / 2 for the per-pair sum s."""
+    g = a @ b.T
+    g *= -2.0
+    g += a_sq[:, None]
+    g += b_sq
+    norm_sum = a_sq + b_sq.max()
+    eps = (8 * a.shape[1] + 16) * (_U * norm_sum + _TINY)
+    eps[~(norm_sum <= _NORM_SUM_MAX)] = np.inf
+    return g, eps
+
+
+@np.errstate(invalid="ignore")
+def _decide(g: np.ndarray, eps: np.ndarray, r: np.ndarray):
+    """(inside, unsure) for the test sqrt(s) <= r over a Gram block, r
+    broadcast against it: `inside` is the answer wherever `unsure` is False.
+
+    With |G − s| <= ε/2, G + ε <= r²(1 − 4u) gives s <= r², and
+    G − ε > r²(1 + 4u) gives s > (r + ulp(r)/2)², so the rounded square root
+    is <= r or > r: 4u absorbs the roundings of r·r, of its scaling and of
+    G ± ε, and the half ulp, at most u·r² < 2u·S, comes out of ε's spare
+    half. Rows whose ε is not finite are unsure throughout, and so is any
+    NaN that fails both tests.
+    """
+    r2 = r * r
+    e = eps[:, None]
+    inside = g + e <= r2 * (1 - 4 * _U)
+    unsure = ~(inside | (g - e > r2 * (1 + 4 * _U)))
+    unsure[~np.isfinite(eps)] = True
+    return inside, unsure
 
 
 def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
@@ -59,11 +140,24 @@ def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValueError(f"need at least k+1 = {k + 1} points, got {n}")
+    sq = _sq_norms(x)
     radii = np.empty(n)
-    for i0, i1 in _row_blocks(n, n, x.shape[1]):
-        d = _pairwise_distances(x[i0:i1], x)
-        d[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
-        radii[i0:i1] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    for i0, i1 in _row_blocks(n, n, _BLOCK_ARRAYS):
+        g, eps = _gram(x[i0:i1], x, sq[i0:i1], sq)
+        rows = np.arange(i1 - i0)
+        g[rows, rows + i0] = np.inf
+        # With t the k-th smallest G of a row, the k nearest j all have
+        # G <= t + ε: k points have s <= t + ε/2, so the k-th smallest s is
+        # at most that, and G <= s + ε/2 for each. t + 2ε leaves room for
+        # rounding; the exact distances of the candidates give the radius.
+        t = np.partition(g, k - 1, axis=1)[:, k - 1]
+        candidate = g <= (t + 2 * eps)[:, None]
+        candidate[~np.isfinite(eps)] = True
+        candidate[rows, rows + i0] = False
+        i, j = np.nonzero(candidate)
+        g.fill(np.inf)
+        g[i, j] = _exact_distances(x, x, i + i0, j)
+        radii[i0:i1] = np.partition(g, k - 1, axis=1)[:, k - 1]
     return radii
 
 
@@ -102,13 +196,20 @@ def precision_recall_density_coverage(
     real_ball_counts = np.zeros(n_fake, dtype=np.int64)
     covered = np.empty(n_real, dtype=bool)
     recalled = np.empty(n_real, dtype=bool)
-    for i0, i1 in _row_blocks(n_real, n_fake, real.shape[1]):
-        d = _pairwise_distances(real[i0:i1], fake)  # (block, n_fake)
-        in_real_balls = d <= real_radii[i0:i1, None]
+    real_sq, fake_sq = _sq_norms(real), _sq_norms(fake)
+    for i0, i1 in _row_blocks(n_real, n_fake, _BLOCK_ARRAYS):
+        g, eps = _gram(real[i0:i1], fake, real_sq[i0:i1], fake_sq)
+        in_real_balls, unsure_real = _decide(g, eps, real_radii[i0:i1, None])
+        in_fake_balls, unsure_fake = _decide(g, eps, fake_radii[None, :])
+        i, j = np.nonzero(unsure_real | unsure_fake)
+        if i.size:
+            d = _exact_distances(real, fake, i + i0, j)
+            in_real_balls[i, j] = d <= real_radii[i + i0]
+            in_fake_balls[i, j] = d <= fake_radii[j]
         in_some_real_ball |= in_real_balls.any(axis=0)
         real_ball_counts += in_real_balls.sum(axis=0)
         covered[i0:i1] = in_real_balls.any(axis=1)
-        recalled[i0:i1] = (d <= fake_radii[None, :]).any(axis=1)
+        recalled[i0:i1] = in_fake_balls.any(axis=1)
 
     precision = float(in_some_real_ball.mean())
     recall = float(recalled.mean())

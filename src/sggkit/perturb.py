@@ -221,6 +221,12 @@ def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
     return list(emb.neighbor_ranking(category)[:k])
 
 
+def _check_top_k(cfg: PerturbationConfig, emb: EmbeddingTable) -> None:
+    if cfg.top_k >= emb.num_categories:
+        raise ValueError(f"top_k (--top-k) is {cfg.top_k}; it must be below the "
+                         f"embedding table's {emb.num_categories} categories")
+
+
 def _neigh_rule(cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable | None) -> Callable:
     if emb is None:
         raise ValueError("method 'neigh' requires an embedding table")
@@ -228,6 +234,7 @@ def _neigh_rule(cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable |
         raise CannotPerturbError("need at least 2 object categories")
     if cfg.top_k < 1:
         raise CannotPerturbError("neigh requires top_k >= 1")
+    _check_top_k(cfg, emb)
 
     def choose(graph, categories, node, rng):
         neighbors = semantic_neighbors(emb, categories[node], cfg.top_k)
@@ -319,6 +326,7 @@ def _graphn_rule(
     if emb is None or table is None:
         raise ValueError("method 'graphn' requires an embedding table and a triplet "
                          "frequency table")
+    _check_top_k(cfg, emb)
 
     def choose(graph, categories, node, rng):
         cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)

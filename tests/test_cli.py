@@ -154,6 +154,27 @@ class TestPerturb:
     def test_neigh_without_embeddings_exit_2(self, workspace):
         assert self.run_perturb(workspace, "neigh", "py") == 2
 
+    @pytest.mark.parametrize("method", ["neigh", "graphn"])
+    @pytest.mark.parametrize("intensity", ["0", "0.2"])
+    def test_top_k_not_below_category_count_exit_2(self, workspace, capsys, method, intensity):
+        # glove.txt has 5 categories: --top-k 4 is the largest that runs
+        def perturb(top_k):
+            return run(["perturb", "--method", method, "--intensity", intensity,
+                        "--top-k", top_k, "--dataset", workspace / "train.jsonl",
+                        "--vocab", workspace / "vocab.json",
+                        "--embeddings", workspace / "glove.txt",
+                        "--out-dataset", workspace / f"k{top_k}.jsonl",
+                        "--out-records", workspace / f"k{top_k}_records.jsonl"])
+
+        assert perturb("4") == 0
+        capsys.readouterr()
+        assert perturb("5") == 2
+        err = capsys.readouterr().err
+        assert "error: top_k (--top-k) is 5; it must be below the embedding table's " \
+               "5 categories" in err
+        assert not (workspace / "k5.jsonl").exists()
+        assert not (workspace / "k5_records.jsonl").exists()
+
     def test_nan_alpha_exit_2(self, workspace, capsys):
         extra = ["--embeddings", workspace / "glove.txt", "--alpha", "nan"]
         assert self.run_perturb(workspace, "graphn", "pn", extra) == 2
@@ -491,6 +512,20 @@ class TestFeatMetrics:
                     "--fake", workspace / "fake.tsv", "-k", "3",
                     "--out", workspace / "fm.json"])
         assert code == 2
+
+    def test_overflowing_metric_exit_2_naming_metric_and_files(self, workspace, capsys, recwarn):
+        real, fake, out = workspace / "real.tsv", workspace / "fake.tsv", workspace / "fm.json"
+        self.write_features(real, [[1e308, 0.0], [-1e308, 1.0], [1e308, 3.0]])
+        self.write_features(fake, [[1e308, 0.0], [-1e308, 2.0], [0.0, 3.0]])
+        for csv in ([], ["--csv"]):
+            code = run(["feat-metrics", "--real", real, "--fake", fake, "-k", "1",
+                        "--out", out, *csv])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: {real} and {fake}: frechet_distance not finite: "
+                "the features are too large for float64 arithmetic\n")
+            assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("header", ["100000000000 256", "3 100000000000"])
     def test_oversized_header_exit_2_naming_line_1(self, workspace, capsys, header):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sggkit import featmetrics
 from sggkit.featmetrics import (
@@ -142,6 +148,151 @@ def test_prdc_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < featmetrics.BLOCK_BYTES + 2 * 2**20
+
+
+# Sets on which the Gram values decide badly. At an offset like 1000.1 the
+# coordinates are fl(1000.1) + j/8 exactly, so every difference, square and
+# per-pair sum is exact, while the Gram expansion rounds; equal distances, and
+# so points exactly on a radius, are common.
+OFFSET = 1000.1
+
+
+def offset_quantised(n, d, seed, levels=5):
+    rng = np.random.default_rng(seed)
+    return OFFSET + rng.integers(0, levels, size=(n, d)) / 8
+
+
+def duplicated(n, d, seed, distinct=4):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(distinct, d))[rng.integers(0, distinct, size=n)]
+
+
+def on_a_radius():
+    """k = 1: the radius of the real point 0 is 5, and each fake point lies at
+    distance exactly 5 from it (3-4-5 triangles)."""
+    real = OFFSET + np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [-4.0, 3.0]])
+    fake = OFFSET + np.array([[5.0, 0.0], [0.0, -5.0], [-3.0, -4.0], [4.0, -3.0], [9.0, 12.0]])
+    return real, fake
+
+
+def assert_equals_broadcast(real, fake, k):
+    for x in (real, fake):
+        np.testing.assert_array_equal(knn_radii(x, k), broadcast_radii(x, k))
+    assert precision_recall_density_coverage(real, fake, k).as_tuple() == broadcast_prdc(
+        real, fake, k)
+
+
+ADVERSARIAL = {
+    "offset-quantised-d1": lambda: (offset_quantised(40, 1, 1), offset_quantised(30, 1, 2)),
+    "offset-quantised-d3": lambda: (offset_quantised(40, 3, 3), offset_quantised(30, 3, 4)),
+    "offset-quantised-d16": lambda: (offset_quantised(30, 16, 5, levels=2),
+                                     offset_quantised(25, 16, 6, levels=2)),
+    "duplicates": lambda: (duplicated(30, 8, 7), duplicated(20, 8, 8)),
+    "offset-duplicates": lambda: (OFFSET + duplicated(30, 8, 9), OFFSET + duplicated(20, 8, 10)),
+    "on-a-radius": on_a_radius,
+}
+
+
+class TestGramBand:
+    """The Gram values may only decide what the exact expression would."""
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_adversarial_sets_equal_broadcast(self, name, k):
+        assert_equals_broadcast(*ADVERSARIAL[name](), k)
+
+    @pytest.mark.parametrize("name", ["offset-quantised-d3", "duplicates", "on-a-radius"])
+    def test_one_row_and_one_pair_blocks(self, monkeypatch, name):
+        monkeypatch.setattr(featmetrics, "BLOCK_BYTES", 1)
+        assert_equals_broadcast(*ADVERSARIAL[name](), 2)
+
+    def test_on_a_radius_is_on_the_radius(self):
+        real, fake = on_a_radius()
+        assert knn_radii(real, 1)[0] == 5.0
+        assert (broadcast_distances(real[:1], fake)[0, :4] == 5.0).all()
+
+    @pytest.mark.parametrize("name", [n for n in ADVERSARIAL if n.startswith("offset-quantised")])
+    def test_ties_on_a_radius_are_common(self, name):
+        real, fake = ADVERSARIAL[name]()
+        radii = broadcast_radii(real, 3)
+        d = broadcast_distances(real, real)
+        np.fill_diagonal(d, np.inf)
+        assert ((d == radii[:, None]).sum(axis=1) > 1).mean() > 0.5
+        assert (broadcast_distances(real, fake) == radii[:, None]).any()
+
+    # 1e155: the squared norms overflow; 9.4e153: they do not, but their sum
+    # exceeds the guard's limit; 1e150: Gram values are finite and far off.
+    @pytest.mark.parametrize("scale", [1e155, 9.4e153, 1e150])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # distances of mixed rows
+    def test_large_norms(self, scale):
+        x = np.array([[scale, 0.0], [scale, 1.0], [scale, 3.0]])
+        np.testing.assert_array_equal(knn_radii(x, 1), [1.0, 1.0, 2.0])
+        assert precision_recall_density_coverage(x, x, 1).as_tuple() == (1.0, 1.0, 2.0, 1.0)
+        mixed = np.vstack([x, [[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]]])
+        assert_equals_broadcast(mixed, x[::-1], 1)
+
+    def test_exact_expression_sees_few_pairs(self, monkeypatch):
+        real, fake = feature_sets(250, 250, 256, seed=1)
+        seen = []
+        exact = featmetrics._pairwise_distances
+
+        def counting(a, b):
+            out = exact(a, b)
+            seen.append(out.size)
+            return out
+
+        monkeypatch.setattr(featmetrics, "_pairwise_distances", counting)
+        result = precision_recall_density_coverage(real, fake, 5)
+        assert result.as_tuple() == broadcast_prdc(real, fake, 5)
+        assert 0 < sum(seen) < 0.05 * (250 * 250 * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quantised_sets_equal_broadcast(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    k = data.draw(st.integers(1, 4), label="k")
+    offset = data.draw(st.sampled_from([0.0, OFFSET, -3e7]), label="offset")
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                    min_size=k + 1, max_size=12)
+    real = offset + np.array(data.draw(rows, label="real"), dtype=float) / 8
+    fake = offset + np.array(data.draw(rows, label="fake"), dtype=float) / 8
+    assert_equals_broadcast(real, fake, k)
+
+
+def write_tsv(path, x):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{x.shape[0]} {x.shape[1]}\n")
+        for row in x:
+            f.write("\t".join(repr(v) for v in row.tolist()) + "\n")
+
+
+def test_prdc_report_does_not_depend_on_blas_threads(tmp_path):
+    # The Gram values differ with the BLAS thread count; the decisions taken
+    # from them may not. The Fréchet distance is left out: the LAPACK
+    # eigendecomposition it rests on changes in its last digits with the
+    # thread count (143.01733572539086 with one thread and 143.0173356895126
+    # with two, on these sets).
+    real, fake = feature_sets(250, 250, 256, seed=1)
+    write_tsv(tmp_path / "real.tsv", real)
+    write_tsv(tmp_path / "fake.tsv", fake)
+    src = os.path.dirname(os.path.dirname(featmetrics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    reports = []
+    for threads in (None, "1"):
+        out = tmp_path / f"feat-{threads}.json"
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "sggkit.cli", "feat-metrics",
+                        "--real", tmp_path / "real.tsv", "--fake", tmp_path / "fake.tsv",
+                        "-k", "5", "--out", out], env=run_env, check=True, capture_output=True)
+        reports.append(json.loads(out.read_text()))
+    for report in reports:
+        del report["frechet_distance"]
+    assert reports[0] == reports[1]
+    prdc = tuple(reports[0][m] for m in ("precision", "recall", "density", "coverage"))
+    assert prdc == broadcast_prdc(real, fake, 5)
 
 
 class TestKnnRadii:
