@@ -16,10 +16,19 @@ candidate, is decided from the Gram value when that value lies more than ε
 from the threshold; the pairs inside that band are recomputed exactly. The
 decisions hold for any summation order BLAS uses, so results depend neither
 on the block size nor on the BLAS build or thread count. Memory grows as
-O((n + m) * d) plus one block of `BLOCK_BYTES`.
+O((n + m) * d) plus at most two blocks of `BLOCK_BYTES`: one of Gram
+distances and one of the pairs being recomputed, however many pairs fall
+inside the band.
+
+Speed depends on that share. On features spread well beyond their common
+offset, about 1% of pairs fall inside the band. Where ε outgrows the squared
+distances, as with a common offset far larger than the spread (1e4 plus
+noise of 1e-3), nearly every pair is recomputed and the Gram product is
+extra work. Duplicate rows put every pair of copies inside the band.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -37,39 +46,72 @@ def _as_features(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-# Bytes of the float64 arrays that one row block keeps alive at once.
+# Bytes of the arrays that one block keeps alive at once.
 BLOCK_BYTES = 1 << 20
-# (rows, m) float64 arrays alive at once in a block of Gram distances.
-_BLOCK_ARRAYS = 2
+# Bytes per pair in a row block of Gram distances: the float64 block and
+# either a partitioned copy of it or up to five boolean masks.
+_GRAM_ITEMSIZE = 16
+# Bytes per pair recomputed exactly: twice the 64 or so of its indices,
+# distance, radii and results, so that these, the rows `_exact_distances`
+# gathers and the Gram block `knn_radii` keeps fit in two blocks.
+_PAIR_ITEMSIZE = 128
+# Bytes per coordinate of a pair recomputed exactly: its two gathered rows.
+_EXACT_ITEMSIZE = 16
 
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1022  # smallest normal float64
 _NORM_SUM_MAX = 2.0 ** 1020  # beyond it the Gram expression could overflow
 
 
-def _row_blocks(n: int, m: int, d: int):
-    """Row ranges [i0, i1) of n rows of m * d float64s each, at most
-    BLOCK_BYTES per range and at least one row."""
-    step = max(1, BLOCK_BYTES // (m * d * 8))
+def _row_blocks(n: int, *row_shape: int, itemsize: int = 8):
+    """Row ranges [i0, i1) of n rows, each `row_shape` items of `itemsize`
+    bytes: at most BLOCK_BYTES per range and at least one row."""
+    step = max(1, BLOCK_BYTES // (math.prod(row_shape) * itemsize))
     for i0 in range(0, n, step):
         yield i0, min(i0 + step, n)
 
 
+def _true_pairs(mask: np.ndarray):
+    """Block-relative (i, j) of the True entries of a 2-d mask, in chunks of
+    whole rows holding at most BLOCK_BYTES / _PAIR_ITEMSIZE entries, or one
+    row, so that the index arrays stay within the budget however many
+    entries are True."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    most = max(1, BLOCK_BYTES // _PAIR_ITEMSIZE)
+    s0 = 0
+    while s0 < ends.size:
+        before = ends[s0 - 1] if s0 else 0
+        s1 = max(s0 + 1, int(np.searchsorted(ends, before + most, side="right")))
+        i, j = np.nonzero(mask[s0:s1])
+        i += s0
+        yield i, j
+        s0 = s1
+
+
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Direct differences of paired rows, a[p] against b[p]: the reference
-    # expression every distance here equals bit for bit. The Gram values
-    # only decide which pairs need it.
-    diff = a - b
-    diff *= diff
-    return np.sqrt(diff.sum(axis=-1))
+    # Direct differences of paired rows, a[p] against b[p], squared and
+    # summed in a's place: the reference expression every distance here
+    # equals bit for bit. The Gram values only decide which pairs need it.
+    a -= b
+    a *= a
+    return np.sqrt(a.sum(axis=-1))
 
 
 def _exact_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """`_pairwise_distances` of the index pairs (a[i[p]], b[j[p]]), a block
-    of pairs at a time."""
+    of pairs at a time, gathered into two buffers that every block reuses."""
     out = np.empty(i.size)
-    for p0, p1 in _row_blocks(i.size, 1, a.shape[1]):
-        out[p0:p1] = _pairwise_distances(a[i[p0:p1]], b[j[p0:p1]])
+    blocks = list(_row_blocks(i.size, a.shape[1], itemsize=_EXACT_ITEMSIZE))
+    if not blocks:
+        return out
+    step = blocks[0][1]
+    ai, bj = np.empty((step, a.shape[1])), np.empty((step, a.shape[1]))
+    for p0, p1 in blocks:
+        # mode "clip" lets take write straight into the buffer; every index
+        # is in range.
+        x = np.take(a, i[p0:p1], axis=0, out=ai[:p1 - p0], mode="clip")
+        y = np.take(b, j[p0:p1], axis=0, out=bj[:p1 - p0], mode="clip")
+        out[p0:p1] = _pairwise_distances(x, y)
     return out
 
 
@@ -113,22 +155,24 @@ def _gram(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):
 
 
 @np.errstate(invalid="ignore")
-def _decide(g: np.ndarray, eps: np.ndarray, r: np.ndarray):
-    """(inside, unsure) for the test sqrt(s) <= r over a Gram block, r
-    broadcast against it: `inside` is the answer wherever `unsure` is False.
+def _decide(g: np.ndarray, r: np.ndarray, eps):
+    """(inside, unsure) for the test sqrt(s) <= r over a Gram block, with r
+    and ε vectors or scalars broadcast against it: `inside` is the answer
+    wherever `unsure` is False.
 
-    With |G − s| <= ε/2, G + ε <= r²(1 − 4u) gives s <= r², and
-    G − ε > r²(1 + 4u) gives s > (r + ulp(r)/2)², so the rounded square root
-    is <= r or > r: 4u absorbs the roundings of r·r, of its scaling and of
-    G ± ε, and the half ulp, at most u·r² < 2u·S, comes out of ε's spare
-    half. Rows whose ε is not finite are unsure throughout, and so is any
-    NaN that fails both tests.
+    With |G − s| <= ε/2, G <= r²(1 − 4u) − ε gives s <= r², and
+    G > r²(1 + 4u) + ε gives s > (r + ulp(r)/2)², so the rounded square root
+    is <= r or > r: 4u absorbs the roundings of r·r and of its scaling, and
+    the threshold's own rounding, at most u·(r² + ε), comes out of 4u and
+    ε's spare half, as does the half ulp, at most u·r² < 2u·S. Any NaN fails
+    both tests and is unsure; rows whose ε is not finite are left for the
+    caller to mark unsure throughout.
     """
     r2 = r * r
-    e = eps[:, None]
-    inside = g + e <= r2 * (1 - 4 * _U)
-    unsure = ~(inside | (g - e > r2 * (1 + 4 * _U)))
-    unsure[~np.isfinite(eps)] = True
+    inside = g <= r2 * (1 - 4 * _U) - eps
+    unsure = g > r2 * (1 + 4 * _U) + eps
+    unsure |= inside
+    np.logical_not(unsure, out=unsure)
     return inside, unsure
 
 
@@ -142,7 +186,7 @@ def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"need at least k+1 = {k + 1} points, got {n}")
     sq = _sq_norms(x)
     radii = np.empty(n)
-    for i0, i1 in _row_blocks(n, n, _BLOCK_ARRAYS):
+    for i0, i1 in _row_blocks(n, n, itemsize=_GRAM_ITEMSIZE):
         g, eps = _gram(x[i0:i1], x, sq[i0:i1], sq)
         rows = np.arange(i1 - i0)
         g[rows, rows + i0] = np.inf
@@ -150,14 +194,15 @@ def knn_radii(x: np.ndarray, k: int) -> np.ndarray:
         # G <= t + ε: k points have s <= t + ε/2, so the k-th smallest s is
         # at most that, and G <= s + ε/2 for each. t + 2ε leaves room for
         # rounding; the exact distances of the candidates give the radius.
-        t = np.partition(g, k - 1, axis=1)[:, k - 1]
+        t = np.partition(g, k - 1, axis=1)[:, k - 1].copy()
         candidate = g <= (t + 2 * eps)[:, None]
         candidate[~np.isfinite(eps)] = True
         candidate[rows, rows + i0] = False
-        i, j = np.nonzero(candidate)
         g.fill(np.inf)
-        g[i, j] = _exact_distances(x, x, i + i0, j)
-        radii[i0:i1] = np.partition(g, k - 1, axis=1)[:, k - 1]
+        for i, j in _true_pairs(candidate):
+            g[i, j] = _exact_distances(x, x, i + i0, j)
+        g.partition(k - 1, axis=1)
+        radii[i0:i1] = g[:, k - 1]
     return radii
 
 
@@ -197,14 +242,19 @@ def precision_recall_density_coverage(
     covered = np.empty(n_real, dtype=bool)
     recalled = np.empty(n_real, dtype=bool)
     real_sq, fake_sq = _sq_norms(real), _sq_norms(fake)
-    for i0, i1 in _row_blocks(n_real, n_fake, _BLOCK_ARRAYS):
+    for i0, i1 in _row_blocks(n_real, n_fake, itemsize=_GRAM_ITEMSIZE):
         g, eps = _gram(real[i0:i1], fake, real_sq[i0:i1], fake_sq)
-        in_real_balls, unsure_real = _decide(g, eps, real_radii[i0:i1, None])
-        in_fake_balls, unsure_fake = _decide(g, eps, fake_radii[None, :])
-        i, j = np.nonzero(unsure_real | unsure_fake)
-        if i.size:
-            d = _exact_distances(real, fake, i + i0, j)
-            in_real_balls[i, j] = d <= real_radii[i + i0]
+        in_real_balls, unsure = _decide(g, real_radii[i0:i1, None], eps[:, None])
+        # The fake radii vary by column and ε by row; the block's largest ε
+        # bounds every row's, so the thresholds stay one vector.
+        in_fake_balls, unsure_fake = _decide(g, fake_radii, eps.max())
+        del g  # only the masks stay while the band is resolved
+        unsure |= unsure_fake
+        unsure[~np.isfinite(eps)] = True
+        for i, j in _true_pairs(unsure):
+            rows = i + i0
+            d = _exact_distances(real, fake, rows, j)
+            in_real_balls[i, j] = d <= real_radii[rows]
             in_fake_balls[i, j] = d <= fake_radii[j]
         in_some_real_ball |= in_real_balls.any(axis=0)
         real_ball_counts += in_real_balls.sum(axis=0)

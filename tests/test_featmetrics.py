@@ -136,6 +136,49 @@ class TestRowBlocksExact:
         assert result.as_tuple() == broadcast_prdc(real, fake, 5)
 
 
+class TestGramBlocks:
+    """The Gram passes themselves run in blocks of 1 row, a non-divisor of n
+    and all n rows, and still equal the broadcast."""
+
+    @staticmethod
+    def record_block_rows(monkeypatch, rows_of, against):
+        """Row counts of the Gram blocks of rows of `rows_of` against `against`."""
+        seen = []
+        gram = featmetrics._gram
+
+        def recording(a, b, a_sq, b_sq):
+            if a.base is rows_of and b is against:
+                seen.append(a.shape[0])
+            return gram(a, b, a_sq, b_sq)
+
+        monkeypatch.setattr(featmetrics, "_gram", recording)
+        return seen
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+    def test_radii_equal_broadcast(self, monkeypatch, case, rows):
+        n_real, n_fake, d, k = case
+        for x in feature_sets(n_real, n_fake, d, seed=n_real * d):
+            n = x.shape[0]
+            r = {"one": 1, "non-divisor": non_divisor(n), "all": n}[rows]
+            monkeypatch.setattr(featmetrics, "BLOCK_BYTES", r * n * featmetrics._GRAM_ITEMSIZE)
+            seen = self.record_block_rows(monkeypatch, x, x)
+            np.testing.assert_array_equal(knn_radii(x, k), broadcast_radii(x, k))
+            assert (seen[0], max(seen), sum(seen)) == (r, r, n)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+    def test_prdc_equals_broadcast(self, monkeypatch, case, rows):
+        n_real, n_fake, d, k = case
+        real, fake = feature_sets(n_real, n_fake, d, seed=n_fake * d)
+        r = {"one": 1, "non-divisor": non_divisor(n_real), "all": n_real}[rows]
+        monkeypatch.setattr(featmetrics, "BLOCK_BYTES", r * n_fake * featmetrics._GRAM_ITEMSIZE)
+        seen = self.record_block_rows(monkeypatch, real, fake)
+        result = precision_recall_density_coverage(real, fake, k)
+        assert result.as_tuple() == broadcast_prdc(real, fake, k)
+        assert (seen[0], max(seen), sum(seen)) == (r, r, n_real)
+
+
 def test_prdc_memory_is_bounded_by_blocks():
     # The broadcast needs 1000 x 1000 x 64 float64s (512 MB) per matrix; even
     # one whole 1000 x 1000 distance matrix (7.6 MiB) would break this bound.
@@ -167,6 +210,13 @@ def duplicated(n, d, seed, distinct=4):
     return rng.normal(size=(distinct, d))[rng.integers(0, distinct, size=n)]
 
 
+def offset_noise(n, d, seed):
+    """Noise of 1e-3 on an offset of 1e4: ε outgrows the squared distances,
+    so nearly every pair falls inside the band."""
+    rng = np.random.default_rng(seed)
+    return 1e4 + 1e-3 * rng.normal(size=(n, d))
+
+
 def on_a_radius():
     """k = 1: the radius of the real point 0 is 5, and each fake point lies at
     distance exactly 5 from it (3-4-5 triangles)."""
@@ -189,6 +239,7 @@ ADVERSARIAL = {
                                      offset_quantised(25, 16, 6, levels=2)),
     "duplicates": lambda: (duplicated(30, 8, 7), duplicated(20, 8, 8)),
     "offset-duplicates": lambda: (OFFSET + duplicated(30, 8, 9), OFFSET + duplicated(20, 8, 10)),
+    "offset-noise": lambda: (offset_noise(30, 8, 11), offset_noise(20, 8, 12)),
     "on-a-radius": on_a_radius,
 }
 
@@ -245,6 +296,30 @@ class TestGramBand:
         result = precision_recall_density_coverage(real, fake, 5)
         assert result.as_tuple() == broadcast_prdc(real, fake, 5)
         assert 0 < sum(seen) < 0.05 * (250 * 250 * 3)
+
+
+@pytest.mark.parametrize("make, share", [(duplicated, 0.1), (offset_noise, 0.9)])
+def test_prdc_memory_is_bounded_when_most_pairs_are_exact(monkeypatch, make, share):
+    # However many pairs fall inside the band, their indices and gathered
+    # rows are held a budget's worth at a time.
+    real, fake = make(1000, 64, 13), make(1000, 64, 14)
+    seen = []
+    exact = featmetrics._pairwise_distances
+
+    def counting(a, b):
+        out = exact(a, b)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(featmetrics, "_pairwise_distances", counting)
+    tracemalloc.start()
+    try:
+        precision_recall_density_coverage(real, fake, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(seen) > share * 3 * 1000 * 1000
+    assert peak < featmetrics.BLOCK_BYTES + 2 * 2**20
 
 
 @settings(max_examples=150, deadline=None)
