@@ -7,11 +7,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": "BoundingBox ObjectNode Relationship SceneGraph Triplet Vocabulary "
              "categorical_triplets degree",
-    "ingest": "Dataset EmbeddingTable ParseError load_dataset load_embeddings "
-              "load_feature_matrix load_predictions load_vocabulary save_dataset",
+    "ingest": "Dataset EmbeddingTable ParseError PerturbationRecord load_dataset "
+              "load_embeddings load_feature_matrix load_predictions load_vocabulary "
+              "save_dataset",
     "stats": "ShotSubsets SubsetBucket TripletFrequencyTable build_frequency_table "
              "marginal_distributions predicate_frequencies shot_subsets",
-    "perturb": "CannotPerturbError PerturbationConfig PerturbationRecord PerturbationResources "
+    "perturb": "CannotPerturbError PerturbationConfig PerturbationResources "
                "graphn_candidates perturb_dataset perturb_graphn perturb_neigh "
                "perturb_oracle_zs perturb_rand sample_nodes semantic_neighbors",
     "quality": "FrequencyStubScorer HttpScorer PlausibilityQuery ScorerError build_query "

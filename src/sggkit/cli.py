@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the commands import their library modules when they run
-    from . import perturb
+    from . import ingest
 
 LM_ENDPOINT_ENV = "SGG_LM_ENDPOINT"
 
@@ -95,8 +95,8 @@ def cmd_stats(args) -> int:
         args.out,
         {
             "triplets": table.to_json_obj(),
-            "predicate_freq": f_r.tolist(),
-            "object_hist": obj_hist.counts.tolist(),
+            "predicate_freq": f_r,
+            "object_hist": obj_hist.counts,
         },
     )
     _log(
@@ -111,8 +111,9 @@ def cmd_subsets(args) -> int:
     vocab = ingest.load_vocabulary(args.vocab)
     train = ingest.load_dataset(args.train, vocab)
     test = ingest.load_dataset(args.test, vocab)
-    if len(train) == 0 or len(test) == 0:
-        raise ValueError("empty train or test dataset")
+    for path, dataset in ((args.train, train), (args.test, test)):
+        if len(dataset) == 0:
+            raise ValueError(f"{path}: empty dataset")
     table = stats.build_frequency_table(train)
     subsets = stats.shot_subsets(test, table)
     out_dir = Path(args.out_dir)
@@ -171,12 +172,12 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def _load_records(path: str | Path) -> list[perturb.PerturbationRecord]:
-    from . import ingest, perturb
+def _load_records(path: str | Path) -> list[ingest.PerturbationRecord]:
+    from . import ingest
     records = []
     for where, obj in ingest.iter_jsonl(path):
         try:
-            records.append(perturb.PerturbationRecord.from_json_obj(obj))
+            records.append(ingest.PerturbationRecord.from_json_obj(obj))
         except KeyError as e:
             raise ValueError(f"{where}: missing key {e}") from e
         except (TypeError, ValueError) as e:
@@ -307,6 +308,11 @@ def cmd_feat_metrics(args) -> int:
     from . import featmetrics, ingest
     real = ingest.load_feature_matrix(args.real)
     fake = ingest.load_feature_matrix(args.fake)
+    for path, features in ((args.real, real), (args.fake, fake)):
+        # The library says the same without the file; k+1 >= 2 also fits a Gaussian.
+        if args.k >= 1 and len(features) <= args.k:
+            raise ValueError(f"{path}: need at least k+1 = {args.k + 1} points, "
+                             f"got {len(features)}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = featmetrics.precision_recall_density_coverage(real, fake, args.k)
         fd = featmetrics.frechet_distance(real, fake)

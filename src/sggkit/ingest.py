@@ -1,5 +1,5 @@
-"""File formats and loaders: vocabularies, JSONL datasets, GloVe-style
-embeddings, prediction files and feature matrices.
+"""File formats and loaders: vocabularies, JSONL datasets, perturbation
+records, GloVe-style embeddings, prediction files and feature matrices.
 
 All formats are UTF-8 text with decimal floats. Unknown JSON keys are
 ignored for forward compatibility.
@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
+
+if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
+    import numpy as np
 
 
 class ParseError(ValueError):
@@ -48,6 +49,7 @@ class EmbeddingTable:
     _rankings: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("embedding table must be a non-empty 2-d array")
@@ -76,6 +78,7 @@ class EmbeddingTable:
         `category`, ties toward the lower id; computed once per category."""
         ranking = self._rankings.get(category)
         if ranking is None:
+            import numpy as np
             # One row against all: a V @ V.T Gram matrix can differ in the
             # last bit, and that can reorder near-ties.
             query = self.vectors[category]
@@ -231,6 +234,70 @@ def save_dataset(dataset: Dataset | Iterable[SceneGraph], path: str | Path) -> N
             f.write(json.dumps(graph_to_obj(g), separators=(",", ":")) + "\n")
 
 
+# A records file (written by `perturb`, read by `hit-rate` and `plausibility`) holds one
+# `PerturbationRecord.to_json_obj()` per JSON-Lines line, read back through `iter_jsonl`.
+@dataclass(frozen=True)
+class PerturbationRecord:
+    """Per-graph ledger of replacements: which nodes changed and which edges
+    (by index into the perturbed graph) now carry perturbed compositions."""
+
+    image_id: str
+    replacements: tuple[tuple[int, int, int], ...]  # (node, old category, new category)
+    affected_edges: tuple[int, ...]
+
+    def __post_init__(self):
+        nodes = [n for n, _, _ in self.replacements]
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("duplicate node index in perturbation record")
+        for n, old, new in self.replacements:
+            if old == new:
+                raise ValueError(f"no-op replacement recorded for node {n}")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "image_id": self.image_id,
+            "replacements": [
+                {"node": n, "old": old, "new": new} for n, old, new in self.replacements
+            ],
+            "affected_edges": list(self.affected_edges),
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "PerturbationRecord":
+        return cls(
+            obj["image_id"],
+            tuple((json_int(r["node"]), json_int(r["old"]), json_int(r["new"]))
+                  for r in obj["replacements"]),
+            tuple(json_int(e) for e in obj["affected_edges"]),
+        )
+
+    def check(self, graph: SceneGraph) -> None:
+        """Raise ValueError unless this record describes `graph`, the
+        perturbed graph of its image: each replaced node exists and now has
+        its new category, and affected_edges is the ascending list of every
+        edge touching a replaced node."""
+        ctx = f"record image {self.image_id!r}"
+        for n, _, new in self.replacements:
+            if not 0 <= n < graph.num_nodes:
+                raise ValueError(f"{ctx}: replaced node {n} out of range (n={graph.num_nodes})")
+            if graph.nodes[n].category != new:
+                raise ValueError(f"{ctx}: node {n} has category {graph.nodes[n].category}, "
+                                 f"not its new category {new}")
+        expected = _affected_edges(graph, (n for n, _, _ in self.replacements))
+        if tuple(self.affected_edges) != expected:
+            raise ValueError(f"{ctx}: affected_edges {list(self.affected_edges)} are not the "
+                             f"edges touching the replaced nodes, {list(expected)}")
+
+
+def _affected_edges(graph: SceneGraph, changed: Iterable[int]) -> tuple[int, ...]:
+    changed = set(changed)
+    return tuple(
+        k
+        for k, e in enumerate(graph.edges)
+        if e.subject in changed or e.object in changed
+    )
+
+
 def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
     """Read a word-embedding text file (token followed by D floats per line).
 
@@ -238,6 +305,7 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
     vectors; words missing from the file are dropped from the mean, and a
     category resolving no word at all is an error.
     """
+    import numpy as np
     needed: set[str] = set()
     for name in vocab.object_names:
         needed.update(name.split())
@@ -260,9 +328,13 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
                 )
             if token in needed and token not in word_vectors:
                 try:
-                    word_vectors[token] = np.array([float(v) for v in values], dtype=np.float64)
+                    vector = [float(v) for v in values]
                 except ValueError as e:
                     raise ParseError(f"{path}:{lineno}: bad float") from e
+                if not all(map(isfinite, vector)):
+                    raise ParseError(f"{path}:{lineno}: non-finite value in the vector of "
+                                     f"{token!r}")
+                word_vectors[token] = np.array(vector, dtype=np.float64)
     if dim is None:
         raise ParseError(f"{path}: empty embedding file")
 
@@ -276,7 +348,10 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
         rows.append(np.mean(found, axis=0))
     if unresolved:
         raise ParseError(f"{path}: no embedding for categories: {', '.join(unresolved)}")
-    return EmbeddingTable(np.stack(rows))
+    try:
+        return EmbeddingTable(np.stack(rows))
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
@@ -285,6 +360,7 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     Memory is sized from the rows actually read, never from the header alone,
     so a header claiming more rows than the file holds is an input error.
     """
+    import numpy as np
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
@@ -318,6 +394,7 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
 
 def load_predictions(path: str | Path, vocab: Vocabulary):
     """Read predicted graphs from JSON-Lines (schema in the evaluation module)."""
+    import numpy as np
     from .evaluation import PairScores, PredictedGraph
 
     preds = []

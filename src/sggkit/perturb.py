@@ -23,8 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, EmbeddingTable, json_int
-from .model import SceneGraph, Triplet, Vocabulary
+from .ingest import (  # PerturbationRecord and _affected_edges are re-exported
+    Dataset, EmbeddingTable, PerturbationRecord, _affected_edges, _new, _set,
+)
+from .model import ObjectNode, SceneGraph, Triplet, Vocabulary
 from .stats import TripletFrequencyTable
 
 METHODS = ("rand", "neigh", "graphn", "oracle_zs")
@@ -69,59 +71,6 @@ class PerturbationConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """Per-graph ledger of replacements: which nodes changed and which edges
-    (by index into the perturbed graph) now carry perturbed compositions."""
-
-    image_id: str
-    replacements: tuple[tuple[int, int, int], ...]  # (node, old category, new category)
-    affected_edges: tuple[int, ...]
-
-    def __post_init__(self):
-        nodes = [n for n, _, _ in self.replacements]
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node index in perturbation record")
-        for n, old, new in self.replacements:
-            if old == new:
-                raise ValueError(f"no-op replacement recorded for node {n}")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "replacements": [
-                {"node": n, "old": old, "new": new} for n, old, new in self.replacements
-            ],
-            "affected_edges": list(self.affected_edges),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PerturbationRecord":
-        return cls(
-            obj["image_id"],
-            tuple((json_int(r["node"]), json_int(r["old"]), json_int(r["new"]))
-                  for r in obj["replacements"]),
-            tuple(json_int(e) for e in obj["affected_edges"]),
-        )
-
-    def check(self, graph: SceneGraph) -> None:
-        """Raise ValueError unless this record describes `graph`, the
-        perturbed graph of its image: each replaced node exists and now has
-        its new category, and affected_edges is the ascending list of every
-        edge touching a replaced node."""
-        ctx = f"record image {self.image_id!r}"
-        for n, _, new in self.replacements:
-            if not 0 <= n < graph.num_nodes:
-                raise ValueError(f"{ctx}: replaced node {n} out of range (n={graph.num_nodes})")
-            if graph.nodes[n].category != new:
-                raise ValueError(f"{ctx}: node {n} has category {graph.nodes[n].category}, "
-                                 f"not its new category {new}")
-        expected = _affected_edges(graph, (n for n, _, _ in self.replacements))
-        if tuple(self.affected_edges) != expected:
-            raise ValueError(f"{ctx}: affected_edges {list(self.affected_edges)} are not the "
-                             f"edges touching the replaced nodes, {list(expected)}")
-
-
 def _num_to_sample(intensity: float, n: int) -> int:
     if intensity == 0.0:
         return 0
@@ -156,24 +105,17 @@ def sample_nodes(graph: SceneGraph, intensity: float, rng: np.random.Generator) 
     return picked
 
 
-def _affected_edges(graph: SceneGraph, changed: Iterable[int]) -> tuple[int, ...]:
-    changed = set(changed)
-    return tuple(
-        k
-        for k, e in enumerate(graph.edges)
-        if e.subject in changed or e.object in changed
-    )
-
-
 def _perturb(
     graph: SceneGraph,
     cfg: PerturbationConfig,
     choose: Callable[[SceneGraph, list[int], int, np.random.Generator], int | None],
     rng: np.random.Generator,
+    num_objects: int,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """The frame every method shares: sample nodes, then ask `choose` for
     each one's new category given the current, partly perturbed categories.
-    None or the current category leaves the node alone."""
+    None or the current category leaves the node alone; a category outside
+    [0, num_objects) is a ValueError."""
     categories = [n.category for n in graph.nodes]
     replacements = []
     for node in sample_nodes(graph, cfg.intensity, rng):
@@ -181,12 +123,27 @@ def _perturb(
         new = choose(graph, categories, node, rng)
         if new is None or new == old:
             continue
+        if not 0 <= new < num_objects:
+            raise ValueError(f"graph {graph.image_id!r}: node {node} category {new} "
+                             f"out of range (|C|={num_objects})")
         categories[node] = new
         replacements.append((node, old, new))
     record = PerturbationRecord(
         graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
     )
-    return graph.with_categories(categories), record
+    if not replacements:
+        return graph, record
+    # Only the replaced nodes are new, and their categories were checked above; the
+    # unchanged nodes and the edges are the input graph's own, so no check runs again.
+    nodes = list(graph.nodes)
+    for node, _, new in replacements:
+        nodes[node] = replaced = _new(ObjectNode)
+        _set(replaced, "category", new), _set(replaced, "box", graph.nodes[node].box)
+    perturbed = _new(SceneGraph)
+    _set(perturbed, "image_id", graph.image_id), _set(perturbed, "width", graph.width)
+    _set(perturbed, "height", graph.height), _set(perturbed, "nodes", tuple(nodes))
+    _set(perturbed, "edges", graph.edges)
+    return perturbed, record
 
 
 def _rand_rule(num_objects: int) -> Callable:
@@ -206,7 +163,7 @@ def perturb_rand(
     rng: np.random.Generator,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """Replace each sampled node by a uniform draw over the other categories."""
-    return _perturb(graph, cfg, _rand_rule(vocab.num_objects), rng)
+    return _perturb(graph, cfg, _rand_rule(vocab.num_objects), rng, vocab.num_objects)
 
 
 def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
@@ -250,7 +207,8 @@ def perturb_neigh(
     rng: np.random.Generator,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """Replace each sampled node by a uniform draw over its top-k neighbors."""
-    return _perturb(graph, cfg, _neigh_rule(cfg, vocab.num_objects, emb), rng)
+    return _perturb(graph, cfg, _neigh_rule(cfg, vocab.num_objects, emb), rng,
+                    vocab.num_objects)
 
 
 @dataclass(frozen=True)
@@ -355,7 +313,7 @@ def perturb_graphn(
     with no surviving candidate are skipped, as are draws that land back on
     the node's current category, so intensity is an upper bound here.
     """
-    return _perturb(graph, cfg, _graphn_rule(cfg, emb, table), rng)
+    return _perturb(graph, cfg, _graphn_rule(cfg, emb, table), rng, vocab.num_objects)
 
 
 def _reference_membership(
@@ -431,7 +389,7 @@ def perturb_oracle_zs(
     num_predicates = 1 + max((e.predicate for e in graph.edges), default=0)
     rule = _oracle_zs_rule(zs_triplets, num_predicates, num_categories,
                            max(num_categories, 1 + top))
-    return _perturb(graph, cfg, rule, rng)
+    return _perturb(graph, cfg, rule, rng, num_categories)
 
 
 @dataclass(frozen=True)
@@ -472,7 +430,11 @@ def perturb_dataset(
     records = []
     for graph in dataset.graphs:
         rng = np.random.default_rng(graph_seed(graph.image_id, cfg.master_seed))
-        new_graph, record = _perturb(graph, cfg, rule, rng)
+        new_graph, record = _perturb(graph, cfg, rule, rng, vocab.num_objects)
         perturbed.append(new_graph)
         records.append(record)
-    return Dataset(dataset.vocabulary, tuple(perturbed)), records
+    # `_perturb` checked every category it changed against |C|; the rest of each graph
+    # comes from `dataset`, which was checked when it was built.
+    result = _new(Dataset)
+    _set(result, "vocabulary", vocab), _set(result, "graphs", tuple(perturbed))
+    return result, records

@@ -6,17 +6,17 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-import numpy as np
-
-from .ingest import Dataset
+from .ingest import Dataset, PerturbationRecord
 from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
-from .perturb import PerturbationRecord
-from .stats import TripletFrequencyTable
+
+if TYPE_CHECKING:  # hit rates need neither numpy nor the triplet table
+    import numpy as np
+
+    from .stats import TripletFrequencyTable
 
 DEFAULT_MASK_TOKEN = "[MASK]"
 PHRASE_SEPARATOR = " . "
@@ -276,6 +276,8 @@ def score_graphs(
     sequentially for determinism; up to max_workers (>= 1) queries run
     concurrently. The mean is NaN when no graph was scored.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    import numpy as np
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     by_id = {} if records is None else _records_by_image(records, dataset)

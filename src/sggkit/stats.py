@@ -8,29 +8,40 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ingest import Dataset, json_int
 from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
+
+if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
+    import numpy as np
 
 FEW10_MAX = 10
 FEW100_MAX = 100
 
 
 class TripletFrequencyTable:
-    """Training-set count per categorical triplet, held as (s, p, o, count) int64 columns;
-    `from_json_obj` reads rows straight into them, and `counts` is built on first use."""
+    """Training-set count per categorical triplet, as a dict and as (s, p, o, count)
+    int64 columns. A table holds the form it was made from, the dict or, through
+    `from_json_obj`, the columns; the other is built on first use."""
 
     def __init__(self, counts: dict[Triplet, int]):
+        _check_counts(counts)
         self.counts = counts
-        self._columns = _columns_of(chain.from_iterable((*t, c) for t, c in counts.items()),
-                                    len(counts))
 
     @cached_property
     def counts(self) -> dict[Triplet, int]:
         s, p, o, c = (a.tolist() for a in self._columns)
         return dict(zip(map(Triplet, s, p, o), c))
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        counts = self.counts
+        return _columns_of(chain.from_iterable((*t, c) for t, c in counts.items()), len(counts))
+
+    def _count_values(self):
+        """The counts, from the form the table already holds."""
+        return self.counts.values() if "counts" in vars(self) else self._columns[3].tolist()
 
     def count(self, triplet: Triplet) -> int:
         return self.counts.get(triplet, 0)
@@ -40,11 +51,11 @@ class TripletFrequencyTable:
 
     @property
     def total_triplets(self) -> int:
-        return sum(self._columns[3].tolist())
+        return sum(self._count_values())
 
     @property
     def distinct_triplets(self) -> int:
-        return len(self._columns[3])
+        return len(self._count_values())
 
     @cached_property
     def category_bound(self) -> int:
@@ -66,6 +77,7 @@ class TripletFrequencyTable:
 
     def check_vocabulary(self, vocab: Vocabulary) -> None:
         """Reject the first triplet whose ids fall outside `vocab`."""
+        import numpy as np
         s, p, o, _ = self._columns
         outside = np.flatnonzero(
             (s >= vocab.num_objects) | (o >= vocab.num_objects) | (p >= vocab.num_predicates)
@@ -88,11 +100,17 @@ class TripletFrequencyTable:
     def from_json_obj(cls, rows: list[dict]) -> "TripletFrequencyTable":
         """The table of `to_json_obj` rows, read straight into columns; ids
         and counts must be JSON integers, and each triplet is listed once."""
+        import numpy as np
         flat = _int_values(rows, ("s", "p", "o", "count"))
         table = cls.__new__(cls)
-        table._columns = _columns_of(flat, len(rows))
+        table._columns = s, p, o, c = _columns_of(flat, len(rows))
+        if (s < 0).any() or (p < 0).any() or (o < 0).any():
+            raise ValueError(_NEGATIVE_ID)
+        if (c < 1).any():
+            i = int(np.flatnonzero(c < 1)[0])
+            raise _count_error(Triplet(int(s[i]), int(p[i]), int(o[i])), int(c[i]))
         # Equal triplets are equal 24-byte rows; a stable sort puts repeats after their first.
-        spo = np.stack(table._columns[:3], axis=1).view(np.dtype((np.void, 24))).ravel()
+        spo = np.stack((s, p, o), axis=1).view(np.dtype((np.void, 24))).ravel()
         order = np.argsort(spo, kind="stable")
         repeats = order[1:][spo[order[1:]] == spo[order[:-1]]]
         if repeats.size:
@@ -113,25 +131,45 @@ def _int_values(rows: list[dict], keys: tuple[str, ...]) -> list[int]:
     return flat
 
 
+_TOO_WIDE = "frequency table id or count does not fit in 64 bits"
+_NEGATIVE_ID = "negative category or predicate id in frequency table"
+
+
+def _count_error(triplet: Triplet, count: int) -> ValueError:
+    return ValueError(f"non-positive count {count} for {triplet}")
+
+
+def _check_counts(counts: dict[Triplet, int]) -> None:
+    """Reject, in the order `from_json_obj` does, a value outside int64, a
+    negative id and a count below 1; plain Python, so numpy stays unloaded."""
+    if not counts:
+        return
+    ids = list(chain.from_iterable(counts))
+    values = [*ids, *counts.values()]
+    if min(values) < -2**63 or max(values) >= 2**63:
+        raise ValueError(_TOO_WIDE)
+    if min(ids) < 0:
+        raise ValueError(_NEGATIVE_ID)
+    for triplet, count in counts.items():
+        if count < 1:
+            raise _count_error(Triplet(*triplet), count)
+
+
 def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(subject, predicate, object, count) int64 columns of `n` rows whose
-    values come flat, row after row; ids must be >= 0 and counts >= 1."""
+    values come flat, row after row."""
+    import numpy as np
     try:
         s, p, o, c = np.fromiter(values, np.int64, 4 * n).reshape(n, 4).T.copy()
     except OverflowError as e:
-        raise ValueError("frequency table id or count does not fit in 64 bits") from e
-    if (s < 0).any() or (p < 0).any() or (o < 0).any():
-        raise ValueError("negative category or predicate id in frequency table")
-    if (c < 1).any():
-        i = int(np.flatnonzero(c < 1)[0])
-        raise ValueError(f"non-positive count {c[i]} for "
-                         f"{Triplet(int(s[i]), int(p[i]), int(o[i]))}")
+        raise ValueError(_TOO_WIDE) from e
     return s, p, o, c
 
 
 def _group(a, b, member, count) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """{(a, b): (member, count)}, one entry per distinct (a, b); the values
     are views into one sorted copy, so memory grows with the triplets."""
+    import numpy as np
     if not len(a):
         return {}
     key = a * (int(b.max()) + 1) + b
@@ -208,47 +246,47 @@ def shot_subsets(test: Dataset, table: TripletFrequencyTable) -> ShotSubsets:
     )
 
 
-def predicate_frequencies(train: Dataset) -> np.ndarray:
+def predicate_frequencies(train: Dataset) -> list[float]:
     """Per-predicate fraction of training edges; entries sum to 1."""
-    counts = np.zeros(train.vocabulary.num_predicates, dtype=np.int64)
+    counts = [0] * train.vocabulary.num_predicates
     for graph in train.graphs:
         for edge in graph.edges:
             counts[edge.predicate] += 1
-    total = counts.sum()
+    total = sum(counts)
     if total == 0:
         raise ValueError("dataset has no edges; predicate frequencies undefined")
-    return counts / total
+    # int / int rounds the exact quotient once, as numpy's float64 division does for
+    # counts below 2**53, so the fractions have the same bits.
+    return [c / total for c in counts]
 
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Category occurrence counts, sortable into top-k tables."""
 
-    counts: np.ndarray
+    counts: list[int]
     names: tuple[str, ...]
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
-    def normalized(self) -> np.ndarray:
-        total = self.counts.sum()
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / total
+    def normalized(self) -> list[float]:
+        total = self.total
+        return [c / total if total else 0.0 for c in self.counts]
 
     def top_k(self, k: int) -> list[tuple[str, int, float]]:
         """(name, count, fraction) rows, sorted by count descending then id."""
         freq = self.normalized()
         order = sorted(range(len(self.counts)), key=lambda i: (-self.counts[i], i))
-        return [(self.names[i], int(self.counts[i]), float(freq[i])) for i in order[:k]]
+        return [(self.names[i], self.counts[i], freq[i]) for i in order[:k]]
 
 
 def marginal_distributions(dataset: Dataset) -> tuple[Histogram, Histogram]:
     """Object histogram over node occurrences and predicate histogram over edges."""
     vocab = dataset.vocabulary
-    obj = np.zeros(vocab.num_objects, dtype=np.int64)
-    pred = np.zeros(vocab.num_predicates, dtype=np.int64)
+    obj = [0] * vocab.num_objects
+    pred = [0] * vocab.num_predicates
     for graph in dataset.graphs:
         for node in graph.nodes:
             obj[node.category] += 1

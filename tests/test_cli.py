@@ -114,6 +114,17 @@ class TestSubsets:
             } == set(bucket.triplets)
 
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_dataset_exit_2_naming_the_file(self, workspace, capsys, empty):
+        files = {"train": workspace / "train.jsonl", "test": workspace / "test.jsonl"}
+        files[empty] = workspace / "empty.jsonl"
+        files[empty].write_text("")
+        code = run(["subsets", "--train", files["train"], "--test", files["test"],
+                    "--vocab", workspace / "vocab.json", "--out-dir", workspace / "subsets"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {files[empty]}: empty dataset\n"
+
+
 class TestPerturb:
     def run_perturb(self, workspace, method, out_prefix, extra=()):
         args = ["perturb", "--method", method, "--intensity", "0.4",
@@ -505,13 +516,19 @@ class TestFeatMetrics:
         assert payload["coverage"] == 1.0
         assert payload["frechet_distance"] <= 1e-8
 
-    def test_too_few_points_exit_2(self, workspace):
-        self.write_features(workspace / "real.tsv", [[0.0, 0.0], [1.0, 1.0]])
-        self.write_features(workspace / "fake.tsv", [[0.0, 0.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("short", ["real", "fake"])
+    @pytest.mark.parametrize("k, rows", [(3, 3), (1, 1)])
+    def test_too_few_points_exit_2(self, workspace, capsys, short, k, rows):
+        grid = [[float(i), float(i % 2)] for i in range(5)]
+        for name in ("real", "fake"):
+            self.write_features(workspace / f"{name}.tsv", grid[:rows] if name == short else grid)
+        out = workspace / "fm.json"
         code = run(["feat-metrics", "--real", workspace / "real.tsv",
-                    "--fake", workspace / "fake.tsv", "-k", "3",
-                    "--out", workspace / "fm.json"])
+                    "--fake", workspace / "fake.tsv", "-k", k, "--out", out])
         assert code == 2
+        assert capsys.readouterr().err == (f"error: {workspace / f'{short}.tsv'}: need at least "
+                                           f"k+1 = {k + 1} points, got {rows}\n")
+        assert not out.exists()
 
     def test_overflowing_metric_exit_2_naming_metric_and_files(self, workspace, capsys, recwarn):
         real, fake, out = workspace / "real.tsv", workspace / "fake.tsv", workspace / "fm.json"

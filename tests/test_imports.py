@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +58,70 @@ def test_cli_import_loads_no_library_module():
         f"print(sorted(m for m in {SUBMODULES!r} if 'sggkit.' + m in sys.modules))"
     )
     assert loaded == "[]"
+
+
+def test_commands_without_array_work_load_no_numpy(tmp_path):
+    """stats, subsets and hit-rate in one fresh process, after the record type
+    is imported from the package: numpy never loads, nor does the perturb
+    module."""
+    from sggkit.ingest import PerturbationRecord, graph_to_obj
+
+    from .conftest import CAT, DOG, ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
+
+    write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
+                ("on", "above", "near"))
+    for name, graphs in (
+        ("train", [make_graph("a", [PERSON, SURFBOARD], [(0, ON, 1)])]),
+        ("test", [make_graph("t", [CAT, SURFBOARD], [(0, ON, 1)])]),
+        ("perturbed", [make_graph("p", [CAT, SURFBOARD], [(0, ON, 1)])]),
+    ):
+        write_jsonl(tmp_path / f"{name}.jsonl", [graph_to_obj(g) for g in graphs])
+    write_jsonl(tmp_path / "records.jsonl",
+                [PerturbationRecord("p", ((0, DOG, CAT),), (0,)).to_json_obj()])
+    files = {name: str(tmp_path / name) for name in ("vocab.json", "train.jsonl", "test.jsonl",
+                                                      "perturbed.jsonl", "records.jsonl")}
+    commands = [
+        ["stats", "--train", files["train.jsonl"], "--vocab", files["vocab.json"],
+         "--out", str(tmp_path / "stats.json")],
+        ["subsets", "--train", files["train.jsonl"], "--test", files["test.jsonl"],
+         "--vocab", files["vocab.json"], "--out-dir", str(tmp_path / "subsets")],
+        ["hit-rate", "--records", files["records.jsonl"], "--perturbed", files["perturbed.jsonl"],
+         "--vocab", files["vocab.json"], "--out", str(tmp_path / "hits.json"),
+         "--reference", f"zs={tmp_path / 'subsets' / 'zs_triplets.json'}"],
+    ]
+    watched = ["numpy", "sggkit.perturb"]
+    loaded = run_python(
+        "import sys\n"
+        "from sggkit import PerturbationRecord\n"
+        f"print([m for m in {watched!r} if m in sys.modules])\n"
+        "from sggkit.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+        f"print([m for m in {watched!r} if m in sys.modules])"
+    )
+    assert loaded.splitlines() == ["[]", "[0, 0, 0]", "[]"]
+    hits = json.loads((tmp_path / "hits.json").read_text())["hit_rates"]["zs"]
+    assert (hits["hits"], hits["total"]) == (1, 1)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("{Triplet(0, 0, 1): 0}", "non-positive count 0 for Triplet(subject_category=0, "
+                              "predicate=0, object_category=1)"),
+    ("{Triplet(0, -1, 1): 2}", "negative category or predicate id in frequency table"),
+    ("{Triplet(0, 0, 2**63): 2}", "frequency table id or count does not fit in 64 bits"),
+    ("{Triplet(-2**63 - 1, 0, 1): 2}", "frequency table id or count does not fit in 64 bits"),
+    ("{Triplet(0, 0, 1): 2**63}", "frequency table id or count does not fit in 64 bits"),
+])
+def test_dict_built_table_rejects_bad_values_without_numpy(counts, message):
+    assert run_python(
+        "import sys\n"
+        "from sggkit.model import Triplet\n"
+        "from sggkit.stats import TripletFrequencyTable\n"
+        "try:\n"
+        f"    TripletFrequencyTable({counts})\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+        "print('numpy' in sys.modules)"
+    ).splitlines() == [message, "False"]
 
 
 def test_every_exported_name_imports_from_package():

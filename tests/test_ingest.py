@@ -234,6 +234,29 @@ class TestLoadEmbeddings:
             load_embeddings(path, vocab)
 
 
+    @pytest.mark.parametrize("vectors, message", [
+        ("dog 1 0\ncat 0 1\nperson nan 0\n", ":3: non-finite value in the vector of 'person'"),
+        ("person 1 inf\n", ":1: non-finite value in the vector of 'person'"),
+        ("person 0 0\nsurfboard 0 1\n", ": all-zero embedding vector for category ids [0]"),
+    ])
+    def test_bad_vector_names_the_file(self, tmp_path, vectors, message):
+        from sggkit.model import Vocabulary
+
+        vocab = Vocabulary(("person", "surfboard"), ("on",))
+        path = tmp_path / "emb.txt"
+        path.write_text(vectors + "surfboard 1 1\n")
+        with pytest.raises(ParseError) as e:
+            load_embeddings(path, vocab)
+        assert str(e.value) == f"{path}{message}"
+
+    def test_non_finite_unused_word_is_not_read(self, tmp_path):
+        from sggkit.model import Vocabulary
+
+        path = tmp_path / "emb.txt"
+        path.write_text("dog nan 0\ncat 1 0\n")
+        assert load_embeddings(path, Vocabulary(("cat",), ("on",))).num_categories == 1
+
+
 class TestLoadFeatureMatrix:
     def test_basic(self, tmp_path):
         path = tmp_path / "f.tsv"

@@ -462,6 +462,16 @@ class TestPerturbDataset:
         with pytest.raises(ValueError, match="oracle_zs"):
             perturb_dataset(ds, PerturbationConfig("oracle_zs"))
 
+    def test_rule_category_outside_the_vocabulary_raises(self, vocab, rng):
+        # Each category's nearest neighbour is a row past the vocabulary's categories.
+        emb = EmbeddingTable(np.vstack([np.eye(5), 2 * np.eye(5)]))
+        cfg = PerturbationConfig("neigh", intensity=1.0, top_k=1)
+        ds = self.corpus(vocab, n=2)
+        with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
+            perturb_dataset(ds, cfg, PerturbationResources(embeddings=emb))
+        with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
+            perturb_neigh(ds.graphs[0], cfg, vocab, emb, rng)
+
     def test_graphn_end_to_end_caps_intensity(self, vocab):
         ds = self.corpus(vocab, n=40)
         table = build_frequency_table(ds)
@@ -881,6 +891,8 @@ def test_per_graph_functions_match_the_dataset_run(shuffle_case, method):
         changed = {i for i, (a, b) in enumerate(zip(graph.nodes, perturbed.nodes))
                    if a.category != b.category}
         assert changed == {n for n, _, _ in record.replacements}
+        assert perturbed.edges is graph.edges
+        assert all(a is b for a, b in zip(graph.nodes, perturbed.nodes) if a.category == b.category)
         assert all(graph.nodes[n].category == old for n, old, _ in record.replacements)
         sampled = sample_nodes(graph, cfg.intensity, np.random.default_rng(seed))
         assert changed <= set(sampled)
