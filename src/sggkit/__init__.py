@@ -13,8 +13,8 @@ _EXPORTS = {
     "stats": "ShotSubsets SubsetBucket TripletFrequencyTable build_frequency_table "
              "marginal_distributions predicate_frequencies shot_subsets",
     "perturb": "CannotPerturbError PerturbationConfig PerturbationResources "
-               "graphn_candidates perturb_dataset perturb_graphn perturb_neigh "
-               "perturb_oracle_zs perturb_rand sample_nodes semantic_neighbors",
+               "graphn_candidates perturb_dataset perturb_graph sample_nodes "
+               "semantic_neighbors",
     "quality": "FrequencyStubScorer HttpScorer PlausibilityQuery ScorerError build_query "
                "hit_rate score_graphs",
     "evaluation": "PairScores PredictedGraph RankedTriplet iou mean_recall rank_triplets "

@@ -39,10 +39,11 @@ def _write_json(path: str | Path, payload) -> None:
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_side_file(path: str | Path, parse):

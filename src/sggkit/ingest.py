@@ -95,6 +95,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in ("objects", "predicates"):
@@ -106,6 +108,28 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         return Vocabulary(tuple(raw["objects"]), tuple(raw["predicates"]))
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
+
+
+def _not_utf8(path: str | Path, error: UnicodeDecodeError) -> ParseError:
+    """The error for a file that does not decode as UTF-8, naming its first bad line. The
+    file is read again, in binary, only after decoding failed; bytes.splitlines breaks
+    lines where text-mode reading does, and no UTF-8 sequence holds a newline byte."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ParseError(f"{path}:{lineno}: not valid UTF-8: {e}")
+    return ParseError(f"{path}: not valid UTF-8: {error}")
+
+
+def _text_lines(path: str | Path):
+    """The lines of a UTF-8 text file, as text-mode reading yields them."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
 
 
 def json_int(value) -> int:
@@ -121,25 +145,24 @@ def iter_jsonl(path: str | Path):
     file. Every line must hold a JSON object whose "image_id" is a non-empty
     string not used on an earlier line."""
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-            image_id = obj.get("image_id")
-            if not isinstance(image_id, str) or not image_id:
-                raise ParseError(f"{where}: missing or empty 'image_id'")
-            if image_id in first_line:
-                raise ParseError(f"{where}: duplicate image_id {image_id!r} "
-                                 f"(first on line {first_line[image_id]})")
-            first_line[image_id] = lineno
-            yield where, obj
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{where}: invalid JSON: {e}") from e
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        image_id = obj.get("image_id")
+        if not isinstance(image_id, str) or not image_id:
+            raise ParseError(f"{where}: missing or empty 'image_id'")
+        if image_id in first_line:
+            raise ParseError(f"{where}: duplicate image_id {image_id!r} "
+                             f"(first on line {first_line[image_id]})")
+        first_line[image_id] = lineno
+        yield where, obj
 
 
 def json_number(value) -> float:
@@ -155,6 +178,14 @@ def json_number(value) -> float:
 _new, _set = object.__new__, object.__setattr__
 
 
+def _array(obj: dict, key: str, ctx: str) -> list:
+    """obj[key] if it is a JSON array, [] if the key is absent."""
+    value = obj.get(key, [])
+    if type(value) is not list:
+        raise ParseError(f"{ctx}: {key!r} must be a JSON array")
+    return value
+
+
 def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
     """The graph on one dataset line. Each value is checked once, as it is read, for
     all that the model's constructors and `validate` check; they are not run again."""
@@ -165,7 +196,7 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
         raise ParseError(f"{ctx}: 'width' and 'height' must be positive JSON integers")
 
     nodes, num_objects = [], vocab.num_objects
-    for i, o in enumerate(obj.get("objects", [])):
+    for i, o in enumerate(_array(obj, "objects", ctx)):
         try:
             category = json_int(o["category"])
             x1, y1, x2, y2 = map(json_number, o["box"])
@@ -183,7 +214,7 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
 
     n, num_predicates = len(nodes), vocab.num_predicates
     edges = []
-    for k, r in enumerate(obj.get("relationships", [])):
+    for k, r in enumerate(_array(obj, "relationships", ctx)):
         try:
             s, p, o_ = json_int(r["subject"]), json_int(r["predicate"]), json_int(r["object"])
         except (KeyError, TypeError) as e:
@@ -312,29 +343,28 @@ def load_embeddings(path: str | Path, vocab: Vocabulary) -> EmbeddingTable:
 
     word_vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if not values:
-                raise ParseError(f"{path}:{lineno}: no vector components")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: dimension {len(values)} != {dim} of earlier lines"
-                )
-            if token in needed and token not in word_vectors:
-                try:
-                    vector = [float(v) for v in values]
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: bad float") from e
-                if not all(map(isfinite, vector)):
-                    raise ParseError(f"{path}:{lineno}: non-finite value in the vector of "
-                                     f"{token!r}")
-                word_vectors[token] = np.array(vector, dtype=np.float64)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if not values:
+            raise ParseError(f"{path}:{lineno}: no vector components")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ParseError(
+                f"{path}:{lineno}: dimension {len(values)} != {dim} of earlier lines"
+            )
+        if token in needed and token not in word_vectors:
+            try:
+                vector = [float(v) for v in values]
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: bad float") from e
+            if not all(map(isfinite, vector)):
+                raise ParseError(f"{path}:{lineno}: non-finite value in the vector of "
+                                 f"{token!r}")
+            word_vectors[token] = np.array(vector, dtype=np.float64)
     if dim is None:
         raise ParseError(f"{path}: empty embedding file")
 
@@ -361,32 +391,32 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     so a header claiming more rows than the file holds is an input error.
     """
     import numpy as np
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}:1: header must be 'N D'")
+    lines = _text_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise ParseError(f"{path}:1: header must be 'N D'")
+    try:
+        n, d = int(header[0]), int(header[1])
+    except ValueError as e:
+        raise ParseError(f"{path}:1: header must be two integers") from e
+    if n < 0 or d < 1:
+        raise ParseError(f"{path}:1: invalid shape {n}x{d}")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        row = len(rows)
+        if row >= n:
+            raise ParseError(f"{path}:{lineno}: more than {n} rows")
+        values = line.split()
+        if len(values) != d:
+            raise ParseError(f"{path}:{lineno}: row {row} has {len(values)} values, expected {d}")
         try:
-            n, d = int(header[0]), int(header[1])
+            rows.append(np.array([float(v) for v in values]))
         except ValueError as e:
-            raise ParseError(f"{path}:1: header must be two integers") from e
-        if n < 0 or d < 1:
-            raise ParseError(f"{path}:1: invalid shape {n}x{d}")
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            row = len(rows)
-            if row >= n:
-                raise ParseError(f"{path}:{lineno}: more than {n} rows")
-            values = line.split()
-            if len(values) != d:
-                raise ParseError(f"{path}:{lineno}: row {row} has {len(values)} values, expected {d}")
-            try:
-                rows.append(np.array([float(v) for v in values]))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: row {row}: bad float") from e
-            if not np.isfinite(rows[-1]).all():
-                raise ParseError(f"{path}:{lineno}: row {row}: non-finite value")
+            raise ParseError(f"{path}:{lineno}: row {row}: bad float") from e
+        if not np.isfinite(rows[-1]).all():
+            raise ParseError(f"{path}:{lineno}: row {row}: non-finite value")
     if len(rows) != n:
         raise ParseError(f"{path}:1: expected {n} rows, found {len(rows)}")
     return np.stack(rows) if rows else np.empty((0, d), dtype=np.float64)
@@ -415,7 +445,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 )
         elif "object_labels" in obj:
             try:
-                labels = [json_int(lab) for lab in obj["object_labels"]]
+                labels = [json_int(lab) for lab in _array(obj, "object_labels", ctx)]
             except TypeError as e:
                 raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
             scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
@@ -427,7 +457,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
         ends, rows, r = [], [], vocab.num_predicates
-        for k, p in enumerate(obj.get("pairs", [])):
+        for k, p in enumerate(_array(obj, "pairs", ctx)):
             try:
                 ends.append((json_int(p["subject"]), json_int(p["object"])))
                 row = p["predicate_scores"]
@@ -447,8 +477,9 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
 
         boxes = None
         if obj.get("boxes") is not None:
+            corners = _array(obj, "boxes", ctx)
             try:
-                boxes = tuple(BoundingBox(*map(json_number, b)) for b in obj["boxes"])
+                boxes = tuple(BoundingBox(*map(json_number, b)) for b in corners)
             except (TypeError, ValueError, OverflowError) as e:
                 raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
 

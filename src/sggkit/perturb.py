@@ -2,7 +2,8 @@
 
 Four strategies share one frame, `_perturb`: pick nodes with degree-weighted
 sampling, then ask the strategy's choice rule for each picked node's new
-category. Boxes, edges and node count never change; only categories do.
+category, in sample order and given the categories replaced so far. Boxes,
+edges and node count never change; only categories do.
 
   rand       uniform replacement over all other categories
   neigh      uniform replacement among the top-k cosine neighbors of the
@@ -11,9 +12,14 @@ category. Boxes, edges and node count never change; only categories do.
              categories must form known compositions with the node's current
              neighborhood, are weighted by inverse occurrence count (with an
              alpha cutoff on rare counts), then diversified through semantic
-             neighbors
+             neighbors. A node with no surviving candidate, or whose draw
+             lands on its current category, is left alone, so intensity is an
+             upper bound here
   oracle_zs  upper-bound strategy that only produces compositions from a
-             supplied reference triplet set
+             supplied reference triplet set: a node takes a category only if
+             every incident composition is then a reference one. Isolated
+             nodes (no composition evidence) and nodes no category satisfies
+             are left alone
 """
 from __future__ import annotations
 
@@ -156,16 +162,6 @@ def _rand_rule(num_objects: int) -> Callable:
     return choose
 
 
-def perturb_rand(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    vocab: Vocabulary,
-    rng: np.random.Generator,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    """Replace each sampled node by a uniform draw over the other categories."""
-    return _perturb(graph, cfg, _rand_rule(vocab.num_objects), rng, vocab.num_objects)
-
-
 def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
     """Top-k categories by cosine similarity to `category`, query excluded.
 
@@ -197,18 +193,6 @@ def _neigh_rule(cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable |
         neighbors = semantic_neighbors(emb, categories[node], cfg.top_k)
         return neighbors[int(rng.integers(len(neighbors)))]
     return choose
-
-
-def perturb_neigh(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    vocab: Vocabulary,
-    emb: EmbeddingTable,
-    rng: np.random.Generator,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    """Replace each sampled node by a uniform draw over its top-k neighbors."""
-    return _perturb(graph, cfg, _neigh_rule(cfg, vocab.num_objects, emb), rng,
-                    vocab.num_objects)
 
 
 @dataclass(frozen=True)
@@ -296,26 +280,6 @@ def _graphn_rule(
     return choose
 
 
-def perturb_graphn(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    vocab: Vocabulary,
-    emb: EmbeddingTable,
-    table: TripletFrequencyTable,
-    rng: np.random.Generator,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    """Sequential statistics-aware perturbation.
-
-    Nodes are processed in sample order; each step scores candidates against
-    the current, partially perturbed categories, draws an intermediate
-    category by inverse-frequency probability, then draws the final category
-    uniformly from that category plus its top-k semantic neighbors. Nodes
-    with no surviving candidate are skipped, as are draws that land back on
-    the node's current category, so intensity is an upper bound here.
-    """
-    return _perturb(graph, cfg, _graphn_rule(cfg, emb, table), rng, vocab.num_objects)
-
-
 def _reference_membership(
     triplets: Iterable[Triplet], num_predicates: int, num_categories: int
 ) -> np.ndarray:
@@ -335,18 +299,14 @@ def _reference_membership(
 
 
 def _oracle_zs_rule(
-    zs_triplets: Iterable[Triplet] | None, num_predicates: int, num_categories: int,
-    covered: int,
+    zs_triplets: Iterable[Triplet] | None, num_predicates: int, num_categories: int
 ) -> Callable:
-    """Membership covers `covered` >= num_categories categories, enough for
-    every category of the graphs perturbed; candidates are below
-    num_categories."""
     if not zs_triplets:
         raise ValueError("method 'oracle_zs' requires a non-empty reference triplet set")
-    member = _reference_membership(zs_triplets, num_predicates, covered)
+    member = _reference_membership(zs_triplets, num_predicates, num_categories)
 
     def choose(graph, categories, node, rng):
-        allowed = np.ones(covered, dtype=bool)
+        allowed = np.ones(num_categories, dtype=bool)
         isolated = True
         for edge in graph.edges:
             if edge.subject == node:
@@ -359,46 +319,55 @@ def _oracle_zs_rule(
         if isolated:  # no composition evidence
             return None
         allowed[categories[node]] = False
-        candidates = np.flatnonzero(allowed[:num_categories])
+        candidates = np.flatnonzero(allowed)
         if not candidates.size:
             return None
         return int(candidates[int(rng.integers(candidates.size))])
     return choose
 
 
-def perturb_oracle_zs(
-    graph: SceneGraph,
-    cfg: PerturbationConfig,
-    zs_triplets: frozenset[Triplet] | set[Triplet],
-    rng: np.random.Generator,
-    num_categories: int | None = None,
-) -> tuple[SceneGraph, PerturbationRecord]:
-    """Replace sampled nodes only when every incident composition lands in
-    the reference triplet set; every touched composition is then a reference
-    one by construction.
-
-    Sequential like graphn: later candidates are validated against already
-    perturbed neighbors. Nodes with no incident edges carry no composition
-    evidence and are skipped.
-    """
-    top = max((n.category for n in graph.nodes), default=0)
-    if num_categories is None:
-        num_categories = 1 + max(
-            [top, *(max(t.subject_category, t.object_category) for t in zs_triplets)]
-        )
-    num_predicates = 1 + max((e.predicate for e in graph.edges), default=0)
-    rule = _oracle_zs_rule(zs_triplets, num_predicates, num_categories,
-                           max(num_categories, 1 + top))
-    return _perturb(graph, cfg, rule, rng, num_categories)
-
-
 @dataclass(frozen=True)
 class PerturbationResources:
-    """Method-specific inputs for a dataset-level run."""
+    """Method-specific inputs: embeddings (neigh, graphn), a triplet table
+    (graphn) and a reference triplet set (oracle_zs)."""
 
     embeddings: EmbeddingTable | None = None
     table: TripletFrequencyTable | None = None
     zs_triplets: frozenset[Triplet] | None = None
+
+
+def _rule(
+    cfg: PerturbationConfig, vocab: Vocabulary, resources: PerturbationResources | None
+) -> Callable:
+    """`cfg.method`'s choice rule, sized from `vocab`. A missing resource or a
+    vocabulary or configuration that admits no replacement raises here."""
+    resources = resources or PerturbationResources()
+    if cfg.method == "rand":
+        return _rand_rule(vocab.num_objects)
+    if cfg.method == "neigh":
+        return _neigh_rule(cfg, vocab.num_objects, resources.embeddings)
+    if cfg.method == "graphn":
+        return _graphn_rule(cfg, resources.embeddings, resources.table)
+    return _oracle_zs_rule(resources.zs_triplets, vocab.num_predicates, vocab.num_objects)
+
+
+def perturb_graph(
+    graph: SceneGraph,
+    cfg: PerturbationConfig,
+    vocab: Vocabulary,
+    rng: np.random.Generator,
+    resources: PerturbationResources | None = None,
+) -> tuple[SceneGraph, PerturbationRecord]:
+    """Perturb one graph with `cfg.method`, drawing from `rng`.
+
+    The graph is checked against `vocab` first, since every rule is sized
+    from it. Seeded with `graph_seed(graph.image_id, cfg.master_seed)`, this
+    gives the graph and record `perturb_dataset` gives for that image. The
+    rule is built on every call (for oracle_zs, an |R| x |C| x |C| table);
+    `perturb_dataset` builds it once for all its graphs.
+    """
+    graph.validate(vocab)
+    return _perturb(graph, cfg, _rule(cfg, vocab, resources), rng, vocab.num_objects)
 
 
 def perturb_dataset(
@@ -415,17 +384,8 @@ def perturb_dataset(
     configuration that admits no replacement is raised before any graph is
     perturbed.
     """
-    resources = resources or PerturbationResources()
     vocab = dataset.vocabulary
-    if cfg.method == "rand":
-        rule = _rand_rule(vocab.num_objects)
-    elif cfg.method == "neigh":
-        rule = _neigh_rule(cfg, vocab.num_objects, resources.embeddings)
-    elif cfg.method == "graphn":
-        rule = _graphn_rule(cfg, resources.embeddings, resources.table)
-    else:
-        rule = _oracle_zs_rule(resources.zs_triplets, vocab.num_predicates,
-                               vocab.num_objects, vocab.num_objects)
+    rule = _rule(cfg, vocab, resources)
     perturbed = []
     records = []
     for graph in dataset.graphs:

@@ -32,7 +32,7 @@ from sggkit.perturb import (
     PerturbationResources,
     graphn_candidates,
     perturb_dataset,
-    perturb_graphn,
+    perturb_graph,
 )
 from sggkit.quality import HttpScorer, build_query, hit_rate
 from sggkit.stats import TripletFrequencyTable, build_frequency_table, shot_subsets
@@ -205,10 +205,11 @@ def test_graphn_sampling_law():
     assert [(c.category, c.probability) for c in high] == [(A, 1.0)]
 
     cfg = PerturbationConfig("graphn", intensity=0.5, top_k=0, alpha=1)
+    resources = PerturbationResources(emb, table)
     rng = np.random.default_rng(2718)
     counts = Counter()
     for _ in range(100_000):
-        _, record = perturb_graphn(graph, cfg, vocab, emb, table, rng)
+        _, record = perturb_graph(graph, cfg, vocab, rng, resources)
         for node, _, new in record.replacements:
             counts[new] += 1
     assert set(counts) == {A, C}

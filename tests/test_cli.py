@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -217,7 +218,8 @@ class TestHitRate:
         assert payload["hit_rates"]["zs"]["total"] > 0
         assert payload["hit_rates"]["zs"]["value"] == 100.0
 
-    def test_csv_output(self, workspace):
+    @pytest.mark.parametrize("name, row", [("all", "all,0"), ("zs, v2", '"zs, v2",0')])
+    def test_csv_output(self, workspace, name, row):
         (workspace / "records.jsonl").write_text(
             '{"image_id":"tr0","replacements":[],"affected_edges":[]}\n'
         )
@@ -226,12 +228,14 @@ class TestHitRate:
         code = run(["hit-rate", "--records", workspace / "records.jsonl",
                     "--perturbed", workspace / "train.jsonl",
                     "--vocab", workspace / "vocab.json",
-                    "--reference", f"all={workspace / 'ref.json'}",
+                    "--reference", f"{name}={workspace / 'ref.json'}",
                     "--out", report, "--csv"])
         assert code == 0
         lines = report.read_text().splitlines()
         assert lines[0] == "reference,value,hits,total"
-        assert lines[1].startswith("all,0")
+        assert lines[1].startswith(row)
+        assert [r[0] for r in csv.reader(lines)] == ["reference", name]
+        assert [len(r) for r in csv.reader(lines)] == [4, 4]
 
 
     @pytest.mark.parametrize("names", [("zs", "zs"), ("",)], ids=["repeated", "empty"])
@@ -414,6 +418,24 @@ class TestEval:
         assert payload["subset"].endswith("zs_triplets.json")
         assert payload["value"] == 100.0
         assert payload["per_image"]
+
+    def test_csv_quotes_a_subset_path_with_a_comma(self, workspace):
+        self.write_predictions(workspace)
+        out_dir = workspace / "zero, shot"
+        run(["subsets", "--train", workspace / "train.jsonl",
+             "--test", workspace / "test.jsonl",
+             "--vocab", workspace / "vocab.json", "--out-dir", out_dir])
+        report = workspace / "eval.csv"
+        code = run(["eval", "--predictions", workspace / "preds.jsonl",
+                    "--gt", workspace / "test.jsonl",
+                    "--vocab", workspace / "vocab.json",
+                    "--subset", out_dir / "zs_triplets.json", "--out", report, "--csv"])
+        assert code == 0
+        header, row = csv.reader(report.read_text().splitlines())
+        assert header == ["metric", "K", "mode", "graph_constraint", "subset", "reweight_x",
+                          "value"]
+        assert row == ["recall", "100", "sgcls", "False", str(out_dir / "zs_triplets.json"),
+                       "0.0", "100.0"]
 
     def test_reweight_without_stats_exit_2(self, workspace):
         self.write_predictions(workspace)
@@ -702,6 +724,16 @@ class TestJsonLinesContract:
         assert run(jsonl_command(workspace, command, path)) == 2
         err = capsys.readouterr().err
         assert f"error: {path}:2: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "hit-rate"])
+    def test_invalid_utf8_exit_2_naming_file_and_line(self, workspace, capsys, command):
+        first, second = (json.dumps(obj).encode() for obj in jsonl_lines(workspace, command)[:2])
+        path = workspace / "in.jsonl"
+        path.write_bytes(first + b"\n" + second[:-1] + b"\xff}\n")
+        assert run(jsonl_command(workspace, command, path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: not valid UTF-8: 'utf-8' codec can't decode byte 0xff" in err
         assert "Traceback" not in err
 
     def test_record_without_replacements_exit_2_naming_file_and_line(self, workspace, capsys):

@@ -18,7 +18,7 @@ import pytest
 import sggkit
 from sggkit.cli import build_parser
 
-# Every name `sggkit/__init__.py` exported when it imported all submodules.
+# Every name `sggkit/__init__.py` exports.
 EXPORTED = [
     "BoundingBox", "ObjectNode", "Relationship", "SceneGraph", "Triplet", "Vocabulary",
     "categorical_triplets", "degree",
@@ -27,8 +27,8 @@ EXPORTED = [
     "ShotSubsets", "SubsetBucket", "TripletFrequencyTable", "build_frequency_table",
     "marginal_distributions", "predicate_frequencies", "shot_subsets",
     "CannotPerturbError", "PerturbationConfig", "PerturbationRecord", "PerturbationResources",
-    "graphn_candidates", "perturb_dataset", "perturb_graphn", "perturb_neigh",
-    "perturb_oracle_zs", "perturb_rand", "sample_nodes", "semantic_neighbors",
+    "graphn_candidates", "perturb_dataset", "perturb_graph", "sample_nodes",
+    "semantic_neighbors",
     "FrequencyStubScorer", "HttpScorer", "PlausibilityQuery", "ScorerError", "build_query",
     "hit_rate", "score_graphs",
     "PairScores", "PredictedGraph", "RankedTriplet", "iou", "mean_recall", "rank_triplets",

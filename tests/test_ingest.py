@@ -20,6 +20,7 @@ from sggkit.ingest import (
     load_vocabulary,
     save_dataset,
 )
+from sggkit.model import Vocabulary
 
 from .conftest import ON, PERSON, make_graph, write_jsonl, write_vocab
 
@@ -343,3 +344,46 @@ class TestLoadPredictions:
         )
         with pytest.raises(ParseError, match="predicate_scores"):
             load_predictions(path, vocab)
+
+    @pytest.mark.parametrize("key, value", [
+        *(("object_labels", v) for v in (5, None, True, {}, "")),
+        *(("pairs", v) for v in (5, None, True, {}, "")),
+        *(("boxes", v) for v in (5, True, {}, "")),  # null boxes are no boxes
+    ])
+    def test_array_fields_must_be_arrays(self, tmp_path, vocab, key, value):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "object_labels": [0, 1], key: value}])
+        with pytest.raises(ParseError, match=rf"p\.jsonl:1 \(image_id='img1'\): '{key}' must be "
+                                             r"a JSON array"):
+            load_predictions(path, vocab)
+
+
+# Each loader, its input with one byte that is not UTF-8, and the line that holds it.
+NOT_UTF8 = {
+    "iter_jsonl": (lambda p: list(iter_jsonl(p)),
+                   b'{"image_id": "a"}\n\n{"image_id": "b\xff"}\n', 3),
+    "load_vocabulary": (load_vocabulary, b'{"objects": ["a"],\n "predicates": ["on\xff"]}\n', 2),
+    "load_embeddings": (lambda p: load_embeddings(p, Vocabulary(("a",), ("on",))),
+                        b"a 1.0 2.0\nb\xff 1.0 2.0\n", 2),
+    "load_feature_matrix": (load_feature_matrix, b"2 2\n1 2\n3 4\xff\n", 3),
+}
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("loader", sorted(NOT_UTF8))
+    def test_names_file_and_first_bad_line(self, tmp_path, loader):
+        load, data, line = NOT_UTF8[loader]
+        path = tmp_path / "input.txt"
+        path.write_bytes(data + b"\xfe\n")  # a later bad line is not the one named
+        with pytest.raises(ParseError, match=rf"input\.txt:{line}: not valid UTF-8: 'utf-8' "
+                                             r"codec can't decode byte 0xff"):
+            load(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_jsonl_line_numbers_follow_text_mode(self, tmp_path, newline):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(newline.join([b'{"image_id": "a"}', b"", b'{"image_id": "b"}', b"\xff"]))
+        with pytest.raises(ParseError, match=r"d\.jsonl:4: not valid UTF-8"):
+            list(iter_jsonl(path))
+        path.write_bytes(path.read_bytes()[:-1])
+        assert [where for where, _ in iter_jsonl(path)] == [f"{path}:1", f"{path}:3"]

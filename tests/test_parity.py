@@ -225,6 +225,10 @@ DATASET_DEFECTS = {
     "edge out of range": {"relationships": [{"subject": 0, "predicate": 0, "object": 2}]},
     "negative edge end": {"relationships": [{"subject": -1, "predicate": 0, "object": 1}]},
     "zero width": {"width": 0},
+    **{f"{key} {name}": {key: value}
+       for key in ("objects", "relationships")
+       for name, value in (("number", 5), ("null", None), ("bool", True), ("object", {}),
+                           ("string", ""))},
 }
 
 

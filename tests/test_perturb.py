@@ -43,10 +43,7 @@ from sggkit.perturb import (
     graph_seed,
     graphn_candidates,
     perturb_dataset,
-    perturb_graphn,
-    perturb_neigh,
-    perturb_oracle_zs,
-    perturb_rand,
+    perturb_graph,
     sample_nodes,
     semantic_neighbors,
 )
@@ -122,14 +119,14 @@ class TestPerturbRand:
         vocab = Vocabulary(("a", "b"), ("on",))
         graph = make_graph("g", [0], [])
         cfg = PerturbationConfig("rand", intensity=1.0, master_seed=1)
-        perturbed, record = perturb_rand(graph, cfg, vocab, rng)
+        perturbed, record = perturb_graph(graph, cfg, vocab, rng)
         assert perturbed.nodes[0].category == 1
         assert record.replacements == ((0, 0, 1),)
 
     def test_intensity_changes_exact_count(self, vocab, rng):
         graph = make_graph("g", [PERSON] * 10, [(i, ON, i + 1) for i in range(9)])
         cfg = PerturbationConfig("rand", intensity=0.2)
-        perturbed, record = perturb_rand(graph, cfg, vocab, rng)
+        perturbed, record = perturb_graph(graph, cfg, vocab, rng)
         assert len(record.replacements) == 2
         changed = sum(
             a.category != b.category for a, b in zip(graph.nodes, perturbed.nodes)
@@ -142,7 +139,7 @@ class TestPerturbRand:
         rng = np.random.default_rng(0)
         counts = Counter()
         for _ in range(100_000):
-            _, record = perturb_rand(graph, cfg, vocab, rng)
+            _, record = perturb_graph(graph, cfg, vocab, rng)
             counts[record.replacements[0][2]] += 1
         assert PERSON not in counts
         assert sorted(counts) == [SURFBOARD, WAVE, DOG, CAT]
@@ -153,11 +150,11 @@ class TestPerturbRand:
         vocab = Vocabulary(("only",), ("on",))
         graph = make_graph("g", [0], [])
         with pytest.raises(CannotPerturbError):
-            perturb_rand(graph, PerturbationConfig("rand", intensity=1.0), vocab, rng)
+            perturb_graph(graph, PerturbationConfig("rand", intensity=1.0), vocab, rng)
 
     def test_structure_invariant(self, vocab, rng):
         graph = make_graph("g", [PERSON, DOG, CAT], [(0, ON, 1), (2, ABOVE, 0)])
-        perturbed, _ = perturb_rand(graph, PerturbationConfig("rand", intensity=1.0), vocab, rng)
+        perturbed, _ = perturb_graph(graph, PerturbationConfig("rand", intensity=1.0), vocab, rng)
         assert perturbed.edges == graph.edges
         assert [n.box for n in perturbed.nodes] == [n.box for n in graph.nodes]
         assert perturbed.num_nodes == graph.num_nodes
@@ -193,7 +190,7 @@ class TestPerturbNeigh:
         emb = EmbeddingTable(np.array([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0]]))
         graph = make_graph("g", [0], [])
         cfg = PerturbationConfig("neigh", intensity=1.0, top_k=1)
-        perturbed, _ = perturb_neigh(graph, cfg, vocab, emb, rng)
+        perturbed, _ = perturb_graph(graph, cfg, vocab, rng, PerturbationResources(emb))
         assert perturbed.nodes[0].category == 1
 
     def test_uniform_over_top_k(self):
@@ -203,10 +200,11 @@ class TestPerturbNeigh:
         expected = set(semantic_neighbors(emb, 0, 10))
         graph = make_graph("g", [0], [])
         cfg = PerturbationConfig("neigh", intensity=1.0, top_k=10)
+        resources = PerturbationResources(emb)
         rng = np.random.default_rng(3)
         counts = Counter()
         for _ in range(100_000):
-            _, record = perturb_neigh(graph, cfg, vocab, emb, rng)
+            _, record = perturb_graph(graph, cfg, vocab, rng, resources)
             counts[record.replacements[0][2]] += 1
         assert set(counts) == expected
         _, p = chisquare(list(counts.values()))
@@ -218,8 +216,9 @@ class TestPerturbNeigh:
         emb = embeddings_for(num)
         graph = make_graph("g", [3, 1], [(0, ON, 1)])
         cfg = PerturbationConfig("neigh", intensity=1.0, top_k=4)
+        resources = PerturbationResources(emb)
         for _ in range(300):
-            _, record = perturb_neigh(graph, cfg, vocab, emb, rng)
+            _, record = perturb_graph(graph, cfg, vocab, rng, resources)
             for _, old, new in record.replacements:
                 assert old != new
 
@@ -307,7 +306,8 @@ class TestPerturbGraphN:
         table = table_of({(PERSON, ON, SURFBOARD): 4})
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("graphn", intensity=1.0, top_k=2, alpha=100)
-        perturbed, record = perturb_graphn(graph, cfg, self.vocab, self.emb, table, rng)
+        resources = PerturbationResources(self.emb, table)
+        perturbed, record = perturb_graph(graph, cfg, self.vocab, rng, resources)
         assert perturbed == graph
         assert record.replacements == ()
         assert record.affected_edges == ()
@@ -324,10 +324,11 @@ class TestPerturbGraphN:
         )
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("graphn", intensity=1.0, top_k=0, alpha=0)
+        resources = PerturbationResources(self.emb, table)
         seen_conditioned = False
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            perturbed, record = perturb_graphn(graph, cfg, self.vocab, self.emb, table, rng)
+            perturbed, record = perturb_graph(graph, cfg, self.vocab, rng, resources)
             order = [n for n, _, _ in record.replacements]
             if order and order[0] == 0 and perturbed.nodes[0].category == DOG:
                 # with node 0 now DOG, node 1 candidates are {WAVE} (SURFBOARD is current)
@@ -340,9 +341,10 @@ class TestPerturbGraphN:
         table = table_of({(PERSON, ON, SURFBOARD): 4, (CAT, ON, SURFBOARD): 1})
         graph = make_graph("g", [DOG, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("graphn", intensity=0.5, top_k=0, alpha=1)
+        resources = PerturbationResources(self.emb, table)
         outcomes = set()
         for _ in range(500):
-            perturbed, record = perturb_graphn(graph, cfg, self.vocab, self.emb, table, rng)
+            perturbed, record = perturb_graph(graph, cfg, self.vocab, rng, resources)
             for node, _, new in record.replacements:
                 if node == 0:
                     outcomes.add(new)
@@ -353,9 +355,10 @@ class TestPerturbGraphN:
         table = table_of({(CAT, ON, SURFBOARD): 1})
         graph = make_graph("g", [DOG, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("graphn", intensity=0.5, top_k=2, alpha=0)
+        resources = PerturbationResources(emb, table)
         outcomes = Counter()
         for _ in range(4000):
-            _, record = perturb_graphn(graph, cfg, self.vocab, emb, table, rng)
+            _, record = perturb_graph(graph, cfg, self.vocab, rng, resources)
             for node, _, new in record.replacements:
                 if node == 0:
                     outcomes[new] += 1
@@ -367,28 +370,29 @@ class TestPerturbGraphN:
         table = table_of({(CAT, ON, SURFBOARD): 1, (PERSON, ON, SURFBOARD): 1})
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("graphn", intensity=1.0, top_k=0, alpha=0)
+        resources = PerturbationResources(self.emb, table)
         for _ in range(100):
-            _, record = perturb_graphn(graph, cfg, self.vocab, self.emb, table, rng)
+            _, record = perturb_graph(graph, cfg, self.vocab, rng, resources)
             assert {n for n, _, _ in record.replacements} <= {0, 1}
             assert len(record.replacements) <= 2
 
 
 class TestPerturbOracleZs:
     def test_person_becomes_dog(self, vocab, rng):
-        zs = {Triplet(DOG, ON, SURFBOARD)}
+        resources = PerturbationResources(zs_triplets=frozenset({Triplet(DOG, ON, SURFBOARD)}))
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         cfg = PerturbationConfig("oracle_zs", intensity=1.0)
-        perturbed, record = perturb_oracle_zs(graph, cfg, zs, rng, vocab.num_objects)
+        perturbed, record = perturb_graph(graph, cfg, vocab, rng, resources)
         assert perturbed.nodes[0].category == DOG
         assert perturbed.nodes[1].category == SURFBOARD
         assert record.replacements == ((0, PERSON, DOG),)
 
     def test_unsatisfiable_node_skipped(self, vocab, rng):
         # node 0 has two incident compositions; no category satisfies both
-        zs = {Triplet(DOG, ON, SURFBOARD)}
+        resources = PerturbationResources(zs_triplets=frozenset({Triplet(DOG, ON, SURFBOARD)}))
         graph = make_graph("g", [PERSON, SURFBOARD, WAVE], [(0, ON, 1), (0, ON, 2)])
         cfg = PerturbationConfig("oracle_zs", intensity=1.0)
-        perturbed, record = perturb_oracle_zs(graph, cfg, zs, rng, vocab.num_objects)
+        perturbed, record = perturb_graph(graph, cfg, vocab, rng, resources)
         assert 0 not in {n for n, _, _ in record.replacements}
         assert perturbed.nodes[0].category == PERSON
 
@@ -401,11 +405,12 @@ class TestPerturbOracleZs:
             for o in (SURFBOARD, WAVE, DOG, CAT)
             if s != o
         }
+        resources = PerturbationResources(zs_triplets=frozenset(zs))
         cfg = PerturbationConfig("oracle_zs", intensity=0.5)
         for i in range(200):
             cats = rng.integers(0, 5, size=4).tolist()
             graph = make_graph(f"g{i}", cats, [(0, ON, 1), (1, ABOVE, 2), (3, ON, 2)])
-            perturbed, record = perturb_oracle_zs(graph, cfg, zs, rng, vocab.num_objects)
+            perturbed, record = perturb_graph(graph, cfg, vocab, rng, resources)
             triplets = categorical_triplets(perturbed)
             for edge_index in record.affected_edges:
                 assert triplets[edge_index] in zs
@@ -413,7 +418,8 @@ class TestPerturbOracleZs:
     def test_empty_reference_rejected(self, vocab, rng):
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         with pytest.raises(ValueError):
-            perturb_oracle_zs(graph, PerturbationConfig("oracle_zs"), set(), rng, 5)
+            perturb_graph(graph, PerturbationConfig("oracle_zs"), vocab, rng,
+                          PerturbationResources(zs_triplets=frozenset()))
 
 
 class TestPerturbDataset:
@@ -470,7 +476,7 @@ class TestPerturbDataset:
         with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
             perturb_dataset(ds, cfg, PerturbationResources(embeddings=emb))
         with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
-            perturb_neigh(ds.graphs[0], cfg, vocab, emb, rng)
+            perturb_graph(ds.graphs[0], cfg, vocab, rng, PerturbationResources(emb))
 
     def test_graphn_end_to_end_caps_intensity(self, vocab):
         ds = self.corpus(vocab, n=40)
@@ -524,7 +530,7 @@ class TestRecordInvariants:
         graph = make_graph("g", [PERSON, SURFBOARD, WAVE, DOG],
                            [(0, ON, 1), (2, ABOVE, 0), (2, ON, 3)])
         cfg = PerturbationConfig("rand", intensity=0.25)
-        _, record = perturb_rand(graph, cfg, vocab, rng)
+        _, record = perturb_graph(graph, cfg, vocab, rng)
         (node, _, _), = record.replacements
         expected = tuple(
             k for k, e in enumerate(graph.edges) if node in (e.subject, e.object)
@@ -868,23 +874,16 @@ def test_shuffled_input_gives_same_per_image_output(shuffle_case, method, order)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_per_graph_functions_match_the_dataset_run(shuffle_case, method):
-    """Each public perturb_<method>, seeded as perturb_dataset seeds the
-    image, gives that image's graph and record: both go through one frame."""
+def test_perturb_graph_matches_the_dataset_run(shuffle_case, method):
+    """perturb_graph, seeded as perturb_dataset seeds the image, gives that
+    image's graph and record: both go through one frame."""
     dataset, resources, reference = shuffle_case
     cfg, expected = reference[method]
-    vocab, emb, table = dataset.vocabulary, resources.embeddings, resources.table
-    perturb_one = {
-        "rand": lambda g, rng: perturb_rand(g, cfg, vocab, rng),
-        "neigh": lambda g, rng: perturb_neigh(g, cfg, vocab, emb, rng),
-        "graphn": lambda g, rng: perturb_graphn(g, cfg, vocab, emb, table, rng),
-        "oracle_zs": lambda g, rng: perturb_oracle_zs(g, cfg, resources.zs_triplets, rng,
-                                                      vocab.num_objects),
-    }[method]
     replaced = 0
     for graph in dataset.graphs:
         seed = graph_seed(graph.image_id, cfg.master_seed)
-        perturbed, record = perturb_one(graph, np.random.default_rng(seed))
+        perturbed, record = perturb_graph(graph, cfg, dataset.vocabulary,
+                                          np.random.default_rng(seed), resources)
         assert (perturbed, record) == expected[graph.image_id]
         record.check(perturbed)
         assert perturbed.with_categories(n.category for n in graph.nodes) == graph
@@ -898,3 +897,18 @@ def test_per_graph_functions_match_the_dataset_run(shuffle_case, method):
         assert changed <= set(sampled)
         replaced += len(changed)
     assert replaced > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("categories, predicate, message", [
+    ([PERSON, 5], ON, r"node 1 category 5 out of range \(\|C\|=5\)"),
+    ([PERSON, DOG], 3, r"edge 0 predicate 3 out of range \(\|R\|=3\)"),
+])
+def test_perturb_graph_rejects_a_graph_outside_the_vocabulary(vocab, rng, method, categories,
+                                                               predicate, message):
+    resources = PerturbationResources(embeddings_for(5), table_of({(PERSON, ON, DOG): 2}),
+                                      frozenset({Triplet(DOG, ON, SURFBOARD)}))
+    graph = make_graph("g", categories, [(0, predicate, 1)])
+    cfg = PerturbationConfig(method, intensity=1.0, top_k=2, alpha=0)
+    with pytest.raises(ValueError, match=message):
+        perturb_graph(graph, cfg, vocab, rng, resources)

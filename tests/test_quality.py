@@ -11,7 +11,9 @@ import pytest
 
 import sggkit
 from sggkit.model import Triplet
-from sggkit.perturb import PerturbationConfig, PerturbationRecord, perturb_oracle_zs
+from sggkit.perturb import (
+    PerturbationConfig, PerturbationRecord, PerturbationResources, perturb_graph,
+)
 from sggkit.quality import (
     FrequencyStubScorer,
     HttpScorer,
@@ -124,8 +126,9 @@ class TestHitRate:
         graphs, records = [], []
         for i in range(50):
             g = make_graph(f"g{i}", [PERSON, SURFBOARD, WAVE], [(0, ON, 1), (0, ABOVE, 2)])
-            pg, rec = perturb_oracle_zs(
-                g, PerturbationConfig("oracle_zs", intensity=0.4), zs, rng, 5
+            pg, rec = perturb_graph(
+                g, PerturbationConfig("oracle_zs", intensity=0.4), vocab, rng,
+                PerturbationResources(zs_triplets=frozenset(zs)),
             )
             graphs.append(pg)
             records.append(rec)
