@@ -6,9 +6,12 @@ ignored for forward compatibility.
 """
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -75,9 +78,13 @@ class EmbeddingTable:
 
     def neighbor_ranking(self, category: int) -> tuple[int, ...]:
         """Every other category by descending cosine similarity to
-        `category`, ties toward the lower id; computed once per category."""
+        `category`, ties toward the lower id; computed once per category.
+        `category` must lie in [0, num_categories)."""
         ranking = self._rankings.get(category)
         if ranking is None:
+            if not 0 <= category < self.num_categories:
+                raise ValueError(f"category {category} outside [0, {self.num_categories}), "
+                                 f"the embedding table's categories")
             import numpy as np
             # One row against all: a V @ V.T Gram matrix can differ in the
             # last bit, and that can reorder near-ties.
@@ -178,35 +185,77 @@ def json_number(value) -> float:
 _new, _set = object.__new__, object.__setattr__
 
 
-def _array(obj: dict, key: str, ctx: str) -> list:
+def _graph(image_id: str, width: int, height: int, nodes: tuple, edges: tuple) -> SceneGraph:
+    """A SceneGraph of values the caller has checked as `SceneGraph` and `validate` would."""
+    graph = _new(SceneGraph)
+    _set(graph, "image_id", image_id), _set(graph, "width", width), _set(graph, "height", height)
+    _set(graph, "nodes", nodes), _set(graph, "edges", edges)
+    return graph
+
+
+def _dataset(vocab: Vocabulary, graphs: tuple[SceneGraph, ...]) -> Dataset:
+    """A Dataset of graphs the caller has checked against `vocab`."""
+    dataset = _new(Dataset)
+    _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
+    return dataset
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, which finds no cycles among the acyclic objects
+    a loader builds but walks all of them again at each full collection, so that loading
+    grows faster than the file. The caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _context(where: str, image_id: str) -> str:
+    return f"{where} (image_id={image_id!r})"
+
+
+def _array(obj: dict, key: str, where: str, image_id: str) -> list:
     """obj[key] if it is a JSON array, [] if the key is absent."""
     value = obj.get(key, [])
     if type(value) is not list:
-        raise ParseError(f"{ctx}: {key!r} must be a JSON array")
+        raise ParseError(f"{_context(where, image_id)}: {key!r} must be a JSON array")
     return value
+
+
+_NUMBER = (int, float)
 
 
 def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
     """The graph on one dataset line. Each value is checked once, as it is read, for
-    all that the model's constructors and `validate` check; they are not run again."""
+    all that the model's constructors and `validate` check; they are not run again.
+    Integers must be JSON integers and box corners JSON numbers (`json_int`,
+    `json_number`); the checks are written out here, as this runs per value."""
     image_id = obj["image_id"]
-    ctx = f"{where} (image_id={image_id!r})"
     width, height = obj.get("width"), obj.get("height")
     if type(width) is not int or type(height) is not int or width <= 0 or height <= 0:
-        raise ParseError(f"{ctx}: 'width' and 'height' must be positive JSON integers")
+        raise ParseError(f"{_context(where, image_id)}: 'width' and 'height' must be positive "
+                         f"JSON integers")
 
     nodes, num_objects = [], vocab.num_objects
-    for i, o in enumerate(_array(obj, "objects", ctx)):
+    for i, o in enumerate(_array(obj, "objects", where, image_id)):
         try:
-            category = json_int(o["category"])
-            x1, y1, x2, y2 = map(json_number, o["box"])
+            category, (x1, y1, x2, y2) = o["category"], o["box"]
+            if type(category) is not int or not (
+                    type(x1) in _NUMBER and type(y1) in _NUMBER and type(x2) in _NUMBER
+                    and type(y2) in _NUMBER):
+                raise TypeError("expected an integer category and four JSON numbers")
+            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"{ctx}: malformed object {i}") from e
+            raise ParseError(f"{_context(where, image_id)}: malformed object {i}") from e
         # The chained comparisons also reject NaN, inf and negative corners.
         if not (0 <= category < num_objects and 0 <= x1 < x2 < inf and 0 <= y1 < y2 < inf):
-            raise ParseError(f"{ctx}: object {i}: needs a category below |C|={num_objects} and "
-                             f"a box with 0 <= x1 < x2, 0 <= y1 < y2, all finite; got category "
-                             f"{category}, box {[x1, y1, x2, y2]}")
+            raise ParseError(f"{_context(where, image_id)}: object {i}: needs a category below "
+                             f"|C|={num_objects} and a box with 0 <= x1 < x2, 0 <= y1 < y2, all "
+                             f"finite; got category {category}, box {[x1, y1, x2, y2]}")
         box, node = _new(BoundingBox), _new(ObjectNode)
         _set(box, "x1", x1), _set(box, "y1", y1), _set(box, "x2", x2), _set(box, "y2", y2)
         _set(node, "category", category), _set(node, "box", box)
@@ -214,31 +263,29 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
 
     n, num_predicates = len(nodes), vocab.num_predicates
     edges = []
-    for k, r in enumerate(_array(obj, "relationships", ctx)):
+    for k, r in enumerate(_array(obj, "relationships", where, image_id)):
         try:
-            s, p, o_ = json_int(r["subject"]), json_int(r["predicate"]), json_int(r["object"])
+            s, p, o_ = r["subject"], r["predicate"], r["object"]
+            if type(s) is not int or type(p) is not int or type(o_) is not int:
+                raise TypeError("expected JSON integers")
         except (KeyError, TypeError) as e:
-            raise ParseError(f"{ctx}: malformed relationship {k}") from e
+            raise ParseError(f"{_context(where, image_id)}: malformed relationship {k}") from e
         if s == o_ or not (0 <= s < n and 0 <= o_ < n and 0 <= p < num_predicates):
-            raise ParseError(f"{ctx}: relationship {k}: needs two distinct nodes below n={n} and "
-                             f"a predicate below |R|={num_predicates}; got ({s}, {p}, {o_})")
+            raise ParseError(f"{_context(where, image_id)}: relationship {k}: needs two distinct "
+                             f"nodes below n={n} and a predicate below |R|={num_predicates}; got "
+                             f"({s}, {p}, {o_})")
         edge = _new(Relationship)
         _set(edge, "subject", s), _set(edge, "predicate", p), _set(edge, "object", o_)
         edges.append(edge)
-
-    graph = _new(SceneGraph)
-    _set(graph, "image_id", image_id), _set(graph, "width", width), _set(graph, "height", height)
-    _set(graph, "nodes", tuple(nodes)), _set(graph, "edges", tuple(edges))
-    return graph
+    return _graph(image_id, width, height, tuple(nodes), tuple(edges))
 
 
+@_collector_paused()
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Read a JSON-Lines dataset; one scene graph per line, file order kept,
     image ids unique. Each graph is checked once, as it is read."""
     graphs = tuple(_graph_from_obj(obj, vocab, where) for where, obj in iter_jsonl(path))
-    dataset = _new(Dataset)
-    _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
-    return dataset
+    return _dataset(vocab, graphs)
 
 
 def graph_to_obj(graph: SceneGraph) -> dict:
@@ -258,11 +305,18 @@ def graph_to_obj(graph: SceneGraph) -> dict:
 
 
 def save_dataset(dataset: Dataset | Iterable[SceneGraph], path: str | Path) -> None:
-    """Write graphs as JSON-Lines in the same schema `load_dataset` reads."""
+    """Write graphs as JSON-Lines in the same schema `load_dataset` reads. Each line is
+    `json.dumps(graph_to_obj(g), separators=(",", ":"))`, formatted directly: json writes
+    an int or a float as its repr, which is what formatting one in an f-string gives."""
     graphs = dataset.graphs if isinstance(dataset, Dataset) else dataset
     with open(path, "w", encoding="utf-8") as f:
         for g in graphs:
-            f.write(json.dumps(graph_to_obj(g), separators=(",", ":")) + "\n")
+            objects = ",".join(f'{{"category":{n.category},"box":[{n.box.x1},{n.box.y1},'
+                               f'{n.box.x2},{n.box.y2}]}}' for n in g.nodes)
+            edges = ",".join(f'{{"subject":{e.subject},"predicate":{e.predicate},'
+                             f'"object":{e.object}}}' for e in g.edges)
+            f.write(f'{{"image_id":{encode_basestring_ascii(g.image_id)},"width":{g.width},'
+                    f'"height":{g.height},"objects":[{objects}],"relationships":[{edges}]}}\n')
 
 
 # A records file (written by `perturb`, read by `hit-rate` and `plausibility`) holds one
@@ -422,6 +476,7 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     return np.stack(rows) if rows else np.empty((0, d), dtype=np.float64)
 
 
+@_collector_paused()
 def load_predictions(path: str | Path, vocab: Vocabulary):
     """Read predicted graphs from JSON-Lines (schema in the evaluation module)."""
     import numpy as np
@@ -430,7 +485,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
     preds = []
     for where, obj in iter_jsonl(path):
         image_id = obj["image_id"]
-        ctx = f"{where} (image_id={image_id!r})"
+        ctx = _context(where, image_id)
 
         if "object_scores" in obj:
             try:  # np.array alone would read [true, "1"] as [1.0, 1.0]
@@ -445,7 +500,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 )
         elif "object_labels" in obj:
             try:
-                labels = [json_int(lab) for lab in _array(obj, "object_labels", ctx)]
+                labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
             except TypeError as e:
                 raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
             scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
@@ -457,7 +512,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
         ends, rows, r = [], [], vocab.num_predicates
-        for k, p in enumerate(_array(obj, "pairs", ctx)):
+        for k, p in enumerate(_array(obj, "pairs", where, image_id)):
             try:
                 ends.append((json_int(p["subject"]), json_int(p["object"])))
                 row = p["predicate_scores"]
@@ -477,7 +532,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
 
         boxes = None
         if obj.get("boxes") is not None:
-            corners = _array(obj, "boxes", ctx)
+            corners = _array(obj, "boxes", where, image_id)
             try:
                 boxes = tuple(BoundingBox(*map(json_number, b)) for b in corners)
             except (TypeError, ValueError, OverflowError) as e:

@@ -24,13 +24,16 @@ edges and node count never change; only categories do.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .ingest import (  # PerturbationRecord and _affected_edges are re-exported
-    Dataset, EmbeddingTable, PerturbationRecord, _affected_edges, _new, _set,
+    Dataset, EmbeddingTable, PerturbationRecord, _affected_edges, _dataset, _graph, _new, _set,
 )
 from .model import ObjectNode, SceneGraph, Triplet, Vocabulary
 from .stats import TripletFrequencyTable
@@ -83,6 +86,14 @@ def _num_to_sample(intensity: float, n: int) -> int:
     return max(1, math.floor(intensity * n + 0.5))
 
 
+def _choice(rng: np.random.Generator, p: Sequence[float]) -> int:
+    """The index numpy's `Generator.choice(len(p), p=p)` draws, leaving `rng` in the same
+    state: it divides the left-to-right running sum of `p` by its last entry and bisects
+    one `random()` in the result."""
+    cdf = list(accumulate(p))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
+
+
 def sample_nodes(graph: SceneGraph, intensity: float, rng: np.random.Generator) -> list[int]:
     """Draw max(1, round(intensity * n)) distinct nodes, weighted by degree.
 
@@ -95,19 +106,19 @@ def sample_nodes(graph: SceneGraph, intensity: float, rng: np.random.Generator) 
     if count == 0:
         return []
     remaining = list(range(n))
-    weights = np.zeros(n, dtype=np.float64)
+    weights = [0] * n
     for e in graph.edges:
         weights[e.subject] += 1
         weights[e.object] += 1
     picked = []
     for _ in range(count):
-        total = weights.sum()
-        if total > 0:
-            idx = rng.choice(len(remaining), p=weights / total)
+        total = sum(weights)
+        if total > 0:  # int / int rounds once, as numpy's float64 division does
+            idx = _choice(rng, [w / total for w in weights])
         else:
-            idx = rng.integers(len(remaining))
+            idx = int(rng.integers(len(remaining)))
         picked.append(remaining.pop(idx))
-        weights = np.delete(weights, idx)
+        del weights[idx]
     return picked
 
 
@@ -145,11 +156,7 @@ def _perturb(
     for node, _, new in replacements:
         nodes[node] = replaced = _new(ObjectNode)
         _set(replaced, "category", new), _set(replaced, "box", graph.nodes[node].box)
-    perturbed = _new(SceneGraph)
-    _set(perturbed, "image_id", graph.image_id), _set(perturbed, "width", graph.width)
-    _set(perturbed, "height", graph.height), _set(perturbed, "nodes", tuple(nodes))
-    _set(perturbed, "edges", graph.edges)
-    return perturbed, record
+    return _graph(graph.image_id, graph.width, graph.height, tuple(nodes), graph.edges), record
 
 
 def _rand_rule(num_objects: int) -> Callable:
@@ -165,16 +172,18 @@ def _rand_rule(num_objects: int) -> Callable:
 def semantic_neighbors(emb: EmbeddingTable, category: int, k: int) -> list[int]:
     """Top-k categories by cosine similarity to `category`, query excluded.
 
-    Ties break toward the lower category id.
+    Ties break toward the lower category id. `k` and `category` must both
+    lie in [0, number of categories).
     """
-    if k >= emb.num_categories:
-        raise ValueError(f"k={k} must be < number of categories {emb.num_categories}")
-    if k == 0:
-        return []
+    if not 0 <= k < emb.num_categories:
+        raise ValueError(f"k={k} must lie in [0, {emb.num_categories}), the number of categories")
     return list(emb.neighbor_ranking(category)[:k])
 
 
-def _check_top_k(cfg: PerturbationConfig, emb: EmbeddingTable) -> None:
+def _check_embeddings(cfg: PerturbationConfig, emb: EmbeddingTable, num_objects: int) -> None:
+    if emb.num_categories != num_objects:
+        raise ValueError(f"the embedding table has {emb.num_categories} rows; the vocabulary "
+                         f"has {num_objects} object categories")
     if cfg.top_k >= emb.num_categories:
         raise ValueError(f"top_k (--top-k) is {cfg.top_k}; it must be below the "
                          f"embedding table's {emb.num_categories} categories")
@@ -187,7 +196,7 @@ def _neigh_rule(cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable |
         raise CannotPerturbError("need at least 2 object categories")
     if cfg.top_k < 1:
         raise CannotPerturbError("neigh requires top_k >= 1")
-    _check_top_k(cfg, emb)
+    _check_embeddings(cfg, emb, num_objects)
 
     def choose(graph, categories, node, rng):
         neighbors = semantic_neighbors(emb, categories[node], cfg.top_k)
@@ -235,7 +244,7 @@ def _graphn_scores(
     cats, means = cats[kept], means[kept]
     inv = 1.0 / means
     # Python's sum adds left to right; np.sum's pairwise order can change
-    # the last bit of the probabilities that rng.choice consumes.
+    # the last bit of the probabilities that the graphn draw consumes.
     return cats, means, inv / sum(inv.tolist())
 
 
@@ -263,66 +272,49 @@ def graphn_candidates(
 
 
 def _graphn_rule(
-    cfg: PerturbationConfig, emb: EmbeddingTable | None, table: TripletFrequencyTable | None
+    cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable | None,
+    table: TripletFrequencyTable | None,
 ) -> Callable:
     if emb is None or table is None:
         raise ValueError("method 'graphn' requires an embedding table and a triplet "
                          "frequency table")
-    _check_top_k(cfg, emb)
+    _check_embeddings(cfg, emb, num_objects)
 
     def choose(graph, categories, node, rng):
         cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)
         if not cats.size:
             return None
-        intermediate = int(cats[rng.choice(cats.size, p=probs)])
+        intermediate = int(cats[_choice(rng, probs.tolist())])
         pool = [intermediate, *semantic_neighbors(emb, intermediate, cfg.top_k)]
         return pool[int(rng.integers(len(pool)))]
     return choose
 
 
-def _reference_membership(
-    triplets: Iterable[Triplet], num_predicates: int, num_categories: int
-) -> np.ndarray:
-    """Boolean is_reference[predicate, subject, object]. Triplets outside
-    these ranges can never be formed here, so they are left out."""
-    member = np.zeros((num_predicates, num_categories, num_categories), dtype=bool)
-    inside = [
-        t for t in triplets
-        if 0 <= t.predicate < num_predicates
-        and 0 <= t.subject_category < num_categories
-        and 0 <= t.object_category < num_categories
-    ]
-    if inside:
-        s, p, o = np.array(inside, dtype=np.intp).T
-        member[p, s, o] = True
-    return member
-
-
-def _oracle_zs_rule(
-    zs_triplets: Iterable[Triplet] | None, num_predicates: int, num_categories: int
-) -> Callable:
-    if not zs_triplets:
+def _oracle_zs_rule(resources: PerturbationResources, num_categories: int) -> Callable:
+    if not resources.zs_triplets:
         raise ValueError("method 'oracle_zs' requires a non-empty reference triplet set")
-    member = _reference_membership(zs_triplets, num_predicates, num_categories)
+    by_predicate_object, by_subject_predicate = resources._zs_index
+    empty: frozenset[int] = frozenset()
 
     def choose(graph, categories, node, rng):
-        allowed = np.ones(num_categories, dtype=bool)
-        isolated = True
+        allowed = None  # None until an incident edge gives composition evidence
         for edge in graph.edges:
             if edge.subject == node:
-                allowed &= member[edge.predicate, :, categories[edge.object]]
+                fit = by_predicate_object.get((edge.predicate, categories[edge.object]), empty)
             elif edge.object == node:
-                allowed &= member[edge.predicate, categories[edge.subject]]
+                fit = by_subject_predicate.get((categories[edge.subject], edge.predicate), empty)
             else:
                 continue
-            isolated = False
-        if isolated:  # no composition evidence
+            allowed = fit if allowed is None else allowed & fit
+        if allowed is None:  # isolated
             return None
-        allowed[categories[node]] = False
-        candidates = np.flatnonzero(allowed)
-        if not candidates.size:
+        # Ascending, as the category ids of a boolean mask; reference categories outside
+        # the vocabulary are left out.
+        current = categories[node]
+        candidates = [c for c in sorted(allowed) if 0 <= c < num_categories and c != current]
+        if not candidates:
             return None
-        return int(candidates[int(rng.integers(candidates.size))])
+        return candidates[int(rng.integers(len(candidates)))]
     return choose
 
 
@@ -334,6 +326,17 @@ class PerturbationResources:
     embeddings: EmbeddingTable | None = None
     table: TripletFrequencyTable | None = None
     zs_triplets: frozenset[Triplet] | None = None
+
+    @cached_property
+    def _zs_index(self) -> tuple[dict[tuple[int, int], set[int]], ...]:
+        """The reference set as (predicate, object) -> subjects and (subject, predicate) ->
+        objects; built on first use and kept, as `zs_triplets` is immutable."""
+        by_predicate_object: dict[tuple[int, int], set[int]] = {}
+        by_subject_predicate: dict[tuple[int, int], set[int]] = {}
+        for s, p, o in self.zs_triplets:
+            by_predicate_object.setdefault((p, o), set()).add(s)
+            by_subject_predicate.setdefault((s, p), set()).add(o)
+        return by_predicate_object, by_subject_predicate
 
 
 def _rule(
@@ -347,8 +350,8 @@ def _rule(
     if cfg.method == "neigh":
         return _neigh_rule(cfg, vocab.num_objects, resources.embeddings)
     if cfg.method == "graphn":
-        return _graphn_rule(cfg, resources.embeddings, resources.table)
-    return _oracle_zs_rule(resources.zs_triplets, vocab.num_predicates, vocab.num_objects)
+        return _graphn_rule(cfg, vocab.num_objects, resources.embeddings, resources.table)
+    return _oracle_zs_rule(resources, vocab.num_objects)
 
 
 def perturb_graph(
@@ -363,8 +366,9 @@ def perturb_graph(
     The graph is checked against `vocab` first, since every rule is sized
     from it. Seeded with `graph_seed(graph.image_id, cfg.master_seed)`, this
     gives the graph and record `perturb_dataset` gives for that image. The
-    rule is built on every call (for oracle_zs, an |R| x |C| x |C| table);
-    `perturb_dataset` builds it once for all its graphs.
+    rule is made on every call, from lookups built once per `resources`:
+    oracle_zs's reference index is kept on the resources object, and the
+    neighbour rankings and table groups on the tables themselves.
     """
     graph.validate(vocab)
     return _perturb(graph, cfg, _rule(cfg, vocab, resources), rng, vocab.num_objects)
@@ -395,6 +399,4 @@ def perturb_dataset(
         records.append(record)
     # `_perturb` checked every category it changed against |C|; the rest of each graph
     # comes from `dataset`, which was checked when it was built.
-    result = _new(Dataset)
-    _set(result, "vocabulary", vocab), _set(result, "graphs", tuple(perturbed))
-    return result, records
+    return _dataset(vocab, tuple(perturbed)), records

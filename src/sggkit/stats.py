@@ -10,8 +10,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .ingest import Dataset, json_int
-from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
+from .ingest import Dataset, _dataset, _graph, json_int
+from .model import Triplet, Vocabulary, categorical_triplets
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
@@ -207,21 +207,18 @@ class ShotSubsets:
 
 
 def _bucket(test: Dataset, keep) -> SubsetBucket:
+    """The graphs of `test` cut down to their edges whose triplet `keep` accepts. They are
+    built without the constructors' checks: their parts are `test`'s, checked already."""
     graphs = []
     triplets: set[Triplet] = set()
     for graph in test.graphs:
-        kept = [
-            e
-            for e, t in zip(graph.edges, categorical_triplets(graph))
-            if keep(t)
-        ]
+        kept = [(e, t) for e, t in zip(graph.edges, categorical_triplets(graph)) if keep(t)]
         if not kept:
             continue
-        graphs.append(
-            SceneGraph(graph.image_id, graph.width, graph.height, graph.nodes, tuple(kept))
-        )
-        triplets.update(categorical_triplets(graphs[-1]))
-    return SubsetBucket(Dataset(test.vocabulary, tuple(graphs)), frozenset(triplets))
+        graphs.append(_graph(graph.image_id, graph.width, graph.height, graph.nodes,
+                             tuple(e for e, _ in kept)))
+        triplets.update(t for _, t in kept)
+    return SubsetBucket(_dataset(test.vocabulary, tuple(graphs)), frozenset(triplets))
 
 
 def shot_subsets(test: Dataset, table: TripletFrequencyTable) -> ShotSubsets:

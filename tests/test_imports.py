@@ -216,3 +216,47 @@ def test_every_annotation_resolves(name):
     for obj in defined:
         typing.get_type_hints(obj, localns=localns)
     assert defined
+
+
+# The names the benchmark's tracer (perfbench/child.py) wraps, and the parameters its
+# hooks read from each call. The tracer traces nothing for a name that is missing, and
+# says nothing, so a rename or a dropped parameter here must be made there as well.
+TRACED = [
+    ("ingest", "load_vocabulary", ["path"]),
+    ("ingest", "load_embeddings", ["path"]),
+    ("ingest", "load_feature_matrix", ["path"]),
+    ("ingest", "load_dataset", ["path"]),
+    ("ingest", "load_predictions", ["path"]),
+    ("ingest", "save_dataset", ["path"]),
+    ("cli", "_load_records", ["path"]),
+    ("cli", "_write_json", ["path"]),
+    ("cli", "_write_csv", ["path"]),
+    ("stats", "build_frequency_table", []),
+    ("stats", "TripletFrequencyTable.from_json_obj", []),
+    ("stats", "shot_subsets", []),
+    ("stats", "predicate_frequencies", []),
+    ("stats", "marginal_distributions", []),
+    ("stats", "triplet_set_to_json_obj", []),
+    ("stats", "triplet_set_from_json_obj", []),
+    ("perturb", "perturb_dataset", ["dataset", "cfg", "resources"]),
+    ("quality", "hit_rate", []),
+    ("quality", "score_graphs", []),
+    ("quality", "HttpScorer.score", ["self", "text", "target"]),
+    ("evaluation", "recall_details", ["predictions", "mode", "graph_constraint"]),
+    ("evaluation", "mean_recall", ["predictions"]),
+    ("featmetrics", "precision_recall_density_coverage", ["real", "fake"]),
+    ("featmetrics", "frechet_distance", []),
+]
+
+
+@pytest.mark.parametrize("module, name, params", TRACED, ids=[f"{m}.{n}" for m, n, _ in TRACED])
+def test_benchmark_traced_names_keep_their_parameters(module, name, params):
+    owner = importlib.import_module(f"sggkit.{module}")
+    *classes, attr = name.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls)
+    # The tracer takes a class attribute from the class's own __dict__.
+    func = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+    assert func is not None, f"sggkit.{module}.{name} is gone"
+    func = func.__func__ if isinstance(func, classmethod) else func
+    assert set(params) <= set(inspect.signature(func).parameters), name

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sggkit
 from sggkit.ingest import (
     Dataset,
     ParseError,
+    graph_to_obj,
     iter_jsonl,
     json_int,
     load_dataset,
@@ -20,7 +24,7 @@ from sggkit.ingest import (
     load_vocabulary,
     save_dataset,
 )
-from sggkit.model import Vocabulary
+from sggkit.model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
 
 from .conftest import ON, PERSON, make_graph, write_jsonl, write_vocab
 
@@ -204,7 +208,7 @@ class TestLoadDataset:
 
 class TestLoadEmbeddings:
     def test_single_word(self, tmp_path):
-        from sggkit.model import Vocabulary
+        from sggkit.model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
 
         vocab = Vocabulary(("cat",), ("on",))
         path = tmp_path / "emb.txt"
@@ -214,7 +218,7 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(table.vector(0), [1.0, 0.0])
 
     def test_multiword_mean(self, tmp_path):
-        from sggkit.model import Vocabulary
+        from sggkit.model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
 
         vocab = Vocabulary(("traffic light",), ("on",))
         path = tmp_path / "emb.txt"
@@ -241,7 +245,7 @@ class TestLoadEmbeddings:
         ("person 0 0\nsurfboard 0 1\n", ": all-zero embedding vector for category ids [0]"),
     ])
     def test_bad_vector_names_the_file(self, tmp_path, vectors, message):
-        from sggkit.model import Vocabulary
+        from sggkit.model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
 
         vocab = Vocabulary(("person", "surfboard"), ("on",))
         path = tmp_path / "emb.txt"
@@ -251,7 +255,7 @@ class TestLoadEmbeddings:
         assert str(e.value) == f"{path}{message}"
 
     def test_non_finite_unused_word_is_not_read(self, tmp_path):
-        from sggkit.model import Vocabulary
+        from sggkit.model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
 
         path = tmp_path / "emb.txt"
         path.write_text("dog nan 0\ncat 1 0\n")
@@ -356,6 +360,76 @@ class TestLoadPredictions:
         with pytest.raises(ParseError, match=rf"p\.jsonl:1 \(image_id='img1'\): '{key}' must be "
                                              r"a JSON array"):
             load_predictions(path, vocab)
+
+
+# Box corners: ints and floats, the extremes of float formatting among them.
+CORNER = st.one_of(
+    st.integers(0, 10**20),
+    st.floats(0, 1e300),
+    st.sampled_from([0.0, -0.0, 1e-7, 1e16, 1e22, 5e-324, 0.1, 123456789.125, 2**53 + 2]),
+)
+
+
+@st.composite
+def saved_graphs(draw) -> SceneGraph:
+    """A graph built through the public constructors."""
+    nodes = []
+    for _ in range(draw(st.integers(0, 5))):
+        xs = sorted(draw(st.sets(CORNER, min_size=2, max_size=2)))
+        ys = sorted(draw(st.sets(CORNER, min_size=2, max_size=2)))
+        nodes.append(ObjectNode(draw(st.integers(0, 10**6)), BoundingBox(xs[0], ys[0], xs[1],
+                                                                          ys[1])))
+    edges = []
+    if len(nodes) > 1:
+        pair = st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=2, unique=True)
+        for s, o in draw(st.lists(pair, max_size=6)):
+            edges.append(Relationship(s, draw(st.integers(0, 10**6)), o))
+    image_id = draw(st.one_of(st.text(min_size=1),
+                              st.sampled_from(['a"b', "back\\slash", "caf\u00e9 \u2603",
+                                               "\U0001f600", "tab\tnew\nline", "\x00\x7f"])))
+    return SceneGraph(image_id, draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)),
+                      tuple(nodes), tuple(edges))
+
+
+class TestSaveDataset:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(saved_graphs(), max_size=4))
+    def test_each_line_is_the_compact_json_of_its_graph(self, tmp_path, graphs):
+        path = tmp_path / "out.jsonl"
+        save_dataset(graphs, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [json.dumps(graph_to_obj(g), separators=(",", ":")) for g in graphs] + [""]
+
+
+class TestCollectorState:
+    """The loaders pause the cyclic collector while they build; the caller's state,
+    on or off, and its thresholds are what they were afterwards, also after an error."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        enabled, thresholds = gc.isenabled(), gc.get_threshold()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param, thresholds
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    def test_state_restored(self, tmp_path, vocab, collector):
+        enabled, thresholds = collector
+        graphs, predictions, bad = (tmp_path / name for name in ("d.jsonl", "p.jsonl", "b.jsonl"))
+        write_jsonl(graphs, [TestLoadDataset().line(image_id=f"img{i}") for i in range(3)])
+        write_jsonl(predictions, [{"image_id": "img1", "object_labels": [2, 0], "pairs": [
+            {"subject": 0, "object": 1, "predicate_scores": [0.5, 0.3, 0.2]}]}])
+        write_jsonl(bad, [{"image_id": "img1", "width": 1, "height": 1, "objects": 5}])
+        assert len(load_dataset(graphs, vocab)) == 3
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, thresholds)
+        assert len(load_predictions(predictions, vocab)) == 1
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, thresholds)
+        for load in (load_dataset, load_predictions):
+            with pytest.raises(ParseError):
+                load(bad, vocab)
+            assert (gc.isenabled(), gc.get_threshold()) == (enabled, thresholds)
 
 
 # Each loader, its input with one byte that is not UTF-8, and the line that holds it.

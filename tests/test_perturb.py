@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from sggkit.perturb import (
     PerturbationConfig,
     PerturbationRecord,
     PerturbationResources,
+    _choice,
     graph_seed,
     graphn_candidates,
     perturb_dataset,
@@ -177,6 +179,24 @@ class TestSemanticNeighbors:
         emb = EmbeddingTable(np.eye(3))
         with pytest.raises(ValueError):
             semantic_neighbors(emb, 0, 3)
+
+    def test_negative_k_rejected(self):
+        # a negative slice bound returned every neighbour but the last
+        with pytest.raises(ValueError, match=r"k=-1 must lie in \[0, 4\)"):
+            semantic_neighbors(EmbeddingTable(np.eye(4)), 0, -1)
+
+    @pytest.mark.parametrize("category", [-1, 4, 9])
+    def test_category_outside_the_table_rejected(self, category):
+        # -1 gave category 3's neighbours, 3 among them; 4 raised a bare IndexError
+        emb = EmbeddingTable(np.eye(4))
+        message = rf"category {category} outside \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            semantic_neighbors(emb, category, 1)
+        with pytest.raises(ValueError, match=message):
+            semantic_neighbors(emb, category, 0)
+        with pytest.raises(ValueError, match=message):
+            emb.neighbor_ranking(category)
+        assert category not in emb._rankings
 
     def test_query_never_included(self):
         emb = embeddings_for(8)
@@ -415,6 +435,34 @@ class TestPerturbOracleZs:
             for edge_index in record.affected_edges:
                 assert triplets[edge_index] in zs
 
+    def test_reference_index_is_built_once_per_resources(self, vocab, rng, monkeypatch):
+        prop = PerturbationResources.__dict__["_zs_index"]
+        built = []
+        build = prop.func
+        monkeypatch.setattr(prop, "func", lambda resources: built.append(1) or build(resources))
+        graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
+        cfg = PerturbationConfig("oracle_zs", intensity=1.0)
+        resources = PerturbationResources(zs_triplets=frozenset({Triplet(DOG, ON, SURFBOARD)}))
+        for _ in range(2):
+            perturbed, _ = perturb_graph(graph, cfg, vocab, rng, resources)
+            assert perturbed.nodes[0].category == DOG
+        assert len(built) == 1
+        perturb_dataset(dataset_of(vocab, graph), cfg, resources)
+        assert len(built) == 1
+        again = PerturbationResources(zs_triplets=resources.zs_triplets)
+        perturb_graph(graph, cfg, vocab, rng, again)
+        assert len(built) == 2
+
+    def test_one_index_serves_vocabularies_of_any_size(self, rng):
+        # The index keeps reference categories past |C|; each rule leaves them out.
+        resources = PerturbationResources(zs_triplets=frozenset({Triplet(2, 0, 1)}))
+        graph = make_graph("g", [0, 1], [(0, 0, 1)])
+        cfg = PerturbationConfig("oracle_zs", intensity=1.0)
+        small, large = Vocabulary(("a", "b"), ("on",)), Vocabulary(("a", "b", "c"), ("on",))
+        assert perturb_graph(graph, cfg, small, rng, resources)[1].replacements == ()
+        assert perturb_graph(graph, cfg, large, rng, resources)[1].replacements == ((0, 0, 2),)
+        assert perturb_graph(graph, cfg, small, rng, resources)[1].replacements == ()
+
     def test_empty_reference_rejected(self, vocab, rng):
         graph = make_graph("g", [PERSON, SURFBOARD], [(0, ON, 1)])
         with pytest.raises(ValueError):
@@ -468,15 +516,21 @@ class TestPerturbDataset:
         with pytest.raises(ValueError, match="oracle_zs"):
             perturb_dataset(ds, PerturbationConfig("oracle_zs"))
 
-    def test_rule_category_outside_the_vocabulary_raises(self, vocab, rng):
-        # Each category's nearest neighbour is a row past the vocabulary's categories.
-        emb = EmbeddingTable(np.vstack([np.eye(5), 2 * np.eye(5)]))
-        cfg = PerturbationConfig("neigh", intensity=1.0, top_k=1)
+    @pytest.mark.parametrize("method", ["neigh", "graphn"])
+    @pytest.mark.parametrize("vectors", [
+        np.eye(3),  # too few rows: a neigh run raised numpy's bare IndexError part-way
+        np.vstack([np.eye(5), 2 * np.eye(5)]),  # each category's nearest row lies past |C|
+    ], ids=["3-rows", "10-rows"])
+    def test_embedding_table_size_must_match_the_vocabulary(self, vocab, rng, method, vectors):
         ds = self.corpus(vocab, n=2)
-        with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
-            perturb_dataset(ds, cfg, PerturbationResources(embeddings=emb))
-        with pytest.raises(ValueError, match=r"category [5-9] out of range \(\|C\|=5\)"):
-            perturb_graph(ds.graphs[0], cfg, vocab, rng, PerturbationResources(emb))
+        cfg = PerturbationConfig(method, intensity=1.0, top_k=1, alpha=0)
+        resources = PerturbationResources(EmbeddingTable(vectors), build_frequency_table(ds))
+        message = (f"the embedding table has {len(vectors)} rows; the vocabulary has 5 "
+                   f"object categories")
+        with pytest.raises(ValueError, match=message):
+            perturb_dataset(ds, cfg, resources)
+        with pytest.raises(ValueError, match=message):
+            perturb_graph(ds.graphs[0], cfg, vocab, rng, resources)
 
     def test_graphn_end_to_end_caps_intensity(self, vocab):
         ds = self.corpus(vocab, n=40)
@@ -694,6 +748,157 @@ class TestBruteForceOracles:
             assert semantic_neighbors(emb, category, k) == brute_neighbors(emb, category, k)
             # a second call is served from the table's cache
             assert semantic_neighbors(emb, category, k) == brute_neighbors(emb, category, k)
+
+
+def brute_sample_nodes(graph, intensity, rng) -> list[int]:
+    """Reference sampler: numpy's `Generator.choice` with `p` and an `np.delete` per draw."""
+    n = graph.num_nodes
+    count = min(0 if intensity == 0.0 else max(1, math.floor(intensity * n + 0.5)), n)
+    remaining = list(range(n))
+    weights = np.zeros(n, dtype=np.float64)
+    for e in graph.edges:
+        weights[e.subject] += 1
+        weights[e.object] += 1
+    picked = []
+    for _ in range(count):
+        total = weights.sum()
+        if total > 0:
+            idx = rng.choice(len(remaining), p=weights / total)
+        else:
+            idx = rng.integers(len(remaining))
+        picked.append(remaining.pop(idx))
+        weights = np.delete(weights, idx)
+    return picked
+
+
+def brute_oracle_zs_perturb(graph, intensity, zs, vocab, rng):
+    """Reference oracle_zs run: a boolean is_reference[p, s, o] array whose rows are ANDed
+    over the node's incident edges; returns (categories, replacements)."""
+    r, c = vocab.num_predicates, vocab.num_objects
+    member = np.zeros((r, c, c), dtype=bool)
+    for t in zs:
+        if 0 <= t.predicate < r and 0 <= t.subject_category < c and 0 <= t.object_category < c:
+            member[t.predicate, t.subject_category, t.object_category] = True
+    categories = [n.category for n in graph.nodes]
+    replacements = []
+    for node in brute_sample_nodes(graph, intensity, rng):
+        allowed = np.ones(c, dtype=bool)
+        isolated = True
+        for edge in graph.edges:
+            if edge.subject == node:
+                allowed &= member[edge.predicate, :, categories[edge.object]]
+            elif edge.object == node:
+                allowed &= member[edge.predicate, categories[edge.subject]]
+            else:
+                continue
+            isolated = False
+        if isolated:
+            continue
+        allowed[categories[node]] = False
+        candidates = np.flatnonzero(allowed)
+        if not candidates.size:
+            continue
+        new = int(candidates[int(rng.integers(candidates.size))])
+        replacements.append((node, categories[node], new))
+        categories[node] = new
+    return categories, tuple(replacements)
+
+
+@st.composite
+def choice_weights(draw) -> list[float]:
+    """Probabilities as the samplers build them: degree counts over their total (zeros
+    and single entries included), one nonzero weight, or graphn's inverse mean counts."""
+    kind = draw(st.sampled_from(["degrees", "one", "inverse_means"]))
+    if kind == "degrees":
+        weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=80).filter(any))
+        return [w / sum(weights) for w in weights]
+    if kind == "one":
+        n = draw(st.integers(1, 80))
+        hit = draw(st.integers(0, n - 1))
+        return [float(i == hit) for i in range(n)]
+    means = np.array(draw(st.lists(st.one_of(st.integers(1, 10**6), st.floats(1, 1e6)),
+                                   min_size=1, max_size=80)), dtype=np.float64)
+    inv = 1.0 / means
+    return (inv / sum(inv.tolist())).tolist()
+
+
+@st.composite
+def sampling_cases(draw):
+    """A graph (random, star or edgeless; duplicate edges allowed), an intensity and a
+    reference set whose ids may lie outside the 5-object, 3-predicate vocabulary."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["random", "star", "edgeless"]))
+    if shape == "edgeless" or n == 1:
+        edges = []
+    elif shape == "star":
+        leaves = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=12))
+        edges = [(0, draw(st.integers(0, 2)), leaf) if draw(st.booleans())
+                 else (leaf, draw(st.integers(0, 2)), 0) for leaf in leaves]
+    else:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                                        st.integers(0, n - 1)).filter(lambda e: e[0] != e[2]),
+                              max_size=16))
+        edges += edges[:draw(st.integers(0, len(edges)))]  # duplicates
+    graph = make_graph("g", draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), edges)
+    intensity = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    zs = draw(st.frozensets(st.builds(Triplet, st.integers(-1, 6), st.integers(-1, 3),
+                                      st.integers(-1, 6)), min_size=1, max_size=60))
+    return graph, intensity, zs
+
+
+class TestSameDrawsAsNumpy:
+    """The plain-Python draws against the numpy code they replaced: same picks, same
+    categories, and the generator left in the same state."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(choice_weights(), st.integers(0, 2**64 - 1))
+    def test_choice_equals_generator_choice(self, p, seed):
+        mine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _choice(mine, p) == numpy_rng.choice(len(p), p=np.array(p))
+            assert mine.bit_generator.state == numpy_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(choice_weights())
+    def test_choice_at_the_cdf_boundaries(self, p):
+        """Random draws land next to a boundary too rarely to test the rounding there, so
+        feed _choice the boundaries of numpy's normalised cumulative sum, and the floats
+        either side, and bisect that sum as `Generator.choice` does."""
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+
+        class Draw:
+            def random(self):
+                return u
+
+        for b in cdf.tolist():
+            for u in (math.nextafter(b, 0), b, math.nextafter(b, 1)):
+                if 0 <= u < 1:
+                    assert _choice(Draw(), p) == int(np.searchsorted(cdf, u, side="right"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_cases(), st.integers(0, 2**64 - 1))
+    def test_sample_nodes_equals_reference(self, case, seed):
+        graph, intensity, _ = case
+        mine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_nodes(graph, intensity, mine) == brute_sample_nodes(graph, intensity,
+                                                                          reference)
+        assert mine.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sampling_cases(), st.integers(0, 2**64 - 1))
+    def test_oracle_zs_equals_reference(self, vocab, case, seed):
+        graph, intensity, zs = case
+        mine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        cfg = PerturbationConfig("oracle_zs", intensity=intensity)
+        perturbed, record = perturb_graph(graph, cfg, vocab, mine, PerturbationResources(
+            zs_triplets=zs))
+        categories, replacements = brute_oracle_zs_perturb(graph, intensity, zs, vocab,
+                                                           reference)
+        assert [n.category for n in perturbed.nodes] == categories
+        assert record.replacements == replacements
+        assert mine.bit_generator.state == reference.bit_generator.state
 
 
 GOLDEN_OBJECTS, GOLDEN_PREDICATES = 16, 6
