@@ -5,9 +5,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "model": "BoundingBox ObjectNode Relationship SceneGraph Triplet Vocabulary "
+    "model": "BoundingBox Dataset ObjectNode Relationship SceneGraph Triplet Vocabulary "
              "categorical_triplets degree",
-    "ingest": "Dataset EmbeddingTable ParseError PerturbationRecord load_dataset "
+    "ingest": "EmbeddingTable ParseError PerturbationRecord load_dataset "
               "load_embeddings load_feature_matrix load_predictions load_vocabulary "
               "save_dataset",
     "stats": "ShotSubsets SubsetBucket TripletFrequencyTable build_frequency_table "

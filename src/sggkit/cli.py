@@ -252,6 +252,9 @@ def cmd_plausibility(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evaluation, ingest
+    if args.per_image and (args.metric != "recall" or args.csv):
+        raise ValueError("--per-image needs --metric recall and a JSON report; it cannot be "
+                         "combined with --metric mean-recall or --csv")
     if not 0 <= args.reweight_x < math.inf:
         raise ValueError(f"--reweight-x must be finite and >= 0, got {args.reweight_x}")
     vocab = ingest.load_vocabulary(args.vocab)

@@ -11,8 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import Dataset
-from .model import BoundingBox, SceneGraph, Triplet, categorical_triplets
+from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets
 
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
@@ -238,6 +237,9 @@ def _match_images(
     subset = frozenset(subset_filter) if subset_filter is not None else None
     if reweight_x != 0 and f_r is None:
         raise ValueError("predicate frequencies f_r required when reweighting")
+    if reweight_x != 0 and np.shape(f_r) != (gt.vocabulary.num_predicates,):
+        raise ValueError(f"f_r has shape {np.shape(f_r)}; reweighting needs one frequency per "
+                         f"predicate, shape ({gt.vocabulary.num_predicates},)")
     weights = _predicate_weights(f_r, reweight_x) if reweight_x != 0 else None
 
     images = []

@@ -16,7 +16,7 @@ from math import inf, isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .model import BoundingBox, ObjectNode, Relationship, SceneGraph, Vocabulary
+from .model import BoundingBox, Dataset, SceneGraph, Vocabulary, _dataset, _edge, _graph, _node
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
@@ -24,23 +24,6 @@ if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
 
 class ParseError(ValueError):
     """Malformed or contract-violating input file."""
-
-
-@dataclass(frozen=True)
-class Dataset:
-    vocabulary: Vocabulary
-    graphs: tuple[SceneGraph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
-        for g in self.graphs:
-            g.validate(self.vocabulary)
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-    def __iter__(self):
-        return iter(self.graphs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,26 +163,6 @@ def json_number(value) -> float:
     return float(value)
 
 
-# The loaders build model objects as the generated dataclass `__init__` does, one field at a
-# time so that no instance keeps a dict of its own, but without the checks they have made.
-_new, _set = object.__new__, object.__setattr__
-
-
-def _graph(image_id: str, width: int, height: int, nodes: tuple, edges: tuple) -> SceneGraph:
-    """A SceneGraph of values the caller has checked as `SceneGraph` and `validate` would."""
-    graph = _new(SceneGraph)
-    _set(graph, "image_id", image_id), _set(graph, "width", width), _set(graph, "height", height)
-    _set(graph, "nodes", nodes), _set(graph, "edges", edges)
-    return graph
-
-
-def _dataset(vocab: Vocabulary, graphs: tuple[SceneGraph, ...]) -> Dataset:
-    """A Dataset of graphs the caller has checked against `vocab`."""
-    dataset = _new(Dataset)
-    _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
-    return dataset
-
-
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector, which finds no cycles among the acyclic objects
@@ -256,10 +219,7 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
             raise ParseError(f"{_context(where, image_id)}: object {i}: needs a category below "
                              f"|C|={num_objects} and a box with 0 <= x1 < x2, 0 <= y1 < y2, all "
                              f"finite; got category {category}, box {[x1, y1, x2, y2]}")
-        box, node = _new(BoundingBox), _new(ObjectNode)
-        _set(box, "x1", x1), _set(box, "y1", y1), _set(box, "x2", x2), _set(box, "y2", y2)
-        _set(node, "category", category), _set(node, "box", box)
-        nodes.append(node)
+        nodes.append(_node(category, x1, y1, x2, y2))
 
     n, num_predicates = len(nodes), vocab.num_predicates
     edges = []
@@ -274,9 +234,7 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
             raise ParseError(f"{_context(where, image_id)}: relationship {k}: needs two distinct "
                              f"nodes below n={n} and a predicate below |R|={num_predicates}; got "
                              f"({s}, {p}, {o_})")
-        edge = _new(Relationship)
-        _set(edge, "subject", s), _set(edge, "predicate", p), _set(edge, "object", o_)
-        edges.append(edge)
+        edges.append(_edge(s, p, o_))
     return _graph(image_id, width, height, tuple(nodes), tuple(edges))
 
 

@@ -1,6 +1,7 @@
-"""Scene-graph data model: vocabularies, boxes, nodes, edges and triplets.
+"""Scene-graph data model: vocabularies, boxes, nodes, edges, triplets, datasets.
 
 All types are immutable after construction and safe to share across workers.
+Boxes, nodes, edges and graphs are slotted, so an instance keeps no dict.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ class Vocabulary:
         return self._predicate_ids[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in corner format (x1, y1) top-left, (x2, y2) bottom-right."""
 
@@ -83,7 +84,7 @@ class BoundingBox:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectNode:
     category: int
     box: BoundingBox
@@ -93,7 +94,7 @@ class ObjectNode:
             raise ValueError(f"negative object category {self.category}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relationship:
     """Directed labeled edge: subject node index, predicate id, object node index."""
 
@@ -108,7 +109,7 @@ class Relationship:
             raise ValueError("negative index in relationship")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneGraph:
     """A directed labeled graph over image objects.
 
@@ -164,12 +165,65 @@ class SceneGraph:
         return [k for k, e in enumerate(self.edges) if e.subject == node or e.object == node]
 
     def with_categories(self, categories: Iterable[int]) -> "SceneGraph":
-        """Copy of this graph with node categories replaced; boxes and edges unchanged."""
+        """Copy of this graph with node categories replaced; boxes and edges unchanged.
+        Each node whose category is unchanged, and the edge tuple, are this graph's own;
+        each other node is a new `ObjectNode`, checked."""
         categories = list(categories)
         if len(categories) != self.num_nodes:
             raise ValueError("category list length does not match node count")
-        nodes = tuple(ObjectNode(c, node.box) for c, node in zip(categories, self.nodes))
-        return SceneGraph(self.image_id, self.width, self.height, nodes, self.edges)
+        nodes = tuple(node if c == node.category else ObjectNode(c, node.box)
+                      for c, node in zip(categories, self.nodes))
+        return _graph(self.image_id, self.width, self.height, nodes, self.edges)
+
+
+@dataclass(frozen=True)
+class Dataset:
+    vocabulary: Vocabulary
+    graphs: tuple[SceneGraph, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "graphs", tuple(self.graphs))
+        for g in self.graphs:
+            g.validate(self.vocabulary)
+
+    def __len__(self) -> int:
+        return len(self.graphs)
+
+    def __iter__(self):
+        return iter(self.graphs)
+
+
+# The trusted build path: model objects made from values the caller has already checked
+# as the constructors (and, for a graph, `validate`) would. Each is filled one field at a
+# time, as the generated `__init__` does, without its checks. No other module builds
+# model objects this way.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _node(category: int, x1: float, y1: float, x2: float, y2: float) -> ObjectNode:
+    box, node = _new(BoundingBox), _new(ObjectNode)
+    _set(box, "x1", x1), _set(box, "y1", y1), _set(box, "x2", x2), _set(box, "y2", y2)
+    _set(node, "category", category), _set(node, "box", box)
+    return node
+
+
+def _edge(subject: int, predicate: int, object_: int) -> Relationship:
+    edge = _new(Relationship)
+    _set(edge, "subject", subject), _set(edge, "predicate", predicate), _set(edge, "object", object_)
+    return edge
+
+
+def _graph(image_id: str, width: int, height: int, nodes: tuple, edges: tuple) -> SceneGraph:
+    graph = _new(SceneGraph)
+    _set(graph, "image_id", image_id), _set(graph, "width", width), _set(graph, "height", height)
+    _set(graph, "nodes", nodes), _set(graph, "edges", edges)
+    return graph
+
+
+def _dataset(vocab: Vocabulary, graphs: tuple[SceneGraph, ...]) -> Dataset:
+    dataset = _new(Dataset)
+    _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
+    return dataset
 
 
 def degree(graph: SceneGraph, node: int) -> int:

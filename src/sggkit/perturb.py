@@ -32,10 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import (  # PerturbationRecord and _affected_edges are re-exported
-    Dataset, EmbeddingTable, PerturbationRecord, _affected_edges, _dataset, _graph, _new, _set,
-)
-from .model import ObjectNode, SceneGraph, Triplet, Vocabulary
+# PerturbationRecord and _affected_edges are re-exported.
+from .ingest import EmbeddingTable, PerturbationRecord, _affected_edges
+from .model import Dataset, SceneGraph, Triplet, Vocabulary, _dataset
 from .stats import TripletFrequencyTable
 
 METHODS = ("rand", "neigh", "graphn", "oracle_zs")
@@ -148,15 +147,7 @@ def _perturb(
     record = PerturbationRecord(
         graph.image_id, tuple(replacements), _affected_edges(graph, (r[0] for r in replacements))
     )
-    if not replacements:
-        return graph, record
-    # Only the replaced nodes are new, and their categories were checked above; the
-    # unchanged nodes and the edges are the input graph's own, so no check runs again.
-    nodes = list(graph.nodes)
-    for node, _, new in replacements:
-        nodes[node] = replaced = _new(ObjectNode)
-        _set(replaced, "category", new), _set(replaced, "box", graph.nodes[node].box)
-    return _graph(graph.image_id, graph.width, graph.height, tuple(nodes), graph.edges), record
+    return (graph.with_categories(categories) if replacements else graph), record
 
 
 def _rand_rule(num_objects: int) -> Callable:
@@ -272,13 +263,14 @@ def graphn_candidates(
 
 
 def _graphn_rule(
-    cfg: PerturbationConfig, num_objects: int, emb: EmbeddingTable | None,
+    cfg: PerturbationConfig, vocab: Vocabulary, emb: EmbeddingTable | None,
     table: TripletFrequencyTable | None,
 ) -> Callable:
     if emb is None or table is None:
         raise ValueError("method 'graphn' requires an embedding table and a triplet "
                          "frequency table")
-    _check_embeddings(cfg, emb, num_objects)
+    _check_embeddings(cfg, emb, vocab.num_objects)
+    table.check_vocabulary(vocab)
 
     def choose(graph, categories, node, rng):
         cats, _, probs = _graphn_scores(categories, graph, node, table, cfg.alpha)
@@ -350,7 +342,7 @@ def _rule(
     if cfg.method == "neigh":
         return _neigh_rule(cfg, vocab.num_objects, resources.embeddings)
     if cfg.method == "graphn":
-        return _graphn_rule(cfg, vocab.num_objects, resources.embeddings, resources.table)
+        return _graphn_rule(cfg, vocab, resources.embeddings, resources.table)
     return _oracle_zs_rule(resources, vocab.num_objects)
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .ingest import Dataset, PerturbationRecord
-from .model import SceneGraph, Triplet, Vocabulary, categorical_triplets
+from .ingest import PerturbationRecord
+from .model import Dataset, SceneGraph, Triplet, Vocabulary, categorical_triplets
 
 if TYPE_CHECKING:  # hit rates need neither numpy nor the triplet table
     import numpy as np

@@ -10,8 +10,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .ingest import Dataset, _dataset, _graph, json_int
-from .model import Triplet, Vocabulary, categorical_triplets
+from .ingest import json_int
+from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_triplets
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
@@ -75,8 +75,19 @@ class TripletFrequencyTable:
         s, p, o, c = self._columns
         return _group(s, p, o, c)
 
+    @cached_property
+    def _predicate_bound(self) -> int:
+        """One more than the largest predicate; 0 when empty."""
+        p = self._columns[1]
+        return 1 + int(p.max()) if len(p) else 0
+
     def check_vocabulary(self, vocab: Vocabulary) -> None:
-        """Reject the first triplet whose ids fall outside `vocab`."""
+        """Reject the first triplet whose ids fall outside `vocab`. No id is negative, so
+        a table within both bounds (computed once, then kept) passes at once, as it must:
+        `perturb_graph` checks graphn's table on every call."""
+        if (self.category_bound <= vocab.num_objects
+                and self._predicate_bound <= vocab.num_predicates):
+            return
         import numpy as np
         s, p, o, _ = self._columns
         outside = np.flatnonzero(

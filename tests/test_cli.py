@@ -419,6 +419,18 @@ class TestEval:
         assert payload["value"] == 100.0
         assert payload["per_image"]
 
+    @pytest.mark.parametrize("flags", [["--metric", "mean-recall"], ["--csv"]],
+                             ids=["mean-recall", "csv"])
+    def test_per_image_needs_a_recall_json_report(self, tmp_path, capsys, flags):
+        # No input file exists: the flags are rejected before any is read.
+        missing = tmp_path / "missing"
+        code = run(["eval", "--predictions", missing, "--gt", missing, "--vocab", missing,
+                    "--per-image", *flags, "--out", tmp_path / "e.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--per-image" in err and flags[-1] in err
+        assert not (tmp_path / "e.json").exists()
+
     def test_csv_quotes_a_subset_path_with_a_comma(self, workspace):
         self.write_predictions(workspace)
         out_dir = workspace / "zero, shot"

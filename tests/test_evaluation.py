@@ -445,6 +445,17 @@ QUANTA = (0.0, 0.25, 0.5, 1.0)
 OBJECT_ROWS = ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("evaluate", [recall_details, mean_recall])
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_reweighting_needs_one_frequency_per_predicate(vocab, surf_graph, evaluate, size):
+    """One entry used to broadcast to every predicate, unweighted; 2 or 4 raised numpy's
+    broadcast error."""
+    ds = dataset_of(vocab, surf_graph)
+    preds = [perfect_prediction(surf_graph, vocab)]
+    with pytest.raises(ValueError, match=rf"f_r has shape \({size},\); .* shape \(3,\)"):
+        evaluate(preds, ds, 50, reweight_x=1.0, f_r=np.full(size, 0.5))
+
+
 def quantised_instance(rng, image_id="i", num_pred=3):
     """Ground truth and prediction whose scores take only a few values, so
     many candidates tie, also at the K-th score."""

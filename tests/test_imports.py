@@ -260,3 +260,15 @@ def test_benchmark_traced_names_keep_their_parameters(module, name, params):
     assert func is not None, f"sggkit.{module}.{name} is gone"
     func = func.__func__ if isinstance(func, classmethod) else func
     assert set(params) <= set(inspect.signature(func).parameters), name
+
+
+def test_only_the_model_module_builds_objects_unchecked():
+    """`object.__new__` skips a dataclass's checks; `model` keeps the one trusted
+    build path (`_node`, `_edge`, `_graph`, `_dataset`), and no other module has one."""
+    users = []
+    for path in sorted(Path(sggkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                users.append(path.name)
+    assert sorted(set(users)) == ["model.py"]

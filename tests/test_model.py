@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sggkit.ingest import graph_to_obj, load_dataset
 from sggkit.model import (
     BoundingBox,
     ObjectNode,
@@ -14,8 +15,12 @@ from sggkit.model import (
     categorical_triplets,
     degree,
 )
+from sggkit.perturb import PerturbationConfig, perturb_graph
+from sggkit.stats import build_frequency_table, shot_subsets
 
-from .conftest import ABOVE, CAT, DOG, NEAR, ON, PERSON, SURFBOARD, WAVE, make_graph
+from .conftest import (
+    ABOVE, CAT, DOG, NEAR, ON, PERSON, SURFBOARD, WAVE, dataset_of, make_graph, write_jsonl,
+)
 
 
 class TestVocabulary:
@@ -112,6 +117,77 @@ class TestCategoricalTriplets:
         incident = {k for k, e in enumerate(surf_graph.edges) if 1 in (e.subject, e.object)}
         for k, (b, a) in enumerate(zip(before, after)):
             assert (b != a) == (k in incident)
+
+
+class TestWithCategories:
+    def test_keeps_unchanged_nodes_and_the_edge_tuple(self, surf_graph):
+        changed = surf_graph.with_categories([PERSON, DOG, WAVE])
+        assert changed.nodes[0] is surf_graph.nodes[0]
+        assert changed.nodes[2] is surf_graph.nodes[2]
+        assert changed.nodes[1] == ObjectNode(DOG, surf_graph.nodes[1].box)
+        assert changed.nodes[1].box is surf_graph.nodes[1].box
+        assert changed.edges is surf_graph.edges
+        assert changed == make_graph("surf", [PERSON, DOG, WAVE], [(2, ABOVE, 0), (0, ON, 1)])
+
+    def test_rejects_a_wrong_length_list(self, surf_graph):
+        for categories in ([PERSON, DOG], [PERSON, DOG, WAVE, CAT]):
+            with pytest.raises(ValueError, match="length does not match node count"):
+                surf_graph.with_categories(categories)
+
+    def test_rejects_a_negative_category(self, surf_graph):
+        with pytest.raises(ValueError, match="negative object category -1"):
+            surf_graph.with_categories([PERSON, -1, WAVE])
+
+
+def rebuilt(graph: SceneGraph) -> SceneGraph:
+    """`graph` made again through the public, checking constructors."""
+    nodes = tuple(ObjectNode(n.category, BoundingBox(n.box.x1, n.box.y1, n.box.x2, n.box.y2))
+                  for n in graph.nodes)
+    edges = tuple(Relationship(e.subject, e.predicate, e.object) for e in graph.edges)
+    return SceneGraph(graph.image_id, graph.width, graph.height, nodes, edges)
+
+
+def assert_slotted_and_equal_to_rebuilt(graphs) -> None:
+    graphs = list(graphs)
+    assert graphs
+    for graph in graphs:
+        parts = [graph, *graph.nodes, *(n.box for n in graph.nodes), *graph.edges]
+        assert not any(hasattr(part, "__dict__") for part in parts)
+        assert graph == rebuilt(graph)
+
+
+class TestSlottedModelObjects:
+    """Boxes, nodes, edges and graphs keep no instance dict, whichever path built
+    them, and equal the same objects made through the constructors."""
+
+    def test_public_constructors(self, surf_graph):
+        assert_slotted_and_equal_to_rebuilt([surf_graph])
+
+    def test_with_categories(self, surf_graph):
+        assert_slotted_and_equal_to_rebuilt([surf_graph.with_categories([DOG, CAT, WAVE])])
+
+    def test_load_dataset(self, vocab, surf_graph, tmp_path):
+        graphs = [surf_graph, make_graph("b", [CAT, DOG], [(1, NEAR, 0)]),
+                  make_graph("c", [WAVE], [])]
+        write_jsonl(tmp_path / "d.jsonl", [graph_to_obj(g) for g in graphs])
+        loaded = load_dataset(tmp_path / "d.jsonl", vocab)
+        assert_slotted_and_equal_to_rebuilt(loaded.graphs)
+        assert loaded.graphs == tuple(graphs)
+
+    def test_perturb_graph(self, vocab, surf_graph, rng):
+        perturbed, record = perturb_graph(surf_graph, PerturbationConfig("rand", intensity=1.0),
+                                          vocab, rng)
+        assert len(record.replacements) == 3
+        assert_slotted_and_equal_to_rebuilt([perturbed])
+
+    def test_shot_subsets(self, vocab, surf_graph):
+        train = dataset_of(vocab, surf_graph)
+        test = dataset_of(vocab, make_graph("t", [PERSON, SURFBOARD, DOG],
+                                            [(0, ON, 1), (2, ON, 1)]))
+        subsets = shot_subsets(test, build_frequency_table(train))
+        assert_slotted_and_equal_to_rebuilt(
+            g for bucket in (subsets.zero, subsets.few10, subsets.all_shot)
+            for g in bucket.dataset.graphs)
 
 
 @st.composite

@@ -532,6 +532,22 @@ class TestPerturbDataset:
         with pytest.raises(ValueError, match=message):
             perturb_graph(ds.graphs[0], cfg, vocab, rng, resources)
 
+    @pytest.mark.parametrize("triplet", [(7, ON, SURFBOARD), (PERSON, 5, SURFBOARD)],
+                             ids=["category", "predicate"])
+    def test_graphn_table_must_fit_the_vocabulary(self, rng, triplet):
+        """Checked before any graph is perturbed: a category past |C| could make a run
+        fail part-way, naming the embedding table, and a predicate past |R| passed unseen."""
+        vocab = Vocabulary(("person", "surfboard", "wave", "dog", "cat"), ("on", "above"))
+        ds = self.corpus(vocab, n=2)
+        cfg = PerturbationConfig("graphn", intensity=1.0, top_k=2, alpha=0)
+        resources = PerturbationResources(embeddings_for(5), table_of({triplet: 3}))
+        s, p, o = triplet
+        message = rf"triplet \(s={s}, p={p}, o={o}\) outside the vocabulary \(\|C\|=5, \|R\|=2\)"
+        with pytest.raises(ValueError, match=message):
+            perturb_dataset(ds, cfg, resources)
+        with pytest.raises(ValueError, match=message):
+            perturb_graph(ds.graphs[0], cfg, vocab, rng, resources)
+
     def test_graphn_end_to_end_caps_intensity(self, vocab):
         ds = self.corpus(vocab, n=40)
         table = build_frequency_table(ds)
