@@ -296,11 +296,7 @@ def cmd_eval(args) -> int:
     if per_image is not None:
         report["per_image"] = per_image
     if args.csv:
-        _write_csv(
-            args.out,
-            ["metric", "K", "mode", "graph_constraint", "subset", "reweight_x", "value"],
-            [[args.metric, k, args.mode, args.graph_constraint, args.subset or "", args.reweight_x, value]],
-        )
+        _write_csv(args.out, list(report), [list(report.values())])
     else:
         _write_json(args.out, report)
     _log(f"eval: {args.metric}@{k} [{args.mode}] = {value:.4f}")

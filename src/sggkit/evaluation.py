@@ -82,8 +82,16 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _predicate_weights(f_r: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(1 / f_r)^x per predicate, 0 where f_r <= 0, and that zero mask."""
+def _predicate_weights(
+    f_r: np.ndarray | None, x: float, num_predicates: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(1 / f_r)^x per predicate, 0 where f_r <= 0, and that zero mask; f_r
+    must hold one frequency per predicate."""
+    if f_r is None:
+        raise ValueError("predicate frequencies f_r required when reweighting")
+    if np.shape(f_r) != (num_predicates,):
+        raise ValueError(f"f_r has shape {np.shape(f_r)}; reweighting needs one frequency per "
+                         f"predicate, shape ({num_predicates},)")
     if not 0 <= x < math.inf:  # rejects NaN too
         raise ValueError(f"reweighting exponent must be finite and >= 0, got {x}")
     f_r = np.asarray(f_r, dtype=np.float64)
@@ -107,11 +115,14 @@ def reweight_scores(
 ) -> tuple[PairScores, ...]:
     """Scale predicate scores by (1 / f_r)^x; x = 0 returns the input as is.
 
-    The result is not renormalized: it is only used for ranking.
+    f_r holds one frequency per entry of a pair's scores. The result is not
+    renormalized: it is only used for ranking.
     """
     if x == 0:
         return tuple(pairs)
-    weights, zero = _predicate_weights(f_r, x)
+    if not pairs:
+        return ()
+    weights, zero = _predicate_weights(f_r, x, len(pairs[0].scores))
     return tuple(
         PairScores(p.subject, p.object, _reweighted(p.scores, weights, zero)) for p in pairs
     )
@@ -210,39 +221,57 @@ class RecallResult:
     per_image: dict[str, float]  # fraction per scored image
     matched: int
     total: int
+    per_class: dict[int, float]  # percentage per predicate id with >= 1 eligible GT instance
+
+    @property
+    def mean(self) -> float:
+        """Mean recall: the per-class percentages averaged uniformly."""
+        return sum(self.per_class.values()) / len(self.per_class)
 
 
-def _match_images(
+def _percent(rows, aggregate: str) -> float:
+    """Recall in percent over (image, matched, eligible) rows."""
+    if aggregate == "triplet":
+        return 100.0 * sum(m for _, m, _ in rows) / sum(t for _, _, t in rows)
+    fractions = {i: m / t for i, m, t in rows}  # one value per image id, as per_image
+    return 100.0 * sum(fractions.values()) / len(fractions)
+
+
+def _evaluate(
     predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
-) -> list[tuple[str, list[tuple[int, bool]]]]:
-    """Rank each image with eligible GT edges once and match its edges.
-
-    Per scored image: its id, then (predicate, matched) per eligible edge.
-    """
+) -> RecallResult:
+    """Rank each image with eligible GT edges once, match its edges once, and
+    count the matches per image and per predicate class of the GT edge."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if aggregate not in AGGREGATES:
         raise ValueError(f"unknown aggregate {aggregate!r}; expected one of {AGGREGATES}")
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
+    num_objects, num_predicates = gt.vocabulary.num_objects, gt.vocabulary.num_predicates
     by_id: dict[str, PredictedGraph] = {}
     for p in predictions:
         if p.image_id in by_id:
             raise ValueError(f"duplicate prediction for image {p.image_id!r}")
+        if p.object_scores.shape[1] != num_objects:
+            raise ValueError(f"image {p.image_id!r}: object_scores has "
+                             f"{p.object_scores.shape[1]} columns; the vocabulary has "
+                             f"{num_objects} object categories")
+        for pair in p.pairs:
+            if np.shape(pair.scores) != (num_predicates,):
+                raise ValueError(f"image {p.image_id!r}: pair ({pair.subject}, {pair.object}) "
+                                 f"has scores of shape {np.shape(pair.scores)}; the vocabulary "
+                                 f"has {num_predicates} predicates")
         by_id[p.image_id] = p
     gt_ids = {g.image_id for g in gt.graphs}
     unknown = sorted(set(by_id) - gt_ids)
     if unknown:
         raise ValueError(f"predictions for images absent from ground truth: {unknown}")
     subset = frozenset(subset_filter) if subset_filter is not None else None
-    if reweight_x != 0 and f_r is None:
-        raise ValueError("predicate frequencies f_r required when reweighting")
-    if reweight_x != 0 and np.shape(f_r) != (gt.vocabulary.num_predicates,):
-        raise ValueError(f"f_r has shape {np.shape(f_r)}; reweighting needs one frequency per "
-                         f"predicate, shape ({gt.vocabulary.num_predicates},)")
-    weights = _predicate_weights(f_r, reweight_x) if reweight_x != 0 else None
+    weights = _predicate_weights(f_r, reweight_x, num_predicates) if reweight_x != 0 else None
 
     images = []
+    classes: dict[int, list[tuple[str, int, int]]] = {}
     missing = []
     for graph in gt.graphs:
         edge_indices = [
@@ -263,24 +292,23 @@ def _match_images(
             raise ValueError(f"image {graph.image_id!r}: sggen evaluation requires predicted boxes")
         ranked = _rank(pred, graph_constraint, k, weights)
         used = _matched_edges(ranked, graph, edge_indices, mode, pred.boxes)
-        predicates = [graph.edges[i].predicate for i in edge_indices]
-        images.append((graph.image_id, list(zip(predicates, used))))
+        images.append((graph.image_id, sum(used), len(used)))
+        of_class: dict[int, list[bool]] = {}
+        for i, u in zip(edge_indices, used):
+            of_class.setdefault(graph.edges[i].predicate, []).append(u)
+        for predicate, flags in of_class.items():
+            classes.setdefault(predicate, []).append((graph.image_id, sum(flags), len(flags)))
     if missing:
         raise ValueError(f"missing predictions for images: {sorted(missing)}")
     if not images:
         raise ValueError("no ground-truth triplets left after filtering")
-    return images
-
-
-def _recall(images, aggregate: str) -> RecallResult:
-    per_image = {i: sum(u for _, u in edges) / len(edges) for i, edges in images}
-    matched = sum(u for _, edges in images for _, u in edges)
-    total = sum(len(edges) for _, edges in images)
-    if aggregate == "image":
-        value = 100.0 * sum(per_image.values()) / len(per_image)
-    else:
-        value = 100.0 * matched / total
-    return RecallResult(value, per_image, matched, total)
+    return RecallResult(
+        _percent(images, aggregate),
+        {i: m / t for i, m, t in images},
+        sum(m for _, m, _ in images),
+        sum(t for _, _, t in images),
+        {p: _percent(classes[p], aggregate) for p in sorted(classes)},
+    )
 
 
 def recall_details(
@@ -294,66 +322,22 @@ def recall_details(
     f_r: np.ndarray | None = None,
     aggregate: str = "image",
 ) -> RecallResult:
-    """Recall@K with per-image values.
+    """Recall@K with per-image and per-class values, from one ranking of each image.
 
     Per image, ground-truth instances (optionally restricted to a triplet
     subset by categorical composition) are greedily matched against the
     top-K ranked triplets; images with no eligible instance are excluded
-    from the mean.
+    from the mean. The same matches, split by the predicate of the GT edge,
+    give `per_class` and the mean recall `mean`.
     """
-    images = _match_images(
+    return _evaluate(
         predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
     )
-    return _recall(images, aggregate)
 
 
-def recall_at_k(
-    predictions: Sequence[PredictedGraph],
-    gt: Dataset,
-    k: int,
-    mode: str = "sgcls",
-    subset_filter: Iterable[Triplet] | None = None,
-    graph_constraint: bool = False,
-    reweight_x: float = 0.0,
-    f_r: np.ndarray | None = None,
-    aggregate: str = "image",
-) -> float:
-    return recall_details(
-        predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
-    ).value
-
-
-@dataclass(frozen=True)
-class MeanRecallResult:
-    value: float  # percentage
-    per_class: dict[int, float]  # percentage per predicate id with >= 1 GT instance
-
-
-def mean_recall_details(
-    predictions: Sequence[PredictedGraph],
-    gt: Dataset,
-    k: int,
-    mode: str = "sgcls",
-    subset_filter: Iterable[Triplet] | None = None,
-    graph_constraint: bool = False,
-    reweight_x: float = 0.0,
-    f_r: np.ndarray | None = None,
-    aggregate: str = "image",
-) -> MeanRecallResult:
-    """Recall averaged uniformly over predicate classes present in the GT.
-
-    Each image is ranked and matched once; the matches are then split by
-    the predicate of the GT edge.
-    """
-    images = _match_images(
-        predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
-    )
-    present = sorted({p for _, edges in images for p, _ in edges})
-    per_class = {}
-    for predicate in present:
-        of_class = [(i, [e for e in edges if e[0] == predicate]) for i, edges in images]
-        per_class[predicate] = _recall([m for m in of_class if m[1]], aggregate).value
-    return MeanRecallResult(sum(per_class.values()) / len(per_class), per_class)
+def recall_at_k(*args, **kwargs) -> float:
+    """recall_details(...).value: Recall@K in percent."""
+    return recall_details(*args, **kwargs).value
 
 
 def mean_recall(
@@ -367,6 +351,8 @@ def mean_recall(
     f_r: np.ndarray | None = None,
     aggregate: str = "image",
 ) -> float:
-    return mean_recall_details(
+    """Recall averaged uniformly over the predicate classes present in the
+    eligible GT: recall_details(...).mean."""
+    return _evaluate(
         predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
-    ).value
+    ).mean

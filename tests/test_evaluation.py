@@ -9,7 +9,6 @@ from sggkit.evaluation import (
     RankedTriplet,
     iou,
     mean_recall,
-    mean_recall_details,
     rank_triplets,
     recall_at_k,
     recall_details,
@@ -434,8 +433,8 @@ class TestMeanRecall:
             PairScores(0, 1, np.array([1.0, 0.0, 0.0])),
             PairScores(1, 0, np.array([1.0, 0.0, 0.0])),
         )
-        details = mean_recall_details([PredictedGraph("a", scores, pairs)], ds, 50,
-                                      graph_constraint=True)
+        details = recall_details([PredictedGraph("a", scores, pairs)], ds, 50,
+                                 graph_constraint=True)
         assert details.per_class == {ON: 100.0, ABOVE: 0.0}
 
 
@@ -445,7 +444,11 @@ QUANTA = (0.0, 0.25, 0.5, 1.0)
 OBJECT_ROWS = ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5))
 
 
-@pytest.mark.parametrize("evaluate", [recall_details, mean_recall])
+def reweight_first_image(preds, ds, k, reweight_x, f_r):
+    return reweight_scores(preds[0].pairs, f_r, reweight_x)
+
+
+@pytest.mark.parametrize("evaluate", [recall_details, mean_recall, reweight_first_image])
 @pytest.mark.parametrize("size", [1, 2, 4])
 def test_reweighting_needs_one_frequency_per_predicate(vocab, surf_graph, evaluate, size):
     """One entry used to broadcast to every predicate, unweighted; 2 or 4 raised numpy's
@@ -454,6 +457,31 @@ def test_reweighting_needs_one_frequency_per_predicate(vocab, surf_graph, evalua
     preds = [perfect_prediction(surf_graph, vocab)]
     with pytest.raises(ValueError, match=rf"f_r has shape \({size},\); .* shape \(3,\)"):
         evaluate(preds, ds, 50, reweight_x=1.0, f_r=np.full(size, 0.5))
+
+
+def test_reweighting_no_pairs_is_empty():
+    assert reweight_scores((), np.full(3, 0.5), 1.0) == ()
+
+
+@pytest.mark.parametrize("evaluate", [recall_details, mean_recall])
+@pytest.mark.parametrize("object_columns, pair_scores, message", [
+    (3, [0.5, 0.5], r"image 'i': pair \(0, 1\) has scores of shape \(2,\); the vocabulary "
+                    "has 3 predicates"),
+    (3, [0.25] * 4, r"image 'i': pair \(0, 1\) has scores of shape \(4,\); the vocabulary "
+                    "has 3 predicates"),
+    (4, [1.0, 0.0, 0.0], "image 'i': object_scores has 4 columns; the vocabulary has 3 "
+                         "object categories"),
+], ids=["2-scores", "4-scores", "4-object-columns"])
+def test_prediction_sizes_must_match_the_vocabulary(evaluate, object_columns, pair_scores,
+                                                    message):
+    """Each of these used to score 0.0 with no error, ranking predicate and object ids
+    the vocabulary does not have."""
+    ds = Dataset(Vocabulary(("a", "b", "c"), ("p0", "p1", "p2")),
+                 (make_graph("i", [0, 1], [(0, 0, 1)]),))
+    pred = PredictedGraph("i", np.eye(2, object_columns),
+                          (PairScores(0, 1, np.array(pair_scores)),))
+    with pytest.raises(ValueError, match=message):
+        evaluate([pred], ds, 50)
 
 
 def quantised_instance(rng, image_id="i", num_pred=3):
@@ -542,9 +570,9 @@ class TestMeanRecallAgainstBruteForce:
             present = sorted({e.predicate for g in ds.graphs for e in g.edges})
             for constraint in (True, False):
                 for k in (1, 3, 20):
-                    got = mean_recall_details([p for _, p in instances], ds, k,
-                                              graph_constraint=constraint, aggregate=aggregate)
+                    got = recall_details([p for _, p in instances], ds, k,
+                                         graph_constraint=constraint, aggregate=aggregate)
                     expected = {c: brute_class_recall(instances, c, k, constraint, aggregate)
                                 for c in present}
                     assert got.per_class == expected
-                    assert got.value == sum(expected.values()) / len(expected)
+                    assert got.mean == sum(expected.values()) / len(expected)

@@ -4,6 +4,7 @@ annotation resolves."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -260,6 +261,44 @@ def test_benchmark_traced_names_keep_their_parameters(module, name, params):
     assert func is not None, f"sggkit.{module}.{name} is gone"
     func = func.__func__ if isinstance(func, classmethod) else func
     assert set(params) <= set(inspect.signature(func).parameters), name
+
+
+def test_benchmark_reads_per_image_from_the_recall_result():
+    """The tracer's hook on `recall_details` counts `len(result.per_image)`; a renamed
+    field would only raise its hook-error count."""
+    from sggkit.evaluation import RecallResult
+
+    assert "per_image" in {f.name for f in dataclasses.fields(RecallResult)}
+
+
+@pytest.mark.parametrize("metric, traced", [("recall", "recall_details"),
+                                            ("mean-recall", "mean_recall")])
+def test_each_eval_reaches_one_traced_entry_point_once(tmp_path, monkeypatch, metric, traced):
+    """A traced entry point that called the other would nest one span in the other and
+    count the candidates twice."""
+    from sggkit import cli, evaluation
+    from sggkit.ingest import graph_to_obj
+
+    from .conftest import ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
+
+    graph = make_graph("a", [PERSON, SURFBOARD], [(0, ON, 1)])
+    write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
+                ("on", "above", "near"))
+    write_jsonl(tmp_path / "gt.jsonl", [graph_to_obj(graph)])
+    write_jsonl(tmp_path / "preds.jsonl", [{
+        "image_id": "a", "object_labels": [PERSON, SURFBOARD],
+        "pairs": [{"subject": 0, "object": 1, "predicate_scores": [1.0, 0.0, 0.0]}],
+    }])
+    calls = []
+    for name in ("recall_details", "mean_recall"):
+        def counted(*args, _name=name, _func=getattr(evaluation, name), **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    assert cli.main(["eval", "--predictions", str(tmp_path / "preds.jsonl"),
+                     "--gt", str(tmp_path / "gt.jsonl"), "--vocab", str(tmp_path / "vocab.json"),
+                     "--metric", metric, "--out", str(tmp_path / "eval.json")]) == 0
+    assert calls == [traced]
 
 
 def test_only_the_model_module_builds_objects_unchecked():
