@@ -104,6 +104,15 @@ def _predicate_weights(
     return weights, zero
 
 
+def _check_pair_scores(
+    pairs: Sequence[PairScores], num_predicates: int, where: str, owner: str
+) -> None:
+    for pair in pairs:
+        if np.shape(pair.scores) != (num_predicates,):
+            raise ValueError(f"{where}pair ({pair.subject}, {pair.object}) has scores of shape "
+                             f"{np.shape(pair.scores)}; {owner} has {num_predicates} predicates")
+
+
 def _reweighted(scores: np.ndarray, weights: np.ndarray, zero: np.ndarray) -> np.ndarray:
     if (zero & (scores > 0)).any():
         raise ValueError("nonzero score for a predicate with zero training frequency")
@@ -123,6 +132,7 @@ def reweight_scores(
     if not pairs:
         return ()
     weights, zero = _predicate_weights(f_r, x, len(pairs[0].scores))
+    _check_pair_scores(pairs, len(weights), "", "f_r")
     return tuple(
         PairScores(p.subject, p.object, _reweighted(p.scores, weights, zero)) for p in pairs
     )
@@ -257,11 +267,7 @@ def _evaluate(
             raise ValueError(f"image {p.image_id!r}: object_scores has "
                              f"{p.object_scores.shape[1]} columns; the vocabulary has "
                              f"{num_objects} object categories")
-        for pair in p.pairs:
-            if np.shape(pair.scores) != (num_predicates,):
-                raise ValueError(f"image {p.image_id!r}: pair ({pair.subject}, {pair.object}) "
-                                 f"has scores of shape {np.shape(pair.scores)}; the vocabulary "
-                                 f"has {num_predicates} predicates")
+        _check_pair_scores(p.pairs, num_predicates, f"image {p.image_id!r}: ", "the vocabulary")
         by_id[p.image_id] = p
     gt_ids = {g.image_id for g in gt.graphs}
     unknown = sorted(set(by_id) - gt_ids)

@@ -20,6 +20,12 @@ edges and node count never change; only categories do.
              every incident composition is then a reference one. Isolated
              nodes (no composition evidence) and nodes no category satisfies
              are left alone
+
+Every draw is a `random()` or an `integers(high)` call on a generator.
+`perturb_dataset` seeds one per image with `_Stream`, a plain-Python copy of
+numpy's `default_rng` (SeedSequence, PCG64, Lemire's bounded integers), so
+rand and oracle_zs run without numpy; `perturb_graph` and `sample_nodes`
+take a `numpy.random.Generator` or any object with those two methods.
 """
 from __future__ import annotations
 
@@ -28,14 +34,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # PerturbationRecord and _affected_edges are re-exported.
 from .ingest import EmbeddingTable, PerturbationRecord, _affected_edges
 from .model import Dataset, SceneGraph, Triplet, Vocabulary, _dataset
 from .stats import TripletFrequencyTable
+
+if TYPE_CHECKING:  # numpy loads in the function that computes with arrays
+    import numpy as np
 
 METHODS = ("rand", "neigh", "graphn", "oracle_zs")
 
@@ -79,13 +86,115 @@ class PerturbationConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
+# numpy's `default_rng(seed)` in plain Python. SeedSequence(seed) hashes the seed's 32-bit
+# words into a pool of four and mixes the pool; eight more hashes of it give PCG64's
+# 128-bit state and increment. The hash constants depend on no seed, so they are made once.
+_U32 = 0xFFFFFFFF
+_U128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(const: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs of SeedSequence's first `n` hashes from `const`."""
+    steps = []
+    for _ in range(n):
+        steps.append((const, const * mult & _U32))
+        const = steps[-1][1]
+    return steps
+
+
+def _hashmix(value: int, step: tuple[int, int]) -> int:
+    value = (value ^ step[0]) * step[1] & _U32
+    return value ^ value >> 16
+
+
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_POOL_PAD = [_hashmix(0, step) for step in _POOL_STEPS[:4]]  # the pool words past the seed's
+_MIX_STEPS = [(src, dst, *step) for (src, dst), step in zip(
+    ((src, dst) for src in range(4) for dst in range(4) if src != dst), _POOL_STEPS[4:])]
+_STATE_STEPS = [(i % 4, *step) for i, step in enumerate(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))]
+
+
+class _Stream:
+    """The draws of `numpy.random.default_rng(seed)` for `seed` in [0, 2**64), bit for
+    bit: `random()`, and `integers(high)` for `high` >= 1 with numpy's int64 path. A
+    32-bit bound draws from the halves of 64-bit outputs, and a half left over is kept
+    across `random()` calls, as PCG64's `has_uint32` buffer is."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        if seed >> 32:
+            pool = [_hashmix(seed & _U32, _POOL_STEPS[0]), _hashmix(seed >> 32, _POOL_STEPS[1]),
+                    *_POOL_PAD[2:]]
+        else:
+            pool = [_hashmix(seed, _POOL_STEPS[0]), *_POOL_PAD[1:]]
+        for src, dst, xor, mult in _MIX_STEPS:  # pool[dst] = mix(pool[dst], hash(pool[src]))
+            h = (pool[src] ^ xor) * mult & _U32
+            h = (0xCA01F9DD * pool[dst] - 0x4973F715 * (h ^ h >> 16)) & _U32
+            pool[dst] = h ^ h >> 16
+        w = []
+        for src, xor, mult in _STATE_STEPS:
+            h = (pool[src] ^ xor) * mult & _U32
+            w.append(h ^ h >> 16)
+        # Little-endian 64-bit words; each 128-bit value is (high word, low word).
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+        self._inc = inc = (initseq << 1 | 1) & _U128
+        self._state = ((inc + initstate) * _PCG64_MULT + inc) & _U128
+        self._half = None
+
+    def _next64(self) -> int:
+        """PCG64's XSL-RR output: advance, then rotate the xor of the state's halves."""
+        self._state = state = (self._state * _PCG64_MULT + self._inc) & _U128
+        x = (state >> 64 ^ state) & _U64
+        rot = state >> 122
+        return (x >> rot | x << (64 - rot)) & _U64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _U32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, high: int) -> int:
+        """Uniform on [0, high), by Lemire's multiply-and-reject: 32-bit below a bound
+        of 2**32 and 64-bit above it. A bound of 1 draws nothing, and one of 2**32
+        returns the next 32-bit half as it is."""
+        if high < 1:
+            raise ValueError(f"high must be >= 1, got {high}")
+        if high == 1:
+            return 0
+        if high < 1 << 32:
+            m = self._next32() * high
+            if m & _U32 < high:
+                threshold = (1 << 32) % high
+                while m & _U32 < threshold:
+                    m = self._next32() * high
+            return m >> 32
+        if high == 1 << 32:
+            return self._next32()
+        m = self._next64() * high
+        if m & _U64 < high:
+            threshold = (1 << 64) % high
+            while m & _U64 < threshold:
+                m = self._next64() * high
+        return m >> 64
+
+
 def _num_to_sample(intensity: float, n: int) -> int:
     if intensity == 0.0:
         return 0
     return max(1, math.floor(intensity * n + 0.5))
 
 
-def _choice(rng: np.random.Generator, p: Sequence[float]) -> int:
+def _choice(rng: np.random.Generator | _Stream, p: Sequence[float]) -> int:
     """The index numpy's `Generator.choice(len(p), p=p)` draws, leaving `rng` in the same
     state: it divides the left-to-right running sum of `p` by its last entry and bisects
     one `random()` in the result."""
@@ -93,7 +202,9 @@ def _choice(rng: np.random.Generator, p: Sequence[float]) -> int:
     return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
-def sample_nodes(graph: SceneGraph, intensity: float, rng: np.random.Generator) -> list[int]:
+def sample_nodes(
+    graph: SceneGraph, intensity: float, rng: np.random.Generator | _Stream
+) -> list[int]:
     """Draw max(1, round(intensity * n)) distinct nodes, weighted by degree.
 
     Sampling is without replacement via successive draws; once every
@@ -124,8 +235,9 @@ def sample_nodes(graph: SceneGraph, intensity: float, rng: np.random.Generator) 
 def _perturb(
     graph: SceneGraph,
     cfg: PerturbationConfig,
-    choose: Callable[[SceneGraph, list[int], int, np.random.Generator], int | None],
-    rng: np.random.Generator,
+    choose: Callable[[SceneGraph, list[int], int, np.random.Generator | _Stream],
+                     int | None],
+    rng: np.random.Generator | _Stream,
     num_objects: int,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """The frame every method shares: sample nodes, then ask `choose` for
@@ -214,6 +326,8 @@ def _graphn_scores(
     The means equal Python's int / int while a category's summed counts stay
     below 2**53, far above any training-set count.
     """
+    import numpy as np
+
     total = np.zeros(table.category_bound, dtype=np.int64)
     support = np.zeros(table.category_bound, dtype=np.int64)
     for edge in graph.edges:
@@ -350,7 +464,7 @@ def perturb_graph(
     graph: SceneGraph,
     cfg: PerturbationConfig,
     vocab: Vocabulary,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Stream,
     resources: PerturbationResources | None = None,
 ) -> tuple[SceneGraph, PerturbationRecord]:
     """Perturb one graph with `cfg.method`, drawing from `rng`.
@@ -385,7 +499,7 @@ def perturb_dataset(
     perturbed = []
     records = []
     for graph in dataset.graphs:
-        rng = np.random.default_rng(graph_seed(graph.image_id, cfg.master_seed))
+        rng = _Stream(graph_seed(graph.image_id, cfg.master_seed))
         new_graph, record = _perturb(graph, cfg, rule, rng, vocab.num_objects)
         perturbed.append(new_graph)
         records.append(record)

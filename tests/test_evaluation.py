@@ -459,6 +459,15 @@ def test_reweighting_needs_one_frequency_per_predicate(vocab, surf_graph, evalua
         evaluate(preds, ds, 50, reweight_x=1.0, f_r=np.full(size, 0.5))
 
 
+def test_reweighting_checks_every_pair_against_f_r():
+    """Only the first pair's length was checked; a shorter later pair was broadcast, so
+    [0.5] came back as [1.0, 2.0, 2.0]."""
+    pairs = (PairScores(0, 1, np.array([0.2, 0.5, 0.3])), PairScores(1, 0, np.array([0.5])))
+    with pytest.raises(ValueError, match=r"^pair \(1, 0\) has scores of shape \(1,\); f_r has "
+                                         "3 predicates$"):
+        reweight_scores(pairs, np.array([0.5, 0.25, 0.25]), 1.0)
+
+
 def test_reweighting_no_pairs_is_empty():
     assert reweight_scores((), np.full(3, 0.5), 1.0) == ()
 

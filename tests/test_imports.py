@@ -104,6 +104,41 @@ def test_commands_without_array_work_load_no_numpy(tmp_path):
     assert (hits["hits"], hits["total"]) == (1, 1)
 
 
+def test_rand_and_oracle_zs_perturb_load_no_numpy(tmp_path):
+    """Both methods draw from the plain-Python generator and build no array, so a
+    fresh process that runs them never loads numpy."""
+    from sggkit.ingest import graph_to_obj
+
+    from .conftest import CAT, DOG, ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
+
+    write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
+                ("on", "above", "near"))
+    write_jsonl(tmp_path / "train.jsonl", [graph_to_obj(g) for g in (
+        make_graph("a", [PERSON, SURFBOARD], [(0, ON, 1)]),
+        make_graph("b", [CAT, SURFBOARD, DOG], [(0, ON, 1), (2, ON, 1)]),
+    )])
+    (tmp_path / "zs.json").write_text(json.dumps({"triplets": [
+        {"s": s, "p": ON, "o": SURFBOARD} for s in (PERSON, DOG, CAT)]}))
+    common = ["--dataset", str(tmp_path / "train.jsonl"), "--vocab", str(tmp_path / "vocab.json"),
+              "--intensity", "1"]
+    commands = [
+        ["perturb", "--method", method, *common, *extra,
+         "--out-dataset", str(tmp_path / f"{method}.jsonl"),
+         "--out-records", str(tmp_path / f"{method}_records.jsonl")]
+        for method, extra in (("rand", []), ("oracle_zs", ["--zs", str(tmp_path / "zs.json")]))
+    ]
+    loaded = run_python(
+        "import sys\n"
+        "from sggkit.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+        "print('numpy' in sys.modules, 'sggkit.perturb' in sys.modules)"
+    )
+    assert loaded.splitlines() == ["[0, 0]", "False True"]
+    for method in ("rand", "oracle_zs"):
+        records = (tmp_path / f"{method}_records.jsonl").read_text().splitlines()
+        assert any(json.loads(line)["replacements"] for line in records)
+
+
 @pytest.mark.parametrize("counts, message", [
     ("{Triplet(0, 0, 1): 0}", "non-positive count 0 for Triplet(subject_category=0, "
                               "predicate=0, object_category=1)"),

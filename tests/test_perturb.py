@@ -42,6 +42,7 @@ from sggkit.perturb import (
     PerturbationRecord,
     PerturbationResources,
     _choice,
+    _Stream,
     graph_seed,
     graphn_candidates,
     perturb_dataset,
@@ -862,9 +863,32 @@ def sampling_cases(draw):
     return graph, intensity, zs
 
 
+# A draw: None for `random()`, else the bound of `integers(high)`. The bounds around
+# 2**32 take each of the generator's three integer paths and the edges between them.
+draws = st.lists(st.one_of(
+    st.none(), st.integers(1, 2**63 - 1), st.integers(1, 300),
+    st.sampled_from([1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1]),
+), max_size=40)
+
+
 class TestSameDrawsAsNumpy:
     """The plain-Python draws against the numpy code they replaced: same picks, same
     categories, and the generator left in the same state."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**32 + 1)), draws)
+    def test_stream_equals_default_rng(self, seed, calls):
+        mine, numpy_rng = _Stream(seed), np.random.default_rng(seed)
+        for high in calls:
+            if high is None:
+                assert mine.random() == numpy_rng.random()
+            else:
+                assert mine.integers(high) == numpy_rng.integers(high)
+
+    @pytest.mark.parametrize("high", [0, -1])
+    def test_stream_rejects_an_empty_range(self, high):
+        with pytest.raises(ValueError):
+            _Stream(0).integers(high)
 
     @settings(max_examples=400, deadline=None)
     @given(choice_weights(), st.integers(0, 2**64 - 1))
