@@ -47,11 +47,11 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_side_file(path: str | Path, parse):
-    """parse(JSON payload of a side file: stats or a triplet set). Malformed
-    JSON, a missing key or a bad row is a ValueError that names the file."""
+    """parse(the open side file: stats or a triplet set). Malformed JSON, a
+    missing key or a bad row is a ValueError that names the file."""
     with open(path, encoding="utf-8") as f:
         try:
-            return parse(json.load(f))
+            return parse(f)
         except KeyError as e:
             raise ValueError(f"{path}: missing key {e}") from e
         except (ValueError, TypeError) as e:
@@ -60,13 +60,17 @@ def _load_side_file(path: str | Path, parse):
 
 def _load_triplet_set(path: str | Path):
     from . import stats
-    return _load_side_file(path, lambda payload: stats.triplet_set_from_json_obj(
-        payload["triplets"] if isinstance(payload, dict) else payload))
+
+    def parse(f):
+        payload = json.load(f)
+        return stats.triplet_set_from_json_obj(
+            payload["triplets"] if isinstance(payload, dict) else payload)
+    return _load_side_file(path, parse)
 
 
-def _frequency_table(payload, vocab):
+def _frequency_table(f, vocab):
     from . import stats
-    table = stats.TripletFrequencyTable.from_json_obj(payload["triplets"])
+    table = stats.TripletFrequencyTable.from_stats_json(f)
     table.check_vocabulary(vocab)
     return table
 
@@ -151,7 +155,7 @@ def cmd_perturb(args) -> int:
         embeddings = ingest.load_embeddings(args.embeddings, vocab)
     if args.method == "graphn":
         if args.stats:
-            table = _load_side_file(args.stats, lambda payload: _frequency_table(payload, vocab))
+            table = _load_side_file(args.stats, lambda f: _frequency_table(f, vocab))
         else:
             table = stats.build_frequency_table(dataset)
     if args.method == "oracle_zs":
@@ -266,7 +270,7 @@ def cmd_eval(args) -> int:
         if not args.stats:
             raise ValueError("--stats (for predicate frequencies) is required when --reweight-x > 0")
         f_r = _load_side_file(args.stats,
-                              lambda payload: _predicate_freq(payload, vocab.num_predicates))
+                              lambda f: _predicate_freq(json.load(f), vocab.num_predicates))
     k = args.k if args.k is not None else (50 if args.mode == "predcls" else 100)
     common = dict(
         mode=args.mode,

@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets
+from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets, left_sum
 
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
@@ -236,7 +236,7 @@ class RecallResult:
     @property
     def mean(self) -> float:
         """Mean recall: the per-class percentages averaged uniformly."""
-        return sum(self.per_class.values()) / len(self.per_class)
+        return left_sum(self.per_class.values()) / len(self.per_class)
 
 
 def _percent(rows, aggregate: str) -> float:
@@ -244,7 +244,7 @@ def _percent(rows, aggregate: str) -> float:
     if aggregate == "triplet":
         return 100.0 * sum(m for _, m, _ in rows) / sum(t for _, _, t in rows)
     fractions = {i: m / t for i, m, t in rows}  # one value per image id, as per_image
-    return 100.0 * sum(fractions.values()) / len(fractions)
+    return 100.0 * left_sum(fractions.values()) / len(fractions)
 
 
 def _evaluate(

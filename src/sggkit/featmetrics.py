@@ -34,6 +34,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
+from .model import left_sum
+
 DEFAULT_K = 5
 
 
@@ -218,7 +220,7 @@ class PRDCResult:
 
     @property
     def average(self) -> float:
-        return sum(self.as_tuple()) / 4.0
+        return left_sum(self.as_tuple()) / 4.0
 
 
 def precision_recall_density_coverage(

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple
 
 
@@ -241,3 +243,10 @@ def categorical_triplets(graph: SceneGraph) -> list[Triplet]:
         Triplet(graph.nodes[e.subject].category, e.predicate, graph.nodes[e.object].category)
         for e in graph.edges
     ]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The floats added one by one, left to right, as `sum` adds them before Python
+    3.12, whose `sum` compensates; a sum on an output path keeps its bits on every
+    supported Python."""
+    return reduce(add, values, 0.0)

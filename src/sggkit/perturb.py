@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 # PerturbationRecord and _affected_edges are re-exported.
 from .ingest import EmbeddingTable, PerturbationRecord, _affected_edges
-from .model import Dataset, SceneGraph, Triplet, Vocabulary, _dataset
+from .model import Dataset, SceneGraph, Triplet, Vocabulary, _dataset, left_sum
 from .stats import TripletFrequencyTable
 
 if TYPE_CHECKING:  # numpy loads in the function that computes with arrays
@@ -332,14 +332,17 @@ def _graphn_scores(
     support = np.zeros(table.category_bound, dtype=np.int64)
     for edge in graph.edges:
         if edge.subject == node:
-            hit = table.by_predicate_object.get((edge.predicate, categories[edge.object]))
+            groups, key = table.by_predicate_object, (edge.predicate, categories[edge.object])
         elif edge.object == node:
-            hit = table.by_subject_predicate.get((categories[edge.subject], edge.predicate))
+            groups, key = table.by_subject_predicate, (categories[edge.subject], edge.predicate)
         else:
             continue
+        bounds, members, counts = groups
+        hit = bounds.get(key)
         if hit is not None:
-            cats, counts = hit
-            total[cats] += counts
+            i, j = hit
+            cats = members[i:j]
+            total[cats] += counts[i:j]
             support[cats] += 1
     if categories[node] < table.category_bound:
         support[categories[node]] = 0
@@ -348,9 +351,9 @@ def _graphn_scores(
     kept = ~(means < alpha)  # the `mean < alpha` cutoff exactly
     cats, means = cats[kept], means[kept]
     inv = 1.0 / means
-    # Python's sum adds left to right; np.sum's pairwise order can change
-    # the last bit of the probabilities that the graphn draw consumes.
-    return cats, means, inv / sum(inv.tolist())
+    # np.sum's pairwise order can change the last bit of the probabilities that the
+    # graphn draw consumes.
+    return cats, means, inv / left_sum(inv.tolist())
 
 
 def graphn_candidates(
@@ -473,8 +476,10 @@ def perturb_graph(
     from it. Seeded with `graph_seed(graph.image_id, cfg.master_seed)`, this
     gives the graph and record `perturb_dataset` gives for that image. The
     rule is made on every call, from lookups built once per `resources`:
-    oracle_zs's reference index is kept on the resources object, and the
-    neighbour rankings and table groups on the tables themselves.
+    oracle_zs's reference index is kept on the resources object, the neighbour
+    rankings on the embedding table, and graphn's groups on the triplet table:
+    its columns sorted by (predicate, object) and by (subject, predicate), with
+    the (start, end) of each key's rows, which `_graphn_scores` slices.
     """
     graph.validate(vocab)
     return _perturb(graph, cfg, _rule(cfg, vocab, resources), rng, vocab.num_objects)

@@ -3,10 +3,11 @@ frequencies and marginal category distributions.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -16,14 +17,19 @@ from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_t
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
 
+    # Members and counts sorted by key, and the (start, end) of each key's rows in them.
+    _Groups = tuple[dict[tuple[int, int], tuple[int, int]], np.ndarray, np.ndarray]
+
 FEW10_MAX = 10
 FEW100_MAX = 100
+
+_ROW_KEYS = ("s", "p", "o", "count")
 
 
 class TripletFrequencyTable:
     """Training-set count per categorical triplet, as a dict and as (s, p, o, count)
     int64 columns. A table holds the form it was made from, the dict or, through
-    `from_json_obj`, the columns; the other is built on first use."""
+    `from_json_obj` and `from_stats_json`, the columns; the other is built on first use."""
 
     def __init__(self, counts: dict[Triplet, int]):
         _check_counts(counts)
@@ -37,7 +43,7 @@ class TripletFrequencyTable:
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         counts = self.counts
-        return _columns_of(chain.from_iterable((*t, c) for t, c in counts.items()), len(counts))
+        return _columns_of([*chain.from_iterable((*t, c) for t, c in counts.items())], len(counts))
 
     def _count_values(self):
         """The counts, from the form the table already holds."""
@@ -64,14 +70,14 @@ class TripletFrequencyTable:
         return 1 + int(max(s.max(), o.max())) if len(s) else 0
 
     @cached_property
-    def by_predicate_object(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """(predicate, object category) -> (subject categories, counts)."""
+    def by_predicate_object(self) -> _Groups:
+        """Subject categories and counts grouped by (predicate, object category)."""
         s, p, o, c = self._columns
         return _group(p, o, s, c)
 
     @cached_property
-    def by_subject_predicate(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """(subject category, predicate) -> (object categories, counts)."""
+    def by_subject_predicate(self) -> _Groups:
+        """Object categories and counts grouped by (subject category, predicate)."""
         s, p, o, c = self._columns
         return _group(s, p, o, c)
 
@@ -111,10 +117,62 @@ class TripletFrequencyTable:
     def from_json_obj(cls, rows: list[dict]) -> "TripletFrequencyTable":
         """The table of `to_json_obj` rows, read straight into columns; ids
         and counts must be JSON integers, and each triplet is listed once."""
+        return cls._of_columns(_columns_of(_int_values(rows, _ROW_KEYS), len(rows)))
+
+    @classmethod
+    def from_stats_json(cls, fp) -> "TripletFrequencyTable":
+        """The table of the "triplets" rows of the stats JSON in the file `fp`,
+        accepted and rejected as `from_json_obj(json.load(fp)["triplets"])` would.
+
+        Each object of exactly the four keys with integer values gives its values to
+        one flat list as soon as it is decoded, and a bare marker takes its place, so
+        no row dict outlives its own decode and the collector has nothing to scan.
+        Which markers are rows shows only once the whole file is decoded: unless
+        "triplets" holds every marker in order, `from_json_obj` reads it, with each
+        marker turned back into the object it replaced."""
+        flat: list[int] = []
+        markers: list[object] = []
+
+        def row(obj):
+            if len(obj) == 4:
+                try:
+                    values = obj["s"], obj["p"], obj["o"], obj["count"]
+                except KeyError:
+                    return obj
+                if int is type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]):
+                    flat.extend(values)
+                    markers.append(marker := object())
+                    return marker
+            return obj
+
+        payload = json.load(fp, object_hook=row)
+        if type(payload) is object:  # the file is one row, so it has no "triplets"
+            raise KeyError("triplets")
+        rows = payload["triplets"]
+        if rows == markers:
+            columns = _columns_of(flat, len(rows))
+            del payload, rows, flat[:], markers[:]  # before the checks, which take memory too
+            return cls._of_columns(columns)
+        at = {id(m): 4 * i for i, m in enumerate(markers)}
+
+        def restore(value):
+            if type(value) is object:
+                i = at[id(value)]
+                return dict(zip(_ROW_KEYS, flat[i:i + 4]))
+            if type(value) is list:
+                return [restore(v) for v in value]
+            if type(value) is dict:
+                return {k: restore(v) for k, v in value.items()}
+            return value
+        return cls.from_json_obj(restore(rows))
+
+    @classmethod
+    def _of_columns(cls, columns) -> "TripletFrequencyTable":
+        """The table of (s, p, o, count) int64 columns, once no id is negative, every
+        count is at least 1 and no triplet is listed twice."""
         import numpy as np
-        flat = _int_values(rows, ("s", "p", "o", "count"))
         table = cls.__new__(cls)
-        table._columns = s, p, o, c = _columns_of(flat, len(rows))
+        table._columns = s, p, o, c = columns
         if (s < 0).any() or (p < 0).any() or (o < 0).any():
             raise ValueError(_NEGATIVE_ID)
         if (c < 1).any():
@@ -125,8 +183,9 @@ class TripletFrequencyTable:
         order = np.argsort(spo, kind="stable")
         repeats = order[1:][spo[order[1:]] == spo[order[:-1]]]
         if repeats.size:
-            i = 4 * int(repeats.min())
-            raise ValueError(f"duplicate triplet {Triplet(*flat[i:i + 3])} in frequency table")
+            i = int(repeats.min())
+            raise ValueError(f"duplicate triplet {Triplet(int(s[i]), int(p[i]), int(o[i]))} "
+                             "in frequency table")
         return table
 
 
@@ -167,31 +226,27 @@ def _check_counts(counts: dict[Triplet, int]) -> None:
 
 
 def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(subject, predicate, object, count) int64 columns of `n` rows whose
-    values come flat, row after row."""
+    """(subject, predicate, object, count) int64 columns of the `n` rows of the
+    list `values`, which holds them flat, row after row."""
     import numpy as np
     try:
-        s, p, o, c = np.fromiter(values, np.int64, 4 * n).reshape(n, 4).T.copy()
+        return tuple(np.fromiter(islice(values, k, None, 4), np.int64, n) for k in range(4))
     except OverflowError as e:
         raise ValueError(_TOO_WIDE) from e
-    return s, p, o, c
 
 
-def _group(a, b, member, count) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """{(a, b): (member, count)}, one entry per distinct (a, b); the values
-    are views into one sorted copy, so memory grows with the triplets."""
+def _group(a, b, member, count) -> _Groups:
+    """`member` and `count` sorted stably by (a, b), with the (start, end) of each
+    distinct (a, b); the keys are compared column by column, so no two merge."""
     import numpy as np
     if not len(a):
-        return {}
-    key = a * (int(b.max()) + 1) + b
-    order = np.argsort(key, kind="stable")
-    key, member, count = key[order], member[order], count[order]
-    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    pairs = zip(a[order[heads]].tolist(), b[order[heads]].tolist())
-    bounds = [*heads.tolist(), len(key)]
-    return {
-        pair: (member[i:j], count[i:j]) for pair, i, j in zip(pairs, bounds, bounds[1:])
-    }
+        return {}, member, count
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    heads = np.flatnonzero(np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]))))
+    bounds = [*heads.tolist(), len(a)]
+    keys = zip(a[heads].tolist(), b[heads].tolist())
+    return dict(zip(keys, zip(bounds, bounds[1:]))), member[order], count[order]
 
 
 def build_frequency_table(train: Dataset) -> TripletFrequencyTable:

@@ -657,6 +657,32 @@ class TestSideFiles:
         assert not (workspace / "p.jsonl").exists()
 
 
+GOOD_STATS_ROWS = '{"s": 0, "p": 0, "o": 1, "count": 2}, {"s": 1, "p": 0, "o": 1, "count": 2}'
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"triplets": [7]}', "'int' object is not subscriptable"),
+    ('{"triplets": [{"s": {"id": 0}, "p": 0, "o": 1, "count": 2}]}',
+     "row 0 's': expected an integer, got {'id': 0}"),
+    ('{"triplets": [{"s": {"s": 0, "p": 0, "o": 1, "count": 2}, "p": 0, "o": 1, "count": 2}]}',
+     "row 0 's': expected an integer, got {'s': 0, 'p': 0, 'o': 1, 'count': 2}"),
+    (f'{{"triplets": [{GOOD_STATS_ROWS}, {{"s": 2, "p": 0, "o": 1, "count": 2.5}}]}}',
+     "row 2 'count': expected an integer, got 2.5"),
+    (f'{{"triplets": [{GOOD_STATS_ROWS}, {{"s": 2, "p": 0}}]}}', "missing key 'o'"),
+    (f'{{"triplets": [{GOOD_STATS_ROWS}, 7]}}', "'int' object is not subscriptable"),
+    (f'{{"triplets": [{GOOD_STATS_ROWS}, {{"s": 0, "p": 0, "o": 1, "count": 5}}]}}',
+     "duplicate triplet Triplet(subject_category=0, predicate=0, object_category=1)"),
+    ('{"s": 0, "p": 0, "o": 1, "count": 2}', "missing key 'triplets'"),
+], ids=["int-row", "object-value", "row-shaped-value", "float-after-rows",
+        "missing-key-after-rows", "int-after-rows", "duplicate-after-rows", "bare-row"])
+def test_bad_stats_rows_exit_2_naming_file(workspace, capsys, content, message):
+    side = workspace / "stats.json"
+    side.write_text(content)
+    assert run(side_file_command(workspace, "perturb --stats", side)) == 2
+    assert f"error: {side}: {message}" in capsys.readouterr().err
+    assert not (workspace / "p.jsonl").exists()
+
+
 def jsonl_command(workspace, command, path):
     """`command` reading `path` as its JSON-Lines input: the dataset of
     stats, the predictions of eval, the records of hit-rate."""

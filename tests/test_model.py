@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -219,3 +222,63 @@ def test_triplets_align_with_edges(graph):
         assert t.subject_category == graph.nodes[e.subject].category
         assert t.predicate == e.predicate
         assert t.object_category == graph.nodes[e.object].category
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """Python 3.12's `sum` compensates float rounding; `math.fsum` stands in for it."""
+    values = list(values)
+    if values and all(type(v) is float for v in values):
+        return start + math.fsum(values)
+    return BUILTIN_SUM(values, start)
+
+
+def graphn_probabilities():
+    from sggkit.perturb import graphn_candidates
+    from sggkit.stats import TripletFrequencyTable
+
+    # Ten candidates for node 0, each with mean count 10, so each inverse is 0.1.
+    table = TripletFrequencyTable({Triplet(c, 0, 11): 10 for c in range(1, 11)})
+    graph = SceneGraph("g", 100, 100, (ObjectNode(0, BoundingBox(0, 0, 5, 5)),
+                                       ObjectNode(11, BoundingBox(10, 0, 15, 5))),
+                       (Relationship(0, 0, 1),))
+    return [c.probability for c in graphn_candidates(graph, 0, table, 0)]
+
+
+def image_recall():
+    from sggkit.evaluation import _percent
+    return _percent([(f"i{k}", 1, 10) for k in range(10)], "image")
+
+
+def mean_recall():
+    from sggkit.evaluation import RecallResult
+    return RecallResult(10.0, {}, 1, 10, {k: 0.1 for k in range(10)}).mean
+
+
+def prdc_average():
+    from sggkit.featmetrics import PRDCResult
+    return PRDCResult(0.7, 0.1, 0.1, 0.1).average
+
+
+@pytest.mark.parametrize("site, expected", [
+    (graphn_probabilities, [0.1 / left_to_right([0.1] * 10)] * 10),
+    (image_recall, 100.0 * left_to_right([0.1] * 10) / 10),
+    (mean_recall, left_to_right([0.1] * 10) / 10),
+    (prdc_average, left_to_right([0.7, 0.1, 0.1, 0.1]) / 4.0),
+], ids=["graphn-normaliser", "image-recall", "mean-recall", "prdc-average"])
+def test_output_float_sums_add_left_to_right(monkeypatch, site, expected):
+    """Each float sum on an output path keeps 3.11's left-to-right bits where a
+    compensated `sum`, as in 3.12, gives others; these inputs tell the two apart."""
+    assert left_to_right([0.1] * 10) != compensated_sum([0.1] * 10)
+    assert left_to_right([0.7, 0.1, 0.1, 0.1]) != compensated_sum([0.7, 0.1, 0.1, 0.1])
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert site() == expected

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import io
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -7,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sggkit.ingest import Dataset
+import sggkit
+from sggkit.ingest import Dataset, graph_to_obj
 from sggkit.model import Triplet, Vocabulary, categorical_triplets
 from sggkit.stats import (
     TripletFrequencyTable,
@@ -18,7 +24,9 @@ from sggkit.stats import (
     triplet_set_from_json_obj,
 )
 
-from .conftest import ABOVE, CAT, DOG, ON, PERSON, SURFBOARD, WAVE, dataset_of, make_graph
+from .conftest import (
+    ABOVE, CAT, DOG, ON, PERSON, SURFBOARD, WAVE, dataset_of, make_graph, write_jsonl, write_vocab,
+)
 
 
 def toy_corpus(vocab):
@@ -147,6 +155,174 @@ class TestTableColumns:
         if key != "count":
             with pytest.raises(TypeError, match=rf"row 1 '{key}': expected an integer"):
                 triplet_set_from_json_obj(rows)
+
+
+def groups(table, name):
+    """A grouping of `table` as {key: (members, counts)}."""
+    bounds, members, counts = getattr(table, name)
+    return {key: (members[i:j].tolist(), counts[i:j].tolist()) for key, (i, j) in bounds.items()}
+
+
+def test_groups_keep_keys_apart_for_any_int64_ids():
+    """A combined key a * (max b + 1) + b wraps past 2**63 here and merged the first
+    two groups into (0, 2**24): ([5, 6], [3, 4])."""
+    table = TripletFrequencyTable(
+        {Triplet(5, 0, 2**24): 3, Triplet(6, 2**24, 0): 4, Triplet(7, 1, 2**40): 2})
+    assert groups(table, "by_predicate_object") == {
+        (0, 2**24): ([5], [3]), (1, 2**40): ([7], [2]), (2**24, 0): ([6], [4])}
+    assert groups(table, "by_subject_predicate") == {
+        (5, 0): ([2**24], [3]), (6, 2**24): ([0], [4]), (7, 1): ([2**40], [2])}
+
+
+def read_both_ways(text):
+    """(the `perturb --stats` reader's outcome, `from_json_obj`'s outcome) on `text`:
+    a table, or the type and message of the error raised."""
+    outcomes = []
+    for read in (TripletFrequencyTable.from_stats_json,
+                 lambda f: TripletFrequencyTable.from_json_obj(json.load(f)["triplets"])):
+        try:
+            outcomes.append(read(io.StringIO(text)))
+        except (KeyError, TypeError, ValueError) as e:
+            outcomes.append((type(e), str(e)))
+    return outcomes
+
+
+def assert_same_table(got, want):
+    for a, b in zip(got._columns, want._columns):
+        assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist()
+    assert list(got.counts.items()) == list(want.counts.items())
+    for name in ("by_predicate_object", "by_subject_predicate"):
+        assert list(groups(got, name).items()) == list(groups(want, name).items())
+
+
+LAYOUTS = ["compact", "indent", "shuffled", "extra_row_keys", "extra_top_key"]
+
+
+def stats_text(rows, layout, draw):
+    """`rows` as a stats file in `layout`: compact, `indent=2` with sorted keys (as
+    `stats` writes it), each row's keys in a drawn order, rows with keys beyond the
+    four (a nested row among them), or row-shaped objects under a second top-level key."""
+    extra = [{"s": 1, "p": 2, "o": 3, "count": 4}]
+    if layout == "shuffled":
+        rows = [dict(draw(st.permutations(list(r.items())))) for r in rows]
+    elif layout == "extra_row_keys":
+        rows = [{**r, "id": k, "nested": extra} if k % 2 else r for k, r in enumerate(rows)]
+    payload = {"triplets": rows, "predicate_freq": [0.5, 0.5]}
+    if layout == "extra_top_key":
+        before = draw(st.booleans())
+        payload = {"a": extra, **payload} if before else {**payload, "z": extra * 2}
+    if layout == "indent":
+        return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, separators=(",", ":"))
+
+
+class TestStatsFileReader:
+    """`from_stats_json`, the `perturb --stats` reader, decodes straight into columns
+    and gives what `from_json_obj` gives on the decoded rows, tables and errors alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(id_values, id_values, id_values,
+                              st.sampled_from([1, 2, 3, 2**40, 2**63 - 1])), max_size=10),
+           st.sampled_from(LAYOUTS), st.data())
+    def test_reads_like_from_json_obj(self, spocs, layout, data):
+        rows = [{"s": s, "p": p, "o": o, "count": c} for s, p, o, c in spocs]
+        got, want = read_both_ways(stats_text(rows, layout, data.draw))
+        if isinstance(want, tuple):
+            assert got == want and brute_first_repeat(rows) is not None
+        else:
+            assert_same_table(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, -1, 2**63, 1.5, True, None, "1"]),
+                              st.sampled_from(["s", "p", "o", "count"])), max_size=3),
+           st.integers(0, 5), st.sampled_from(LAYOUTS), st.data())
+    def test_rejects_like_from_json_obj(self, edits, bad_at, layout, data):
+        rows = [{"s": k, "p": 0, "o": 1, "count": 2} for k in range(5)]
+        for value, key in edits:
+            rows[min(bad_at, 4)][key] = value
+        got, want = read_both_ways(stats_text(rows, layout, data.draw))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_table(got, want)
+
+    @pytest.mark.parametrize("text", [
+        '{"triplets": [7]}',
+        '{"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}, 7]}',
+        '{"triplets": [{"s": {"s": 0, "p": 0, "o": 1, "count": 2}, "p": 0, "o": 1, "count": 2}]}',
+        '{"triplets": [{"s": [{"s": 0, "p": 0, "o": 1, "count": 2}], "p": 0, "o": 1, "count": 2}]}',
+        '{"triplets": {"s": 0, "p": 0, "o": 1, "count": 2}}',
+        '{"triplets": {}}',
+        '{"triplets": ""}',
+        '{"s": 0, "p": 0, "o": 1, "count": 2}',
+        '{"s": 0, "p": 0, "o": 1, "count": 2, "triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}]}',
+        '[{"s": 0, "p": 0, "o": 1, "count": 2}]',
+        '{"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}], '
+        '"triplets": [{"s": 1, "p": 0, "o": 1, "count": 3}]}',
+        '{"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}, {"s": 0, "p": 0, "o": 1}]}',
+    ], ids=["int-row", "int-after-row", "row-valued-id", "list-of-row-id", "row-not-list",
+            "empty-object", "empty-string", "bare-row", "row-shaped-top", "top-level-list",
+            "repeated-key", "missing-key-after-row"])
+    def test_odd_files_read_like_from_json_obj(self, text):
+        got, want = read_both_ways(text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_table(got, want)
+
+
+# Reads a 120,000-row stats file after loading a 3,000-graph dataset, as `perturb
+# --stats` does, in a fresh interpreter: prints the traced peak per row and the number
+# of full (generation-2) collections during the read.
+READ_PROBE = """
+import gc, sys, tracemalloc
+from sggkit import cli, ingest
+vocab = ingest.load_vocabulary("vocab.json")
+dataset = ingest.load_dataset("train.jsonl", vocab)
+full = []
+gc.callbacks.append(lambda phase, info: phase == "start" and info["generation"] == 2
+                    and full.append(info))
+traced = sys.argv[1] == "traced"
+if traced:
+    tracemalloc.start()
+table = cli._load_side_file("stats.json", lambda f: cli._frequency_table(f, vocab))
+peak = tracemalloc.get_traced_memory()[1] if traced else 0
+print(table.distinct_triplets, peak / table.distinct_triplets, len(full))
+"""
+
+
+@pytest.fixture(scope="module")
+def read_probe(tmp_path_factory):
+    """Runs READ_PROBE on a 120,000-row stats file and a 3,000-graph dataset."""
+    root = tmp_path_factory.mktemp("stats_read")
+    write_vocab(root / "vocab.json", [f"o{i}" for i in range(150)], [f"p{i}" for i in range(51)])
+    with open(root / "stats.json", "w", encoding="utf-8") as f:
+        json.dump({"triplets": [
+            {"count": 1 + k * 7919 % 3000, "o": k % 150, "p": k // 150 % 51, "s": k // 7650}
+            for k in range(120_000)]}, f, separators=(",", ":"), sort_keys=True)
+    write_jsonl(root / "train.jsonl", [graph_to_obj(make_graph(
+        f"g{i}", [(i + j) % 150 for j in range(10)], [(j, (i + j) % 51, j + 1) for j in range(9)]))
+        for i in range(3000)])
+    src = os.path.dirname(os.path.dirname(sggkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def probe(mode):
+        out = subprocess.run([sys.executable, "-c", READ_PROBE, mode], cwd=root, env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert int(out[0]) == 120_000
+        return float(out[1]), int(out[2])
+    return probe
+
+
+def test_stats_read_after_a_dataset_load_starts_no_full_collection(read_probe):
+    """Row dicts decoded first set off a full collection that scanned the dataset."""
+    assert read_probe("untraced")[1] == 0
+
+
+def test_stats_read_peak_per_row_is_bounded(read_probe):
+    """About 180 bytes per row at the peak; with row dicts decoded first, about 420."""
+    assert read_probe("traced")[0] < 256
 
 
 class TestShotSubsets:
