@@ -59,11 +59,11 @@ def _load_side_file(path: str | Path, parse):
 
 
 def _load_triplet_set(path: str | Path):
-    from . import stats
+    from . import ingest
 
     def parse(f):
         payload = json.load(f)
-        return stats.triplet_set_from_json_obj(
+        return ingest.triplet_set_from_json_obj(
             payload["triplets"] if isinstance(payload, dict) else payload)
     return _load_side_file(path, parse)
 
@@ -138,7 +138,7 @@ def cmd_subsets(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    from . import ingest, perturb, stats
+    from . import ingest, perturb
     vocab = ingest.load_vocabulary(args.vocab)
     dataset = ingest.load_dataset(args.dataset, vocab)
     cfg = perturb.PerturbationConfig(
@@ -154,6 +154,7 @@ def cmd_perturb(args) -> int:
             raise ValueError(f"--embeddings is required for method {args.method!r}")
         embeddings = ingest.load_embeddings(args.embeddings, vocab)
     if args.method == "graphn":
+        from . import stats
         if args.stats:
             table = _load_side_file(args.stats, lambda f: _frequency_table(f, vocab))
         else:

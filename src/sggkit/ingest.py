@@ -1,5 +1,5 @@
 """File formats and loaders: vocabularies, JSONL datasets, perturbation
-records, GloVe-style embeddings, prediction files and feature matrices.
+records, triplet sets, GloVe-style embeddings, prediction files and feature matrices.
 
 All formats are UTF-8 text with decimal floats. Unknown JSON keys are
 ignored for forward compatibility.
@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .model import BoundingBox, Dataset, SceneGraph, Vocabulary, _dataset, _edge, _graph, _node
+from .model import (BoundingBox, Dataset, SceneGraph, Triplet, Vocabulary, _dataset, _edge,
+                    _graph, _node)
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
@@ -128,6 +130,24 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _int_values(rows: list[dict], keys: tuple[str, ...]) -> list[int]:
+    """`keys` of each row, row after row, each a JSON integer (`json_int`)."""
+    flat = list(chain.from_iterable(map(itemgetter(*keys), rows)))
+    if not set(map(type, flat)) <= {int}:
+        for i, value in enumerate(flat):
+            try:
+                json_int(value)
+            except TypeError as e:
+                raise TypeError(f"row {i // len(keys)} {keys[i % len(keys)]!r}: {e}") from None
+    return flat
+
+
+def triplet_set_from_json_obj(rows: list[dict]) -> frozenset[Triplet]:
+    """The set of `stats.triplet_set_to_json_obj` rows; ids must be JSON integers."""
+    flat = _int_values(rows, ("s", "p", "o"))
+    return frozenset(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))
 
 
 def iter_jsonl(path: str | Path):

@@ -39,10 +39,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 # PerturbationRecord and _affected_edges are re-exported.
 from .ingest import EmbeddingTable, PerturbationRecord, _affected_edges
 from .model import Dataset, SceneGraph, Triplet, Vocabulary, _dataset, left_sum
-from .stats import TripletFrequencyTable
 
-if TYPE_CHECKING:  # numpy loads in the function that computes with arrays
+if TYPE_CHECKING:  # numpy loads in the function that computes with arrays, stats with graphn
     import numpy as np
+
+    from .stats import TripletFrequencyTable
 
 METHODS = ("rand", "neigh", "graphn", "oracle_zs")
 

@@ -3,15 +3,16 @@ frequencies and marginal category distributions.
 """
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .ingest import json_int
+# triplet_set_from_json_obj is re-exported.
+from .ingest import _int_values, triplet_set_from_json_obj
 from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_triplets
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
@@ -23,7 +24,15 @@ if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
 FEW10_MAX = 10
 FEW100_MAX = 100
 
-_ROW_KEYS = ("s", "p", "o", "count")
+# The "triplets" rows as this repository writes them, by the text that opens the array:
+# compact (`perfbench/gen.py`) and `indent=2` (`sggkit stats`), with sorted keys. Each
+# gives a row and its "," with the digits taken out, and the text after the last row.
+_ROW_LAYOUTS = {
+    '"triplets":[': ('{"count":,"o":,"p":,"s":},', ""),
+    '"triplets": [': (
+        '\n    {\n      "count": ,\n      "o": ,\n      "p": ,\n      "s": \n    },', "\n  ")}
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_DIGITS_ONLY = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isdigit()})
 
 
 class TripletFrequencyTable:
@@ -117,54 +126,17 @@ class TripletFrequencyTable:
     def from_json_obj(cls, rows: list[dict]) -> "TripletFrequencyTable":
         """The table of `to_json_obj` rows, read straight into columns; ids
         and counts must be JSON integers, and each triplet is listed once."""
-        return cls._of_columns(_columns_of(_int_values(rows, _ROW_KEYS), len(rows)))
+        return cls._of_columns(_columns_of(_int_values(rows, ("s", "p", "o", "count")), len(rows)))
 
     @classmethod
     def from_stats_json(cls, fp) -> "TripletFrequencyTable":
-        """The table of the "triplets" rows of the stats JSON in the file `fp`,
-        accepted and rejected as `from_json_obj(json.load(fp)["triplets"])` would.
-
-        Each object of exactly the four keys with integer values gives its values to
-        one flat list as soon as it is decoded, and a bare marker takes its place, so
-        no row dict outlives its own decode and the collector has nothing to scan.
-        Which markers are rows shows only once the whole file is decoded: unless
-        "triplets" holds every marker in order, `from_json_obj` reads it, with each
-        marker turned back into the object it replaced."""
-        flat: list[int] = []
-        markers: list[object] = []
-
-        def row(obj):
-            if len(obj) == 4:
-                try:
-                    values = obj["s"], obj["p"], obj["o"], obj["count"]
-                except KeyError:
-                    return obj
-                if int is type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]):
-                    flat.extend(values)
-                    markers.append(marker := object())
-                    return marker
-            return obj
-
-        payload = json.load(fp, object_hook=row)
-        if type(payload) is object:  # the file is one row, so it has no "triplets"
-            raise KeyError("triplets")
-        rows = payload["triplets"]
-        if rows == markers:
-            columns = _columns_of(flat, len(rows))
-            del payload, rows, flat[:], markers[:]  # before the checks, which take memory too
-            return cls._of_columns(columns)
-        at = {id(m): 4 * i for i, m in enumerate(markers)}
-
-        def restore(value):
-            if type(value) is object:
-                i = at[id(value)]
-                return dict(zip(_ROW_KEYS, flat[i:i + 4]))
-            if type(value) is list:
-                return [restore(v) for v in value]
-            if type(value) is dict:
-                return {k: restore(v) for k, v in value.items()}
-            return value
-        return cls.from_json_obj(restore(rows))
+        """`from_json_obj(json.load(fp)["triplets"])`: read straight from the text of
+        `fp` where `_layout_columns` shows the two the same, through it otherwise."""
+        text = fp.read()
+        if (columns := _layout_columns(text)) is None:
+            return cls.from_json_obj(json.load(io.StringIO(text))["triplets"])
+        del text  # before the checks, which take memory too
+        return cls._of_columns(columns)
 
     @classmethod
     def _of_columns(cls, columns) -> "TripletFrequencyTable":
@@ -187,18 +159,6 @@ class TripletFrequencyTable:
             raise ValueError(f"duplicate triplet {Triplet(int(s[i]), int(p[i]), int(o[i]))} "
                              "in frequency table")
         return table
-
-
-def _int_values(rows: list[dict], keys: tuple[str, ...]) -> list[int]:
-    """`keys` of each row, row after row, each a JSON integer (`ingest.json_int`)."""
-    flat = list(chain.from_iterable(map(itemgetter(*keys), rows)))
-    if not set(map(type, flat)) <= {int}:
-        for i, value in enumerate(flat):
-            try:
-                json_int(value)
-            except TypeError as e:
-                raise TypeError(f"row {i // len(keys)} {keys[i % len(keys)]!r}: {e}") from None
-    return flat
 
 
 _TOO_WIDE = "frequency table id or count does not fit in 64 bits"
@@ -233,6 +193,52 @@ def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         return tuple(np.fromiter(islice(values, k, None, 4), np.int64, n) for k in range(4))
     except OverflowError as e:
         raise ValueError(_TOO_WIDE) from e
+
+
+def _layout_columns(text: str):
+    """The (s, p, o, count) int64 columns of the "triplets" rows of `text` where they are
+    laid out as in `_ROW_LAYOUTS` and shown to be what `json.load` finds there; else None.
+    The rows array is taken to close at the first "]" after it, and it is shown thus:
+    - `outside`, the text with "[]" for the array, has one `"triplets"` and no backslash,
+      and parses as an object whose "triplets" is []. With no escape, each '"' in it
+      delimits a string, so that `"triplets"` is the top-level key and the array its value;
+    - each chunk of rows, its digits taken out, is rows of the layout: objects of the four
+      keys whose values are runs of digits, none empty (4 numbers a row parse);
+    - each run parses to a value whose decimal, counted up to 18 digits, is as long as the
+      run: a JSON integer below 10**18, with no leading zero, that `json` decodes alike.
+    So the reference decodes the same rows, all JSON integers within int64, and hands
+    `_of_columns` the same columns. Any other file goes to the reference, errors and all."""
+    import numpy as np
+    key = text.find('"triplets"')
+    opening = text[key:text.find("[", key) + 1]
+    if key < 0 or opening not in _ROW_LAYOUTS:
+        return None
+    (row, tail), start = _ROW_LAYOUTS[opening], key + len(opening)
+    close = text.find("]", start)
+    outside = text[:start] + text[close:]
+    try:
+        if (close < 0 or outside.count('"triplets"') != 1 or "\\" in outside
+                or json.load(io.StringIO(outside))["triplets"] != []):
+            return None
+    except (LookupError, TypeError, ValueError):
+        return None
+    columns = np.empty((4, text.count("}", start, close)), np.int64)
+    at, done = start, 0
+    while at < close:
+        end = text.find("},", at + (1 << 18), close)  # chunks of 256K characters and up
+        end = close if end < 0 else end + 2
+        chunk = text[at:end]
+        skeleton = chunk.translate(_NO_DIGITS)
+        k = skeleton.count("}")
+        if not k or skeleton != (row * k if end < close else (row * k)[:-1] + tail):
+            return None
+        values = np.fromstring(chunk.translate(_DIGITS_ONLY), np.int64, sep=" ")
+        if len(values) != 4 * k or len(chunk) - len(skeleton) != 4 * k + np.searchsorted(
+                10 ** np.arange(1, 18), values, "right").sum():
+            return None
+        columns[:, done:done + k] = values.reshape(k, 4).T
+        at, done = end, done + k
+    return tuple(columns[::-1])  # the layouts list count, o, p, s
 
 
 def _group(a, b, member, count) -> _Groups:
@@ -363,9 +369,3 @@ def triplet_set_to_json_obj(triplets) -> list[dict]:
         {"s": t.subject_category, "p": t.predicate, "o": t.object_category}
         for t in sorted(triplets)
     ]
-
-
-def triplet_set_from_json_obj(rows: list[dict]) -> frozenset[Triplet]:
-    """The set of `triplet_set_to_json_obj` rows; ids must be JSON integers."""
-    flat = _int_values(rows, ("s", "p", "o"))
-    return frozenset(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))

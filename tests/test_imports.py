@@ -139,6 +139,45 @@ def test_rand_and_oracle_zs_perturb_load_no_numpy(tmp_path):
         assert any(json.loads(line)["replacements"] for line in records)
 
 
+def test_perturb_methods_but_graphn_load_no_stats_module(tmp_path):
+    """Only graphn reads a triplet table, so rand, neigh and oracle_zs in one fresh
+    process never import (or, without bytecode, compile) `sggkit.stats`."""
+    from sggkit.ingest import graph_to_obj
+
+    from .conftest import CAT, DOG, ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
+
+    objects = ("person", "surfboard", "wave", "dog", "cat")
+    write_vocab(tmp_path / "vocab.json", objects, ("on", "above", "near"))
+    write_jsonl(tmp_path / "train.jsonl", [graph_to_obj(g) for g in (
+        make_graph("a", [PERSON, SURFBOARD], [(0, ON, 1)]),
+        make_graph("b", [CAT, SURFBOARD, DOG], [(0, ON, 1), (2, ON, 1)]),
+    )])
+    (tmp_path / "glove.txt").write_text(
+        "".join(f"{name} {k} {k % 2} 1\n" for k, name in enumerate(objects)))
+    (tmp_path / "zs.json").write_text(json.dumps({"triplets": [
+        {"s": s, "p": ON, "o": SURFBOARD} for s in (PERSON, DOG, CAT)]}))
+    common = ["--dataset", str(tmp_path / "train.jsonl"), "--vocab", str(tmp_path / "vocab.json"),
+              "--intensity", "1"]
+    neigh = ["--embeddings", str(tmp_path / "glove.txt"), "--top-k", "2"]
+    commands = [
+        ["perturb", "--method", method, *common, *extra,
+         "--out-dataset", str(tmp_path / f"{method}.jsonl"),
+         "--out-records", str(tmp_path / f"{method}_records.jsonl")]
+        for method, extra in (("rand", []), ("neigh", neigh),
+                              ("oracle_zs", ["--zs", str(tmp_path / "zs.json")]))
+    ]
+    loaded = run_python(
+        "import sys\n"
+        "from sggkit.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+        "print('sggkit.perturb' in sys.modules, 'sggkit.stats' in sys.modules)"
+    )
+    assert loaded.splitlines() == ["[0, 0, 0]", "True False"]
+    for method in ("rand", "neigh", "oracle_zs"):
+        records = (tmp_path / f"{method}_records.jsonl").read_text().splitlines()
+        assert any(json.loads(line)["replacements"] for line in records)
+
+
 @pytest.mark.parametrize("counts, message", [
     ("{Triplet(0, 0, 1): 0}", "non-positive count 0 for Triplet(subject_category=0, "
                               "predicate=0, object_category=1)"),

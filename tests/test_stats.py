@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -260,15 +261,186 @@ class TestStatsFileReader:
         '{"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}], '
         '"triplets": [{"s": 1, "p": 0, "o": 1, "count": 3}]}',
         '{"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}, {"s": 0, "p": 0, "o": 1}]}',
+        '{"triplets": [{"s": {"count": 2, "o": 1, "p": 0, "s": 0}, "p": 0, "o": 1, "count": 2}]}',
     ], ids=["int-row", "int-after-row", "row-valued-id", "list-of-row-id", "row-not-list",
             "empty-object", "empty-string", "bare-row", "row-shaped-top", "top-level-list",
-            "repeated-key", "missing-key-after-row"])
+            "repeated-key", "missing-key-after-row", "row-valued-id-in-file-order"])
     def test_odd_files_read_like_from_json_obj(self, text):
         got, want = read_both_ways(text)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert_same_table(got, want)
+
+
+def compact(payload) -> str:
+    """`payload` as `perfbench/gen.py` writes a stats file (rows keyed count, o, p, s)."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def indented(payload) -> str:
+    """`payload` as `sggkit stats` writes it (`cli._write_json`)."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def sorted_rows(*spocs):
+    return [{"count": c, "o": o, "p": p, "s": s} for s, p, o, c in spocs]
+
+
+ROWS = sorted_rows((0, 0, 1, 2), (1, 0, 1, 3))
+FIXED_LAYOUTS = {"compact": compact, "indent": indented}
+
+
+def counted_read(text, monkeypatch):
+    """`from_stats_json` on `text`, and its calls into the reference: each text
+    `json.loads` was given, and None for each `from_json_obj` call."""
+    loads, calls, read = json.loads, [], TripletFrequencyTable.from_json_obj.__func__
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+    monkeypatch.setattr(TripletFrequencyTable, "from_json_obj",
+                        classmethod(lambda cls, rows: calls.append(None) or read(cls, rows)))
+    table = TripletFrequencyTable.from_stats_json(io.StringIO(text))
+    monkeypatch.undo()
+    return table, calls
+
+
+def reached_reference(calls) -> bool:
+    """Whether the rows went through `from_json_obj` or `json.loads`."""
+    return any(c is None or '"count"' in c for c in calls)
+
+
+def assert_reads_alike(text):
+    """Both readers give the same table, or the same error, on `text`; returns the
+    reference's outcome."""
+    got, want = read_both_ways(text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_table(got, want)
+    return want
+
+
+class TestStatsFileText:
+    """The layouts this repository writes are read from the text; every other file goes
+    to `from_json_obj(json.load(f)["triplets"])` and gives what it gives."""
+
+    def test_written_stats_files_never_reach_json_or_from_json_obj(self, vocab, tmp_path,
+                                                                    monkeypatch):
+        """A silent fallback would lose the text path's time and fail no other test."""
+        from sggkit.cli import main
+
+        write_vocab(tmp_path / "vocab.json", vocab.object_names, vocab.predicate_names)
+        write_jsonl(tmp_path / "train.jsonl", [graph_to_obj(g) for g in toy_corpus(vocab).graphs])
+        assert main(["stats", "--train", str(tmp_path / "train.jsonl"), "--vocab",
+                     str(tmp_path / "vocab.json"), "--out", str(tmp_path / "stats.json")]) == 0
+        written = (tmp_path / "stats.json").read_text(encoding="utf-8")
+        payload = json.loads(written)
+        rows = sorted_rows(*((r["s"], r["p"], r["o"], r["count"]) for r in payload["triplets"]))
+        for text in (written, compact({**payload, "triplets": rows})):
+            table, calls = counted_read(text, monkeypatch)
+            assert not reached_reference(calls), calls
+            assert_same_table(table, TripletFrequencyTable.from_json_obj(payload["triplets"]))
+        assert table.distinct_triplets == 5
+
+    @pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+    def test_text_read_warns_nothing(self, layout, monkeypatch):
+        """Any warning is an error here, so one from the integer parse (numpy's
+        binary-mode `fromstring` already warns) fails this test."""
+        text = FIXED_LAYOUTS[layout]({"triplets": ROWS + sorted_rows((2, 1, 0, 2**40))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, calls = counted_read(text, monkeypatch)
+        assert not reached_reference(calls)
+        assert_same_table(table, TripletFrequencyTable.from_json_obj(json.loads(text)["triplets"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(id_values, id_values, id_values,
+                              st.sampled_from([0, 1, 2, 10**18 - 1, 2**62])), max_size=10),
+           st.sampled_from(list(FIXED_LAYOUTS)), st.booleans())
+    def test_fixed_layouts_read_like_from_json_obj(self, spocs, layout, more_keys):
+        payload = {"triplets": sorted_rows(*spocs)}
+        if more_keys:
+            payload = {"a": [1, {"s": 0}], **payload, "z": {"count": 1, "o": 0, "p": 0, "s": 0}}
+        assert_reads_alike(FIXED_LAYOUTS[layout](payload))
+
+    @pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+    @pytest.mark.parametrize("key", ["count", "s"])
+    @pytest.mark.parametrize("number", ["007", "00", "-0", "-3", "1.0", "1e2", "1E2",
+                                        "999999999999999999", "1000000000000000000",
+                                        "9223372036854775807", "9223372036854775808",
+                                        "123456789012345678901234567890", "0", ""])
+    def test_numbers_read_like_from_json_obj(self, number, key, layout):
+        rows = sorted_rows((0, 0, 1, 2), (1, 0, 1, 3))
+        rows[1][key] = 123454321
+        assert_reads_alike(FIXED_LAYOUTS[layout]({"triplets": rows}).replace("123454321", number))
+
+    @pytest.mark.parametrize("text", [
+        compact({"x": {"triplets": ROWS}}),
+        compact({"x": {"triplets": ROWS}}).replace('{"x"', '{"tr\\u0069plets":[],"x"'),
+        compact({"triplets": ROWS}).replace('"triplets"', '"tr\\u0069plets"'),
+        indented({"triplets": ROWS}).replace('"triplets"', '"tr\\u0069plets"'),
+        '{"a\\"triplets":' + compact(ROWS) + ',"tr\\u0069plets":[]}',
+        compact({"name": "triplets", "triplets": ROWS}),
+        compact({"name": "triplets", "rows": ROWS}),
+        compact({"triplets": ROWS})[:-1] + ',"triplets":[]}',
+        compact({"triplets": ROWS})[:-1] + ',"triplets":' + compact(ROWS[:1]) + "}",
+        '{"triplets":[' + compact(ROWS[0]) + '],"x":[' + compact(ROWS[1]) + "]}",
+        compact({"triplets": ROWS}).replace(",", ",\t"),
+        compact({"triplets": ROWS}).replace(',"o"', ',\t"o"', 1),
+        indented({"triplets": ROWS}).replace("\n", "\r\n"),
+        indented({"triplets": ROWS}).replace('\n      "o"', '\r\n      "o"', 1),
+        "\ufeff" + compact({"triplets": ROWS}),
+        "\ufeff" + indented({"triplets": ROWS}),
+        compact({"triplets": []}),
+        indented({"triplets": []}),
+        indented({"triplets": []}).replace("[]", "[\n  ]"),
+        compact({"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}]}),
+        json.dumps({"triplets": [{"s": 0, "p": 0, "o": 1, "count": 2}]}, indent=2),
+        compact({"triplets": ROWS, "z": [1, 2], "zz": {"a": ROWS}}),
+        indented({"triplets": ROWS, "zz": [1, 2]}),
+        compact({"triplets": ROWS}).replace("},{", "},", 1),
+        compact({"triplets": ROWS}).replace("}]", "},]"),
+        indented({"triplets": ROWS}).replace("}\n  ]", "},\n  ]"),
+        compact({"triplets": ROWS}).replace("}]", "}]]"),
+        compact({"triplets": ROWS}).replace('"s":1}', '"s":1,"s":4}'),
+        compact({"triplets": ROWS}).replace('"count":2,"o":1', '"count":,"o":01'),
+        compact({"triplets": ROWS + ROWS[:1]}),
+        compact({"triplets": sorted_rows((0, 0, 1, 0))}),
+        compact({"triplets": ROWS})[:-1],
+        compact({"triplets": ROWS}) + "x",
+        compact({"triplets": ROWS}) + "\n\n",
+    ], ids=["nested-key", "nested-key-escaped-top", "escaped-key", "escaped-key-indent",
+            "key-inside-a-string", "string-value-then-key", "string-value-only",
+            "repeated-key-empty-last", "repeated-key", "rows-then-row-under-other-key", "tabs",
+            "one-tab", "crlf", "one-crlf", "bom", "bom-indent", "empty", "empty-indent",
+            "empty-indent-newline", "spoc-order", "spoc-order-indent", "keys-after",
+            "keys-after-indent", "missing-brace", "trailing-comma", "trailing-comma-indent",
+            "nested-array", "repeated-row-key", "empty-value-and-leading-zero",
+            "repeated-triplet", "zero-count", "truncated", "trailing-garbage",
+            "trailing-newlines"])
+    def test_adversarial_files_read_like_from_json_obj(self, text):
+        assert_reads_alike(text)
+
+    @pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+    @pytest.mark.parametrize("edit", [None, "leading-zero", "negative", "repeat", "comma"])
+    def test_rows_across_chunks_read_like_from_json_obj(self, layout, edit, monkeypatch):
+        """20,000 rows are several 256K-character chunks; a bad row late in the text
+        reaches the reference, a clean file does not."""
+        rows = sorted_rows(*((k % 150, k // 150, 7, 1 + k % 9) for k in range(20_000)))
+        text = FIXED_LAYOUTS[layout]({"triplets": rows, "predicate_freq": [1.0]})
+        if edit in ("leading-zero", "negative"):
+            at = text.rfind('"count"' if edit == "leading-zero" else '"o"')
+            at = next(i for i in range(at, len(text)) if text[i].isdigit())
+            text = text[:at] + ("0" if edit == "leading-zero" else "-") + text[at:]
+        elif edit == "repeat":
+            rows[-1] = dict(rows[0])
+            text = FIXED_LAYOUTS[layout]({"triplets": rows, "predicate_freq": [1.0]})
+        elif edit == "comma":
+            at = text.find("},", len(text) // 2)
+            text = text[:at + 2] + "," + text[at + 2:]
+        rejected = isinstance(assert_reads_alike(text), tuple)
+        assert rejected == (edit is not None)
+        if not rejected:
+            assert not reached_reference(counted_read(text, monkeypatch)[1])
 
 
 # Reads a 120,000-row stats file after loading a 3,000-graph dataset, as `perturb
@@ -291,15 +463,15 @@ print(table.distinct_triplets, peak / table.distinct_triplets, len(full))
 """
 
 
-@pytest.fixture(scope="module")
-def read_probe(tmp_path_factory):
-    """Runs READ_PROBE on a 120,000-row stats file and a 3,000-graph dataset."""
+@pytest.fixture(scope="module", params=list(FIXED_LAYOUTS))
+def read_probe(request, tmp_path_factory):
+    """Runs READ_PROBE on a 120,000-row stats file, in each layout the text path
+    reads, and a 3,000-graph dataset."""
     root = tmp_path_factory.mktemp("stats_read")
     write_vocab(root / "vocab.json", [f"o{i}" for i in range(150)], [f"p{i}" for i in range(51)])
-    with open(root / "stats.json", "w", encoding="utf-8") as f:
-        json.dump({"triplets": [
-            {"count": 1 + k * 7919 % 3000, "o": k % 150, "p": k // 150 % 51, "s": k // 7650}
-            for k in range(120_000)]}, f, separators=(",", ":"), sort_keys=True)
+    (root / "stats.json").write_text(FIXED_LAYOUTS[request.param]({"triplets": sorted_rows(*(
+        (k // 7650, k // 150 % 51, k % 150, 1 + k * 7919 % 3000) for k in range(120_000)))}),
+        encoding="utf-8")
     write_jsonl(root / "train.jsonl", [graph_to_obj(make_graph(
         f"g{i}", [(i + j) % 150 for j in range(10)], [(j, (i + j) % 51, j + 1) for j in range(9)]))
         for i in range(3000)])
@@ -321,7 +493,8 @@ def test_stats_read_after_a_dataset_load_starts_no_full_collection(read_probe):
 
 
 def test_stats_read_peak_per_row_is_bounded(read_probe):
-    """About 180 bytes per row at the peak; with row dicts decoded first, about 420."""
+    """About 165 (compact) and 170 (indented) bytes per row at the peak; with row dicts
+    decoded first, about 420."""
     assert read_probe("traced")[0] < 256
 
 
