@@ -144,8 +144,15 @@ def _int_values(rows: list[dict], keys: tuple[str, ...]) -> list[int]:
     return flat
 
 
+def triplet_set_to_json_obj(triplets) -> list[dict]:
+    return [
+        {"s": t.subject_category, "p": t.predicate, "o": t.object_category}
+        for t in sorted(triplets)
+    ]
+
+
 def triplet_set_from_json_obj(rows: list[dict]) -> frozenset[Triplet]:
-    """The set of `stats.triplet_set_to_json_obj` rows; ids must be JSON integers."""
+    """The set of `triplet_set_to_json_obj` rows; ids must be JSON integers."""
     flat = _int_values(rows, ("s", "p", "o"))
     return frozenset(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))
 

@@ -3,7 +3,6 @@ frequencies and marginal category distributions.
 """
 from __future__ import annotations
 
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -11,8 +10,8 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-# triplet_set_from_json_obj is re-exported.
-from .ingest import _int_values, triplet_set_from_json_obj
+# The triplet-set format is ingest's; its reader and writer are re-exported.
+from .ingest import _int_values, triplet_set_from_json_obj, triplet_set_to_json_obj
 from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_triplets
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
@@ -26,11 +25,13 @@ FEW100_MAX = 100
 
 # The "triplets" rows as this repository writes them, by the text that opens the array:
 # compact (`perfbench/gen.py`) and `indent=2` (`sggkit stats`), with sorted keys. Each
-# gives a row and its "," with the digits taken out, and the text after the last row.
+# gives a row and its "," with the digits taken out, the text after the last row, and
+# the text of a value slot left empty (each ":" of a row opens one).
 _ROW_LAYOUTS = {
-    '"triplets":[': ('{"count":,"o":,"p":,"s":},', ""),
+    '"triplets":[': ('{"count":,"o":,"p":,"s":},', "", (":,", ":}")),
     '"triplets": [': (
-        '\n    {\n      "count": ,\n      "o": ,\n      "p": ,\n      "s": \n    },', "\n  ")}
+        '\n    {\n      "count": ,\n      "o": ,\n      "p": ,\n      "s": \n    },', "\n  ",
+        (": ,", ": \n"))}
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 _DIGITS_ONLY = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isdigit()})
 
@@ -134,7 +135,7 @@ class TripletFrequencyTable:
         `fp` where `_layout_columns` shows the two the same, through it otherwise."""
         text = fp.read()
         if (columns := _layout_columns(text)) is None:
-            return cls.from_json_obj(json.load(io.StringIO(text))["triplets"])
+            return cls.from_json_obj(json.loads(text)["triplets"])
         del text  # before the checks, which take memory too
         return cls._of_columns(columns)
 
@@ -197,13 +198,15 @@ def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def _layout_columns(text: str):
     """The (s, p, o, count) int64 columns of the "triplets" rows of `text` where they are
-    laid out as in `_ROW_LAYOUTS` and shown to be what `json.load` finds there; else None.
+    laid out as in `_ROW_LAYOUTS` and shown to be what `json.loads` finds there; else None.
     The rows array is taken to close at the first "]" after it, and it is shown thus:
     - `outside`, the text with "[]" for the array, has one `"triplets"` and no backslash,
       and parses as an object whose "triplets" is []. With no escape, each '"' in it
       delimits a string, so that `"triplets"` is the top-level key and the array its value;
-    - each chunk of rows, its digits taken out, is rows of the layout: objects of the four
-      keys whose values are runs of digits, none empty (4 numbers a row parse);
+    - each chunk, its digits taken out, is k rows of the layout, and none of its 4k value
+      slots (from a ":" to the "," or "}" or line end after it) is left empty. Its digits
+      parse to 4k numbers, one a run, so each slot holds one run and no digit stands
+      elsewhere, in a key or between rows: objects of the four keys, each value a run;
     - each run parses to a value whose decimal, counted up to 18 digits, is as long as the
       run: a JSON integer below 10**18, with no leading zero, that `json` decodes alike.
     So the reference decodes the same rows, all JSON integers within int64, and hands
@@ -213,12 +216,12 @@ def _layout_columns(text: str):
     opening = text[key:text.find("[", key) + 1]
     if key < 0 or opening not in _ROW_LAYOUTS:
         return None
-    (row, tail), start = _ROW_LAYOUTS[opening], key + len(opening)
+    (row, tail, empty), start = _ROW_LAYOUTS[opening], key + len(opening)
     close = text.find("]", start)
     outside = text[:start] + text[close:]
     try:
         if (close < 0 or outside.count('"triplets"') != 1 or "\\" in outside
-                or json.load(io.StringIO(outside))["triplets"] != []):
+                or json.loads(outside)["triplets"] != []):
             return None
     except (LookupError, TypeError, ValueError):
         return None
@@ -230,7 +233,8 @@ def _layout_columns(text: str):
         chunk = text[at:end]
         skeleton = chunk.translate(_NO_DIGITS)
         k = skeleton.count("}")
-        if not k or skeleton != (row * k if end < close else (row * k)[:-1] + tail):
+        if (not k or skeleton != (row * k if end < close else (row * k)[:-1] + tail)
+                or any(e in chunk for e in empty)):
             return None
         values = np.fromstring(chunk.translate(_DIGITS_ONLY), np.int64, sep=" ")
         if len(values) != 4 * k or len(chunk) - len(skeleton) != 4 * k + np.searchsorted(
@@ -362,10 +366,3 @@ def marginal_distributions(dataset: Dataset) -> tuple[Histogram, Histogram]:
         for edge in graph.edges:
             pred[edge.predicate] += 1
     return Histogram(obj, vocab.object_names), Histogram(pred, vocab.predicate_names)
-
-
-def triplet_set_to_json_obj(triplets) -> list[dict]:
-    return [
-        {"s": t.subject_category, "p": t.predicate, "o": t.object_category}
-        for t in sorted(triplets)
-    ]

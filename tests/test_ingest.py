@@ -105,7 +105,8 @@ class TestIterJsonl:
 
     def test_json_loads_only_in_the_reader_and_the_scorer(self):
         """Every JSON-Lines file goes through iter_jsonl; the scoring client
-        parses its HTTP replies. No other code parses JSON text line by line."""
+        parses its HTTP replies, and the stats table reader a whole stats file.
+        No other code parses JSON text line by line."""
         callers = set()
 
         def visit(node, module, scope):
@@ -124,7 +125,9 @@ class TestIterJsonl:
         for path in sorted(Path(sggkit.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
         assert "ingest.iter_jsonl" in callers
-        assert callers <= {"ingest.iter_jsonl", "quality.HttpScorer.score"}, callers
+        assert callers <= {"ingest.iter_jsonl", "quality.HttpScorer.score",
+                           "stats.TripletFrequencyTable.from_stats_json",
+                           "stats._layout_columns"}, callers
 
 
 class TestJsonInt:

@@ -362,6 +362,27 @@ class TestStatsFileText:
             payload = {"a": [1, {"s": 0}], **payload, "z": {"count": 1, "o": 0, "p": 0, "s": 0}}
         assert_reads_alike(FIXED_LAYOUTS[layout](payload))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(FIXED_LAYOUTS)),
+           st.lists(st.tuples(st.sampled_from(["move-digit", "insert", "delete"]),
+                              st.floats(0, 1), st.floats(0, 1),
+                              st.sampled_from('0123456789 ,:{}"\n-.')), min_size=1, max_size=3))
+    def test_edited_files_read_like_from_json_obj(self, layout, edits):
+        """A digit moved, or a character put in or taken out, anywhere in a written file."""
+        text = FIXED_LAYOUTS[layout]({"triplets": ROWS + sorted_rows((2, 11, 0, 345))})
+        for kind, a, b, char in edits:
+            digits = [i for i, c in enumerate(text) if c.isdigit()]
+            i = min(int(a * len(text)), len(text) - 1)
+            if kind == "move-digit":
+                i = digits[min(int(a * len(digits)), len(digits) - 1)]
+                char, text = text[i], text[:i] + text[i + 1:]
+            elif kind == "delete":
+                text = text[:i] + text[i + 1:]
+                continue
+            j = int(b * len(text))
+            text = text[:j] + char + text[j:]
+        assert_reads_alike(text)
+
     @pytest.mark.parametrize("layout", FIXED_LAYOUTS)
     @pytest.mark.parametrize("key", ["count", "s"])
     @pytest.mark.parametrize("number", ["007", "00", "-0", "-3", "1.0", "1e2", "1E2",
@@ -403,6 +424,14 @@ class TestStatsFileText:
         compact({"triplets": ROWS}).replace("}]", "}]]"),
         compact({"triplets": ROWS}).replace('"s":1}', '"s":1,"s":4}'),
         compact({"triplets": ROWS}).replace('"count":2,"o":1', '"count":,"o":01'),
+        compact({"triplets": ROWS}).replace('"count":2', '"c2ount":', 1),
+        compact({"triplets": ROWS}).replace('[{"count":2', '[2{"count":'),
+        compact({"triplets": ROWS}).replace('"s":0},{', '"s":},0{'),
+        compact({"triplets": ROWS}).replace('"s":0},{', '"s":}0,{'),
+        indented({"triplets": ROWS}).replace('"count": 2', '"c2ount": ', 1),
+        indented({"triplets": ROWS}).replace('"s": 0\n    },', '"s": \n    },0', 1),
+        indented({"triplets": ROWS}).replace('"s": 0\n', '"s": \n0', 1),
+        indented({"triplets": ROWS}).replace('"count": 2', '"count":2 ', 1),
         compact({"triplets": ROWS + ROWS[:1]}),
         compact({"triplets": sorted_rows((0, 0, 1, 0))}),
         compact({"triplets": ROWS})[:-1],
@@ -415,6 +444,9 @@ class TestStatsFileText:
             "empty-indent-newline", "spoc-order", "spoc-order-indent", "keys-after",
             "keys-after-indent", "missing-brace", "trailing-comma", "trailing-comma-indent",
             "nested-array", "repeated-row-key", "empty-value-and-leading-zero",
+            "digit-in-key", "digit-before-row", "digit-after-comma", "digit-before-comma",
+            "digit-in-key-indent", "digit-after-comma-indent", "value-on-next-line-indent",
+            "value-before-space-indent",
             "repeated-triplet", "zero-count", "truncated", "trailing-garbage",
             "trailing-newlines"])
     def test_adversarial_files_read_like_from_json_obj(self, text):
