@@ -75,12 +75,12 @@ def _frequency_table(f, vocab):
     return table
 
 
-def _predicate_freq(payload, num_predicates: int):
-    import numpy as np
+def _predicate_freq(payload, num_predicates: int) -> list:
     try:
-        f_r = np.asarray(payload["predicate_freq"], dtype=np.float64)
-        valid = f_r.shape == (num_predicates,) and np.isfinite(f_r).all() and (f_r >= 0).all()
-    except (KeyError, TypeError, ValueError):
+        f_r = payload["predicate_freq"]
+        valid = type(f_r) is list and len(f_r) == num_predicates and all(
+            (type(f) is float or type(f) is int) and math.isfinite(f) and f >= 0 for f in f_r)
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int beyond any float
         valid = False
     if not valid:
         raise ValueError(f"'predicate_freq' must be {num_predicates} finite, non-negative numbers")

@@ -6,10 +6,11 @@ reweighting.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets, left_sum
 
@@ -21,29 +22,39 @@ AGGREGATES = ("image", "triplet")
 class PairScores(NamedTuple):
     subject: int
     object: int
-    scores: np.ndarray  # one score per predicate class
+    scores: Sequence[float]  # one score per predicate class; array("d") in a PredictedGraph
+
+
+def _row(values) -> array:
+    """`values` as an array("d"): itself if it is one, else a copy."""
+    return values if type(values) is array and values.typecode == "d" else array("d", values)
 
 
 @dataclass(frozen=True, eq=False)
 class PredictedGraph:
     """Model output for one image: per-node object score rows and per-pair
-    predicate score vectors; boxes only for detection-style evaluation."""
+    predicate score vectors; boxes only for detection-style evaluation.
+    Score rows are stored as array("d"); any 2-d input, numpy arrays
+    included, is accepted and converted to that form."""
 
     image_id: str
-    object_scores: np.ndarray  # (n, |C|), row-stochastic (one-hot for GT labels)
+    object_scores: tuple[array, ...]  # n rows of |C|, row-stochastic (one-hot for GT labels)
     pairs: tuple[PairScores, ...]
     boxes: tuple[BoundingBox, ...] | None = None
 
     def __post_init__(self):
-        scores = np.asarray(self.object_scores, dtype=np.float64)
-        if scores.ndim != 2:
+        try:
+            scores = tuple(map(_row, self.object_scores))
+        except TypeError:
+            scores = None
+        if scores is None or len(set(map(len, scores))) > 1:
             raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
-        if not np.isfinite(scores).all():
+        if not all(map(math.isfinite, chain.from_iterable(scores))):
             raise ValueError(f"image {self.image_id!r}: non-finite object scores")
-        if scores.shape[0] and np.abs(scores.sum(axis=1) - 1.0).max() > 1e-6:
+        if any(abs(math.fsum(row) - 1.0) > 1e-6 for row in scores):
             raise ValueError(f"image {self.image_id!r}: object score rows must sum to 1")
         object.__setattr__(self, "object_scores", scores)
-        n = scores.shape[0]
+        n = len(scores)
         seen = set()
         for p in self.pairs:
             if p.subject == p.object:
@@ -57,10 +68,13 @@ class PredictedGraph:
             seen.add((p.subject, p.object))
         if self.boxes is not None and len(self.boxes) != n:
             raise ValueError(f"image {self.image_id!r}: box count != node count")
+        if not all(type(p.scores) is array for p in self.pairs):
+            object.__setattr__(self, "pairs", tuple(
+                PairScores(p.subject, p.object, _row(p.scores)) for p in self.pairs))
 
     @property
     def num_nodes(self) -> int:
-        return self.object_scores.shape[0]
+        return len(self.object_scores)
 
 
 class RankedTriplet(NamedTuple):
@@ -82,25 +96,32 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _shape(values) -> tuple:
+    """The shape of a numpy array; (len,) for any other sequence."""
+    shape = getattr(values, "shape", None)
+    return (len(values),) if shape is None else shape
+
+
 def _predicate_weights(
-    f_r: np.ndarray | None, x: float, num_predicates: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(1 / f_r)^x per predicate, 0 where f_r <= 0, and that zero mask; f_r
-    must hold one frequency per predicate."""
+    f_r: Sequence[float] | None, x: float, num_predicates: int
+) -> tuple[list[float], list[int]]:
+    """(1 / f_r)^x per predicate, 0 where f_r <= 0, and the indices of those
+    zeros; f_r must hold one frequency per predicate."""
     if f_r is None:
         raise ValueError("predicate frequencies f_r required when reweighting")
-    if np.shape(f_r) != (num_predicates,):
-        raise ValueError(f"f_r has shape {np.shape(f_r)}; reweighting needs one frequency per "
+    if _shape(f_r) != (num_predicates,):
+        raise ValueError(f"f_r has shape {_shape(f_r)}; reweighting needs one frequency per "
                          f"predicate, shape ({num_predicates},)")
     if not 0 <= x < math.inf:  # rejects NaN too
         raise ValueError(f"reweighting exponent must be finite and >= 0, got {x}")
-    f_r = np.asarray(f_r, dtype=np.float64)
-    zero = f_r <= 0
-    weights = np.zeros_like(f_r)
-    with np.errstate(over="ignore"):
-        weights[~zero] = (1.0 / f_r[~zero]) ** x
-    if not np.isfinite(weights).all():
-        raise ValueError(f"reweighting weights (1 / f_r)^{x} are not all finite")
+    f_r = list(map(float, f_r))
+    zero = [i for i, f in enumerate(f_r) if f <= 0]
+    try:
+        weights = [0.0 if f <= 0 else (1.0 / f) ** x for f in f_r]
+        if not all(map(math.isfinite, weights)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"reweighting weights (1 / f_r)^{x} are not all finite") from None
     return weights, zero
 
 
@@ -108,19 +129,20 @@ def _check_pair_scores(
     pairs: Sequence[PairScores], num_predicates: int, where: str, owner: str
 ) -> None:
     for pair in pairs:
-        if np.shape(pair.scores) != (num_predicates,):
+        if _shape(pair.scores) != (num_predicates,):
             raise ValueError(f"{where}pair ({pair.subject}, {pair.object}) has scores of shape "
-                             f"{np.shape(pair.scores)}; {owner} has {num_predicates} predicates")
+                             f"{_shape(pair.scores)}; {owner} has {num_predicates} predicates")
 
 
-def _reweighted(scores: np.ndarray, weights: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    if (zero & (scores > 0)).any():
-        raise ValueError("nonzero score for a predicate with zero training frequency")
-    return scores * weights
+def _reweighted(scores: Sequence[float], weights: list[float], zero: list[int]) -> list[float]:
+    for i in zero:
+        if scores[i] > 0:
+            raise ValueError("nonzero score for a predicate with zero training frequency")
+    return [v * u for v, u in zip(scores, weights)]
 
 
 def reweight_scores(
-    pairs: Sequence[PairScores], f_r: np.ndarray, x: float
+    pairs: Sequence[PairScores], f_r: Sequence[float], x: float
 ) -> tuple[PairScores, ...]:
     """Scale predicate scores by (1 / f_r)^x; x = 0 returns the input as is.
 
@@ -134,7 +156,8 @@ def reweight_scores(
     weights, zero = _predicate_weights(f_r, x, len(pairs[0].scores))
     _check_pair_scores(pairs, len(weights), "", "f_r")
     return tuple(
-        PairScores(p.subject, p.object, _reweighted(p.scores, weights, zero)) for p in pairs
+        PairScores(p.subject, p.object, array("d", _reweighted(p.scores, weights, zero)))
+        for p in pairs
     )
 
 
@@ -152,36 +175,39 @@ def rank_triplets(
 
 
 def _rank(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
-    """rank_triplets on the pairs x predicates score matrix, reweighted first
-    unless `weights` (from _predicate_weights) is None; only the top k
-    become Python objects."""
-    if not pred.pairs:
-        return []
-    scores = np.stack([p.scores for p in pred.pairs])
-    if weights is not None:
-        scores = _reweighted(scores, *weights)
-    labels = pred.object_scores.argmax(axis=1)
-    label_scores = pred.object_scores.max(axis=1)
-    subjects = np.array([p.subject for p in pred.pairs])
-    objects = np.array([p.object for p in pred.pairs])
+    """rank_triplets, each pair's scores reweighted first unless `weights` (from
+    _predicate_weights) is None.
+
+    A candidate's score is (subject label score * object label score) * predicate
+    score, so its pair's best score bounds it: rounding is monotone and the label
+    scores are positive. Without the graph constraint the pairs are visited by
+    descending bound until a bound falls below the k-th best score met so far;
+    every candidate at or above that score is kept for the final top k."""
+    label_scores = list(map(max, pred.object_scores))
+    bounded = []  # (bound, label score product, subject, object, scores) per pair
+    for s, o, row in pred.pairs:
+        if weights is not None:
+            row = _reweighted(row, *weights)
+        w = label_scores[s] * label_scores[o]
+        bounded.append((w * max(row), w, s, o, row))
+    if graph_constraint:  # (s, o) is unique, so no comparison reaches the scores
+        candidates = [(-bound, s, o, row) for bound, _, s, o, row in bounded]
+    else:
+        candidates, threshold = [], -math.inf
+        for bound, w, s, o, row in sorted(bounded, key=itemgetter(0), reverse=True):
+            if bound < threshold:
+                break
+            candidates += [(-(w * v), s, o, p) for p, v in enumerate(row) if w * v >= threshold]
+            if len(candidates) >= 2 * k:  # keep the k first; none after them can rise
+                candidates.sort()
+                del candidates[k:]
+                threshold = -candidates[-1][0]
+    candidates.sort()
+    del candidates[k:]
     if graph_constraint:
-        best = scores.argmax(axis=1)
-        scores = np.take_along_axis(scores, best[:, None], axis=1)
-    flat = ((label_scores[subjects] * label_scores[objects])[:, None] * scores).ravel()
-    # Every candidate tied with the k-th best score stays in until the tie-break.
-    kept = np.arange(flat.size)
-    if flat.size > k:
-        kept = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
-    rows, predicates = np.divmod(kept, scores.shape[1])
-    if graph_constraint:
-        predicates = best[rows]
-    s, o, score = subjects[rows], objects[rows], flat[kept]
-    order = np.lexsort((predicates, o, s, -score))[:k]
-    s, o = s[order], o[order]
-    return list(map(RankedTriplet._make, zip(
-        s.tolist(), o.tolist(), labels[s].tolist(), predicates[order].tolist(),
-        labels[o].tolist(), score[order].tolist(),
-    )))
+        candidates = [(score, s, o, row.index(max(row))) for score, s, o, row in candidates]
+    labels = [row.index(m) for row, m in zip(pred.object_scores, label_scores)]
+    return [RankedTriplet(s, o, labels[s], p, labels[o], -score) for score, s, o, p in candidates]
 
 
 def _matches(
@@ -263,9 +289,9 @@ def _evaluate(
     for p in predictions:
         if p.image_id in by_id:
             raise ValueError(f"duplicate prediction for image {p.image_id!r}")
-        if p.object_scores.shape[1] != num_objects:
+        if p.object_scores and len(p.object_scores[0]) != num_objects:
             raise ValueError(f"image {p.image_id!r}: object_scores has "
-                             f"{p.object_scores.shape[1]} columns; the vocabulary has "
+                             f"{len(p.object_scores[0])} columns; the vocabulary has "
                              f"{num_objects} object categories")
         _check_pair_scores(p.pairs, num_predicates, f"image {p.image_id!r}: ", "the vocabulary")
         by_id[p.image_id] = p
@@ -325,7 +351,7 @@ def recall_details(
     subset_filter: Iterable[Triplet] | None = None,
     graph_constraint: bool = False,
     reweight_x: float = 0.0,
-    f_r: np.ndarray | None = None,
+    f_r: Sequence[float] | None = None,
     aggregate: str = "image",
 ) -> RecallResult:
     """Recall@K with per-image and per-class values, from one ranking of each image.
@@ -354,7 +380,7 @@ def mean_recall(
     subset_filter: Iterable[Triplet] | None = None,
     graph_constraint: bool = False,
     reweight_x: float = 0.0,
-    f_r: np.ndarray | None = None,
+    f_r: Sequence[float] | None = None,
     aggregate: str = "image",
 ) -> float:
     """Recall averaged uniformly over the predicate classes present in the

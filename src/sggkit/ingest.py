@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite
+from math import inf, isfinite, isnan
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -464,22 +464,26 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
 @_collector_paused()
 def load_predictions(path: str | Path, vocab: Vocabulary):
     """Read predicted graphs from JSON-Lines (schema in the evaluation module)."""
-    import numpy as np
+    from array import array
+
     from .evaluation import PairScores, PredictedGraph
 
+    zeros = array("d", bytes(8 * vocab.num_objects))
     preds = []
     for where, obj in iter_jsonl(path):
         image_id = obj["image_id"]
         ctx = _context(where, image_id)
 
         if "object_scores" in obj:
-            try:  # np.array alone would read [true, "1"] as [1.0, 1.0]
+            try:  # array("d") alone would read [true, false] as [1.0, 0.0]
                 if not set(map(type, chain.from_iterable(obj["object_scores"]))) <= {int, float}:
                     raise TypeError("expected arrays of JSON numbers")
-                scores = np.array(obj["object_scores"], dtype=np.float64)
+                scores = tuple(array("d", row) for row in obj["object_scores"])
+                if len(set(map(len, scores))) > 1:
+                    raise ValueError("rows differ in length")
             except (TypeError, ValueError, OverflowError) as e:
                 raise ParseError(f"{ctx}: malformed 'object_scores': {e}") from e
-            if scores.ndim != 2 or scores.shape[1] != vocab.num_objects:
+            if not scores or len(scores[0]) != vocab.num_objects:
                 raise ParseError(
                     f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
                 )
@@ -488,11 +492,14 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
             except TypeError as e:
                 raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
-            scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
-            for i, lab in enumerate(labels):
+            scores = []
+            for lab in labels:
                 if not 0 <= lab < vocab.num_objects:
                     raise ParseError(f"{ctx}: object label {lab} out of range")
-                scores[i, lab] = 1.0
+                row = array("d", zeros)
+                row[lab] = 1.0
+                scores.append(row)
+            scores = tuple(scores)
         else:
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
@@ -507,12 +514,14 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 raise ParseError(f"{ctx}: pair {k}: 'predicate_scores' must be {r} JSON numbers")
             rows.append(row)
         try:
-            pair_scores = np.array(rows, dtype=np.float64).reshape(len(rows), r)
+            pair_scores = [array("d", row) for row in rows]
         except OverflowError as e:
             raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
-        outside = np.flatnonzero(~((pair_scores >= 0) & (pair_scores <= 1)).all(axis=1))  # NaN too
-        if outside.size:
-            raise ParseError(f"{ctx}: pair {outside[0]}: scores must lie in [0, 1]")
+        # On the JSON lists, which read faster than the arrays and hold the same values.
+        # A NaN makes the sum NaN wherever min and max put it.
+        for k, row in enumerate(rows):
+            if not (0.0 <= min(row) and max(row) <= 1.0) or isnan(sum(row)):
+                raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
         pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, pair_scores))
 
         boxes = None

@@ -491,7 +491,11 @@ class TestEval:
         {"predicate_freq": [0.5, -0.1, 0.6]},
         {"predicate_freq": "frequent"},
         ["not", "an", "object"],
-    ], ids=["missing", "too-short", "too-long", "nan", "inf", "negative", "string", "list"])
+        {"predicate_freq": ["0.5", "0.3", "0.2"]},
+        {"predicate_freq": [0.5, True, 0.2]},
+        {"predicate_freq": [0.5, 10**400, 0.2]},
+    ], ids=["missing", "too-short", "too-long", "nan", "inf", "negative", "string", "list",
+            "string-entries", "bool-entry", "int-beyond-float"])
     def test_invalid_predicate_freq_exit_2_naming_file(self, workspace, capsys, payload):
         assert self.eval_with_stats(workspace, payload) == 2
         err = capsys.readouterr().err

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import re
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sggkit import evaluation
 from sggkit.evaluation import (
     PairScores,
     PredictedGraph,
     RankedTriplet,
+    _predicate_weights,
     iou,
     mean_recall,
     rank_triplets,
@@ -23,7 +30,7 @@ from .conftest import ABOVE, DOG, ON, PERSON, SURFBOARD, box, dataset_of, make_g
 # --- independent naive reference implementations -------------------------
 
 def brute_rank(pred, graph_constraint, k):
-    n, num_classes = pred.object_scores.shape
+    n, num_classes = np.shape(pred.object_scores)
     labels, label_scores = [], []
     for i in range(n):
         best = max(range(num_classes), key=lambda c: (pred.object_scores[i][c], -c))
@@ -122,13 +129,13 @@ class TestReweight:
         pairs = self.pairs_of([0.6, 0.4])
         out = reweight_scores(pairs, np.array([0.5, 0.5]), 2.0)
         np.testing.assert_allclose(out[0].scores, [2.4, 1.6])
-        assert out[0].scores.argmax() == pairs[0].scores.argmax()
+        assert np.argmax(out[0].scores) == pairs[0].scores.argmax()
 
     def test_rare_predicate_overtakes(self):
         pairs = self.pairs_of([0.6, 0.4])
         out = reweight_scores(pairs, np.array([0.8, 0.2]), 1.0)
         np.testing.assert_allclose(out[0].scores, [0.75, 2.0])
-        assert out[0].scores.argmax() == 1
+        assert np.argmax(out[0].scores) == 1
 
     def test_zero_frequency_with_score_rejected(self):
         pairs = self.pairs_of([0.6, 0.4])
@@ -585,3 +592,117 @@ class TestMeanRecallAgainstBruteForce:
                                 for c in present}
                     assert got.per_class == expected
                     assert got.mean == sum(expected.values()) / len(expected)
+
+
+# --- the numpy ranking this module replaced, as a reference ----------------
+
+def numpy_weights(f_r, x):
+    """(1 / f_r)^x per predicate as numpy computes it, 0 where f_r <= 0, and that mask."""
+    f_r = np.asarray(f_r, dtype=np.float64)
+    zero = f_r <= 0
+    weights = np.zeros_like(f_r)
+    weights[~zero] = (1.0 / f_r[~zero]) ** x
+    return weights, zero
+
+
+def numpy_rank(pred, graph_constraint, k, weights):
+    """The numpy `_rank`, reading the object rows through np.asarray."""
+    if not pred.pairs:
+        return []
+    scores = np.stack([p.scores for p in pred.pairs])
+    if weights is not None:
+        weights, zero = weights
+        if (zero & (scores > 0)).any():
+            raise ValueError("nonzero score for a predicate with zero training frequency")
+        scores = scores * weights
+    object_scores = np.asarray(pred.object_scores)
+    labels = object_scores.argmax(axis=1)
+    label_scores = object_scores.max(axis=1)
+    subjects = np.array([p.subject for p in pred.pairs])
+    objects = np.array([p.object for p in pred.pairs])
+    if graph_constraint:
+        best = scores.argmax(axis=1)
+        scores = np.take_along_axis(scores, best[:, None], axis=1)
+    flat = ((label_scores[subjects] * label_scores[objects])[:, None] * scores).ravel()
+    kept = np.arange(flat.size)
+    if flat.size > k:
+        kept = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    rows, predicates = np.divmod(kept, scores.shape[1])
+    if graph_constraint:
+        predicates = best[rows]
+    s, o, score = subjects[rows], objects[rows], flat[kept]
+    order = np.lexsort((predicates, o, s, -score))[:k]
+    s, o = s[order], o[order]
+    return list(map(RankedTriplet._make, zip(
+        s.tolist(), o.tolist(), labels[s].tolist(), predicates[order].tolist(),
+        labels[o].tolist(), score[order].tolist(),
+    )))
+
+
+# Signed zeros among the few values; frequencies whose (1 / f)^0.5 and (1 / f)^1 are
+# exact, so that numpy's weights and the library's are the same floats at both x.
+SIGNED_QUANTA = (0.0, -0.0, 0.25, 0.5, 1.0)
+SIGNED_OBJECT_ROWS = OBJECT_ROWS + ((1.0, -0.0, 0.0), (-0.0, 0.5, 0.5))
+EXACT_FREQUENCIES = (0.0, 0.0625, 0.25, 1.0)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Ground truth and a prediction over a 3-object vocabulary, every score from a few
+    values, so that many candidates tie, at the K-th score too."""
+    num_pred = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 5))
+    cats = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ordered = [(s, o) for s in range(n) for o in range(n) if s != o]
+    edges = draw(st.lists(st.tuples(st.sampled_from(ordered), st.integers(0, num_pred - 1)),
+                          min_size=1, max_size=6))
+    graph = make_graph("i", cats, [(s, p, o) for (s, o), p in edges])
+    rows = draw(st.lists(st.sampled_from(SIGNED_OBJECT_ROWS), min_size=n, max_size=n))
+    pairs = tuple(
+        PairScores(s, o, draw(st.lists(st.sampled_from(SIGNED_QUANTA), min_size=num_pred,
+                                       max_size=num_pred)))
+        for s, o in draw(st.lists(st.sampled_from(ordered), unique=True))
+    )
+    f_r = draw(st.lists(st.sampled_from(EXACT_FREQUENCIES), min_size=num_pred,
+                        max_size=num_pred))
+    vocab = Vocabulary(("a", "b", "c"), tuple(f"p{i}" for i in range(num_pred)))
+    return Dataset(vocab, (graph,)), PredictedGraph("i", rows, pairs), f_r
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_ranking_and_recall_match_the_numpy_ranking(instance):
+    ds, pred, f_r = instance
+    num_pred = ds.vocabulary.num_predicates
+    as_numpy = PredictedGraph("i", np.array(pred.object_scores), tuple(
+        PairScores(s, o, np.array(row)) for s, o, row in pred.pairs))
+    for constraint in (True, False):
+        for k in ks_around(len(pred.pairs) * (1 if constraint else num_pred)):
+            expected = numpy_rank(pred, constraint, k, None)
+            assert rank_triplets(pred, constraint, k) == expected
+            assert rank_triplets(as_numpy, constraint, k) == expected
+            for x in (0.0, 0.5, 1.0):
+                def reference(p, gc, kk, weights, x=x):
+                    return numpy_rank(p, gc, kk, None if weights is None else numpy_weights(f_r, x))
+                try:
+                    got = recall_details([pred], ds, k, graph_constraint=constraint,
+                                         reweight_x=x, f_r=f_r)
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=re.escape(str(e))):
+                        with patch.object(evaluation, "_rank", reference):
+                            recall_details([pred], ds, k, graph_constraint=constraint,
+                                           reweight_x=x, f_r=f_r)
+                    continue
+                with patch.object(evaluation, "_rank", reference):
+                    want = recall_details([pred], ds, k, graph_constraint=constraint,
+                                          reweight_x=x, f_r=f_r)
+                assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=60))
+def test_weights_at_x_one_are_numpy_weights_bit_for_bit(f_r):
+    weights, zero = _predicate_weights(f_r, 1.0, len(f_r))
+    expected, expected_zero = numpy_weights(f_r, 1.0)
+    assert np.array(weights).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert zero == np.flatnonzero(expected_zero).tolist()

@@ -139,6 +139,55 @@ def test_rand_and_oracle_zs_perturb_load_no_numpy(tmp_path):
         assert any(json.loads(line)["replacements"] for line in records)
 
 
+def test_eval_loads_no_numpy(tmp_path):
+    """The benchmark's four eval flag sets in one fresh process: score rows are arrays
+    of doubles ranked in plain Python, so numpy never loads."""
+    from sggkit.ingest import graph_to_obj
+
+    from .conftest import ABOVE, CAT, ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
+
+    objects = ("person", "surfboard", "wave", "dog", "cat")
+    write_vocab(tmp_path / "vocab.json", objects, ("on", "above", "near"))
+    graph = make_graph("a", [PERSON, SURFBOARD, CAT], [(0, ON, 1), (2, ABOVE, 1)])
+    write_jsonl(tmp_path / "gt.jsonl", [graph_to_obj(graph)])
+    truth = {(e.subject, e.object): e.predicate for e in graph.edges}
+    write_jsonl(tmp_path / "preds.jsonl", [{
+        "image_id": "a",
+        "object_scores": [[0.75 if c == node.category else 0.0625 for c in range(len(objects))]
+                          for node in graph.nodes],
+        "pairs": [{"subject": s, "object": o,
+                   "predicate_scores": [0.5 if p == truth.get((s, o), ON) else 0.25
+                                        for p in range(3)]}
+                  for s in range(3) for o in range(3) if s != o],
+        "boxes": [[node.box.x1, node.box.y1, node.box.x2, node.box.y2] for node in graph.nodes],
+    }])
+    (tmp_path / "zs.json").write_text(json.dumps({"triplets": [
+        {"s": CAT, "p": ABOVE, "o": SURFBOARD}]}))
+    (tmp_path / "stats.json").write_text(json.dumps({"predicate_freq": [0.5, 0.25, 0.25]}))
+    base = ["eval", "--predictions", str(tmp_path / "preds.jsonl"),
+            "--gt", str(tmp_path / "gt.jsonl"), "--vocab", str(tmp_path / "vocab.json")]
+    commands = [
+        base + flags + ["--out", str(tmp_path / f"{name}.json")]
+        for name, flags in (
+            ("recall", ["--mode", "sgcls", "--k", "100"]),
+            ("recall_gc", ["--mode", "predcls", "--k", "50", "--graph-constraint",
+                           "--subset", str(tmp_path / "zs.json")]),
+            ("mean_recall", ["--metric", "mean-recall", "--mode", "sgcls", "--k", "100",
+                             "--reweight-x", "1", "--stats", str(tmp_path / "stats.json")]),
+            ("sggen", ["--mode", "sggen", "--k", "100"]),
+        )
+    ]
+    loaded = run_python(
+        "import sys\n"
+        "from sggkit.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    print(main(argv), 'numpy' in sys.modules)"
+    )
+    assert loaded.splitlines() == ["0 False"] * 4
+    for name in ("recall", "recall_gc", "mean_recall", "sggen"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["value"] == 100.0
+
+
 def test_perturb_methods_but_graphn_load_no_stats_module(tmp_path):
     """Only graphn reads a triplet table, so rand, neigh and oracle_zs in one fresh
     process never import (or, without bytecode, compile) `sggkit.stats`."""
@@ -359,6 +408,7 @@ def test_each_eval_reaches_one_traced_entry_point_once(tmp_path, monkeypatch, me
     write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
                 ("on", "above", "near"))
     write_jsonl(tmp_path / "gt.jsonl", [graph_to_obj(graph)])
+    truth = {(e.subject, e.object): e.predicate for e in graph.edges}
     write_jsonl(tmp_path / "preds.jsonl", [{
         "image_id": "a", "object_labels": [PERSON, SURFBOARD],
         "pairs": [{"subject": 0, "object": 1, "predicate_scores": [1.0, 0.0, 0.0]}],
