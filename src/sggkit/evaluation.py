@@ -8,9 +8,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from itertools import count, repeat
+from operator import indexOf, mul, neg
+from struct import Struct
+from struct import error as StructError
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets, left_sum
 
@@ -22,36 +24,94 @@ AGGREGATES = ("image", "triplet")
 class PairScores(NamedTuple):
     subject: int
     object: int
-    scores: Sequence[float]  # one score per predicate class; array("d") in a PredictedGraph
+    scores: Sequence[float]  # one score per predicate class
+
+
+_PACKERS: dict[int, Callable] = {}
 
 
 def _row(values) -> array:
-    """`values` as an array("d"): itself if it is one, else a copy."""
-    return values if type(values) is array and values.typecode == "d" else array("d", values)
+    """`values`, a 1-d sequence of real numbers, as an array("d"); TypeError
+    for anything else (a 2-d numpy row included, which array("d") would
+    flatten when its inner size is 1)."""
+    if type(values) is array and values.typecode == "d":
+        return values
+    if getattr(values, "ndim", 1) != 1:
+        raise TypeError("not a 1-d sequence")
+    pack = _PACKERS.get(len(values))
+    if pack is None:  # struct reads a row of numbers faster than array("d") does
+        pack = _PACKERS[len(values)] = Struct(f"{len(values)}d").pack
+    try:
+        return array("d", pack(*values))
+    except StructError:  # a non-number or an int beyond a float; array("d") names which
+        return array("d", values)
+
+
+def _pair_row(values):
+    """`values` as _row converts it, or as it is when it is not a 1-d sequence
+    of numbers, so that _check_pair_scores names its shape."""
+    try:
+        return _row(values)
+    except (TypeError, ValueError, OverflowError):
+        return values
+
+
+def _row_sum(row) -> float | None:
+    """math.fsum(row); None when the row holds a non-finite value, inf when
+    only the exact sum of its finite values overflows."""
+    try:
+        total = math.fsum(row)
+    except OverflowError:
+        return math.inf
+    except ValueError:  # inf + -inf
+        return None
+    return total if math.isfinite(total) else None
 
 
 @dataclass(frozen=True, eq=False)
 class PredictedGraph:
     """Model output for one image: per-node object score rows and per-pair
     predicate score vectors; boxes only for detection-style evaluation.
-    Score rows are stored as array("d"); any 2-d input, numpy arrays
-    included, is accepted and converted to that form."""
+
+    Scores are kept in one of two forms, each ranked its own way. A numpy
+    `object_scores` is stored as a float64 matrix and the pair scores as
+    given, and numpy ranks them. Any other `object_scores`, a sequence of
+    equal-length rows, is stored as a tuple of array("d") rows, the pair
+    scores as array("d") too, and plain Python ranks them, so that an
+    evaluation that reads its predictions as lists never imports numpy
+    (ingest.load_predictions does so for small files). An empty list has no
+    column count and is rejected as not 2-d, as numpy would; the empty
+    tuple, the stored form of a prediction without nodes, is accepted. Pair
+    scores that are not a 1-d sequence of numbers are kept as they are, and
+    evaluation rejects them by their shape."""
 
     image_id: str
-    object_scores: tuple[array, ...]  # n rows of |C|, row-stochastic (one-hot for GT labels)
+    object_scores: Sequence  # n rows of |C|, row-stochastic (one-hot for GT labels)
     pairs: tuple[PairScores, ...]
     boxes: tuple[BoundingBox, ...] | None = None
 
     def __post_init__(self):
-        try:
-            scores = tuple(map(_row, self.object_scores))
-        except TypeError:
-            scores = None
-        if scores is None or len(set(map(len, scores))) > 1:
-            raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
-        if not all(map(math.isfinite, chain.from_iterable(scores))):
-            raise ValueError(f"image {self.image_id!r}: non-finite object scores")
-        if any(abs(math.fsum(row) - 1.0) > 1e-6 for row in scores):
+        rows = self.object_scores
+        if hasattr(rows, "ndim"):
+            import numpy as np  # the caller has imported it
+            scores = np.asarray(rows, dtype=np.float64)
+            if scores.ndim != 2:
+                raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
+            if not np.isfinite(scores).all():
+                raise ValueError(f"image {self.image_id!r}: non-finite object scores")
+            deviation = np.abs(scores.sum(axis=1) - 1.0).max() if len(scores) else 0.0
+        else:
+            try:
+                scores = tuple(map(_row, rows)) if rows or type(rows) is tuple else None
+            except TypeError:
+                scores = None
+            if scores is None or len(set(map(len, scores))) > 1:
+                raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
+            sums = list(map(_row_sum, rows if all(type(r) is list for r in rows) else scores))
+            if None in sums:
+                raise ValueError(f"image {self.image_id!r}: non-finite object scores")
+            deviation = max((abs(total - 1.0) for total in sums), default=0.0)
+        if deviation > 1e-6:
             raise ValueError(f"image {self.image_id!r}: object score rows must sum to 1")
         object.__setattr__(self, "object_scores", scores)
         n = len(scores)
@@ -68,9 +128,9 @@ class PredictedGraph:
             seen.add((p.subject, p.object))
         if self.boxes is not None and len(self.boxes) != n:
             raise ValueError(f"image {self.image_id!r}: box count != node count")
-        if not all(type(p.scores) is array for p in self.pairs):
+        if type(scores) is tuple:
             object.__setattr__(self, "pairs", tuple(
-                PairScores(p.subject, p.object, _row(p.scores)) for p in self.pairs))
+                PairScores(p.subject, p.object, _pair_row(p.scores)) for p in self.pairs))
 
     @property
     def num_nodes(self) -> int:
@@ -97,9 +157,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _shape(values) -> tuple:
-    """The shape of a numpy array; (len,) for any other sequence."""
+    """The shape numpy gives `values`: a numpy array's own; the length and
+    then the first item's shape for another sequence; () for a scalar or a
+    string."""
     shape = getattr(values, "shape", None)
-    return (len(values),) if shape is None else shape
+    if shape is not None:
+        return tuple(shape)
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__len__"):
+        return ()
+    return (len(values),) + (_shape(values[0]) if len(values) else ())
 
 
 def _predicate_weights(
@@ -138,7 +204,7 @@ def _reweighted(scores: Sequence[float], weights: list[float], zero: list[int]) 
     for i in zero:
         if scores[i] > 0:
             raise ValueError("nonzero score for a predicate with zero training frequency")
-    return [v * u for v, u in zip(scores, weights)]
+    return list(map(mul, scores, weights))
 
 
 def reweight_scores(
@@ -176,38 +242,100 @@ def rank_triplets(
 
 def _rank(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
     """rank_triplets, each pair's scores reweighted first unless `weights` (from
-    _predicate_weights) is None.
+    _predicate_weights) is None; in the way that suits how `pred` stores them."""
+    if type(pred.object_scores) is tuple:
+        return _rank_rows(pred, graph_constraint, k, weights)
+    return _rank_matrix(pred, graph_constraint, k, weights)
 
-    A candidate's score is (subject label score * object label score) * predicate
-    score, so its pair's best score bounds it: rounding is monotone and the label
-    scores are positive. Without the graph constraint the pairs are visited by
-    descending bound until a bound falls below the k-th best score met so far;
-    every candidate at or above that score is kept for the final top k."""
+
+def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
+    """_rank in plain Python, for scores stored as array("d") rows.
+
+    A candidate's score is w * v, w being the product of the subject's and the
+    object's label scores. w is positive and rounding is monotone, so a pair's
+    bound, w times its best score, is the score of its best candidate and no
+    other candidate of the pair beats it. The k best bounds are therefore the
+    scores of k candidates, and the k-th of them is a floor for the k-th best
+    score. Without the graph constraint the pairs are visited by descending
+    bound until a bound falls below the floor, which rises to the k-th best
+    score collected whenever 2k have piled up; every candidate at or above
+    the floor is kept for the final top k."""
+    if k < 1:
+        return []
     label_scores = list(map(max, pred.object_scores))
-    bounded = []  # (bound, label score product, subject, object, scores) per pair
-    for s, o, row in pred.pairs:
-        if weights is not None:
-            row = _reweighted(row, *weights)
-        w = label_scores[s] * label_scores[o]
-        bounded.append((w * max(row), w, s, o, row))
-    if graph_constraint:  # (s, o) is unique, so no comparison reaches the scores
-        candidates = [(-bound, s, o, row) for bound, _, s, o, row in bounded]
+    rows = [p.scores for p in pred.pairs]
+    if weights is not None:
+        rows = [_reweighted(row, *weights) for row in rows]
+    subjects = [p.subject for p in pred.pairs]
+    objects = [p.object for p in pred.pairs]
+    w = [label_scores[s] * label_scores[o] for s, o in zip(subjects, objects)]
+    bounds = list(map(mul, w, map(max, rows)))
+    # (-score, subject, object, predicate or -1 for the pair's first best, pair); (s, o)
+    # is unique, so no comparison reaches the -1.
+    if graph_constraint:
+        candidates = sorted(zip(map(neg, bounds), subjects, objects, repeat(-1), count()))
     else:
-        candidates, threshold = [], -math.inf
-        for bound, w, s, o, row in sorted(bounded, key=itemgetter(0), reverse=True):
-            if bound < threshold:
+        order = sorted(range(len(rows)), key=bounds.__getitem__, reverse=True)
+        floor = bounds[order[k - 1]] if len(order) >= k else -math.inf
+        candidates = []
+        for i in order:
+            if bounds[i] < floor:
                 break
-            candidates += [(-(w * v), s, o, p) for p, v in enumerate(row) if w * v >= threshold]
+            wi, s, o = w[i], subjects[i], objects[i]
+            candidates += [(-x, s, o, p, i)
+                           for p, v in enumerate(rows[i]) if (x := wi * v) >= floor]
             if len(candidates) >= 2 * k:  # keep the k first; none after them can rise
                 candidates.sort()
                 del candidates[k:]
-                threshold = -candidates[-1][0]
-    candidates.sort()
+                floor = -candidates[-1][0]
+        candidates.sort()
     del candidates[k:]
+    labels = list(map(indexOf, pred.object_scores, label_scores))  # the first best, as argmax
+    ranked = []
+    for score, s, o, p, i in candidates:
+        if p < 0:  # the first best predicate, whose own score keeps the sign of a zero
+            row = rows[i]
+            p = indexOf(row, max(row))
+            score = -(w[i] * row[p])
+        ranked.append(RankedTriplet(s, o, labels[s], p, labels[o], -score))
+    return ranked
+
+
+def _rank_matrix(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
+    """_rank with numpy, for scores stored as a matrix: only the top k become
+    Python objects."""
+    import numpy as np  # loaded with the matrix
+
+    if not pred.pairs:
+        return []
+    scores = np.stack([p.scores for p in pred.pairs])
+    if weights is not None:
+        weights, zero = weights
+        if (scores[:, zero] > 0).any():
+            raise ValueError("nonzero score for a predicate with zero training frequency")
+        scores = scores * np.asarray(weights)
+    labels = pred.object_scores.argmax(axis=1)
+    label_scores = pred.object_scores.max(axis=1)
+    subjects = np.array([p.subject for p in pred.pairs])
+    objects = np.array([p.object for p in pred.pairs])
     if graph_constraint:
-        candidates = [(score, s, o, row.index(max(row))) for score, s, o, row in candidates]
-    labels = [row.index(m) for row, m in zip(pred.object_scores, label_scores)]
-    return [RankedTriplet(s, o, labels[s], p, labels[o], -score) for score, s, o, p in candidates]
+        best = scores.argmax(axis=1)
+        scores = np.take_along_axis(scores, best[:, None], axis=1)
+    flat = ((label_scores[subjects] * label_scores[objects])[:, None] * scores).ravel()
+    # Every candidate tied with the k-th best score stays in until the tie-break.
+    kept = np.arange(flat.size)
+    if flat.size > k:
+        kept = np.flatnonzero(flat >= np.partition(flat, flat.size - k)[flat.size - k])
+    rows, predicates = np.divmod(kept, scores.shape[1])
+    if graph_constraint:
+        predicates = best[rows]
+    s, o, score = subjects[rows], objects[rows], flat[kept]
+    order = np.lexsort((predicates, o, s, -score))[:k]
+    s, o = s[order], o[order]
+    return list(map(RankedTriplet._make, zip(
+        s.tolist(), o.tolist(), labels[s].tolist(), predicates[order].tolist(),
+        labels[o].tolist(), score[order].tolist(),
+    )))
 
 
 def _matches(
@@ -289,10 +417,10 @@ def _evaluate(
     for p in predictions:
         if p.image_id in by_id:
             raise ValueError(f"duplicate prediction for image {p.image_id!r}")
-        if p.object_scores and len(p.object_scores[0]) != num_objects:
-            raise ValueError(f"image {p.image_id!r}: object_scores has "
-                             f"{len(p.object_scores[0])} columns; the vocabulary has "
-                             f"{num_objects} object categories")
+        columns = _shape(p.object_scores)[1:]  # none for rows without a row
+        if columns and columns[0] != num_objects:
+            raise ValueError(f"image {p.image_id!r}: object_scores has {columns[0]} columns; "
+                             f"the vocabulary has {num_objects} object categories")
         _check_pair_scores(p.pairs, num_predicates, f"image {p.image_id!r}: ", "the vocabulary")
         by_id[p.image_id] = p
     gt_ids = {g.image_id for g in gt.graphs}

@@ -461,24 +461,37 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     return np.stack(rows) if rows else np.empty((0, d), dtype=np.float64)
 
 
+# Prediction files of at least this many bytes are read into numpy matrices,
+# smaller ones into lists that evaluation ranks in plain Python. Per image
+# numpy is faster, but importing it costs about as much as ranking 30 to 200
+# images in Python (BENCH_19.json), so only a file of some 30 images or more
+# pays for the import.
+MATRIX_BYTES = 2 << 20
+
+
 @_collector_paused()
 def load_predictions(path: str | Path, vocab: Vocabulary):
-    """Read predicted graphs from JSON-Lines (schema in the evaluation module)."""
-    from array import array
-
+    """Read predicted graphs from JSON-Lines (schema in the evaluation module),
+    as numpy matrices from a file of MATRIX_BYTES or more, else as lists."""
     from .evaluation import PairScores, PredictedGraph
 
-    zeros = array("d", bytes(8 * vocab.num_objects))
+    np = None
+    if Path(path).stat().st_size >= MATRIX_BYTES:
+        import numpy as np
+
     preds = []
     for where, obj in iter_jsonl(path):
         image_id = obj["image_id"]
         ctx = _context(where, image_id)
 
         if "object_scores" in obj:
-            try:  # array("d") alone would read [true, false] as [1.0, 0.0]
-                if not set(map(type, chain.from_iterable(obj["object_scores"]))) <= {int, float}:
+            scores = obj["object_scores"]
+            try:  # np.array or float() alone would read [true, "1"] as [1.0, 1.0]
+                types = set(map(type, chain.from_iterable(scores)))
+                if not types <= {int, float} or not all(type(row) is list for row in scores):
                     raise TypeError("expected arrays of JSON numbers")
-                scores = tuple(array("d", row) for row in obj["object_scores"])
+                if int in types:
+                    list(map(float, chain.from_iterable(scores)))  # an int beyond a float
                 if len(set(map(len, scores))) > 1:
                     raise ValueError("rows differ in length")
             except (TypeError, ValueError, OverflowError) as e:
@@ -487,42 +500,55 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 raise ParseError(
                     f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
                 )
+            if np is not None:
+                scores = np.array(scores, dtype=np.float64)
         elif "object_labels" in obj:
             try:
                 labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
             except TypeError as e:
                 raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
-            scores = []
             for lab in labels:
                 if not 0 <= lab < vocab.num_objects:
                     raise ParseError(f"{ctx}: object label {lab} out of range")
-                row = array("d", zeros)
-                row[lab] = 1.0
-                scores.append(row)
-            scores = tuple(scores)
+            if np is not None:
+                scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
+                for i, lab in enumerate(labels):
+                    scores[i, lab] = 1.0
+            else:  # a tuple, which holds no nodes when empty, where an empty list is 1-d
+                scores = tuple([0.0] * lab + [1.0] + [0.0] * (vocab.num_objects - lab - 1)
+                               for lab in labels)
         else:
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
-        ends, rows, r = [], [], vocab.num_predicates
+        ends, rows, with_ints, r = [], [], [], vocab.num_predicates
         for k, p in enumerate(_array(obj, "pairs", where, image_id)):
             try:
                 ends.append((json_int(p["subject"]), json_int(p["object"])))
                 row = p["predicate_scores"]
             except (KeyError, TypeError) as e:
                 raise ParseError(f"{ctx}: malformed pair {k}") from e
-            if type(row) is not list or len(row) != r or not set(map(type, row)) <= {int, float}:
+            types = set(map(type, row)) if type(row) is list else None
+            if types is None or len(row) != r or not types <= {int, float}:
                 raise ParseError(f"{ctx}: pair {k}: 'predicate_scores' must be {r} JSON numbers")
             rows.append(row)
+            if int in types:
+                with_ints.append(row)
         try:
-            pair_scores = [array("d", row) for row in rows]
+            if np is not None:
+                rows = np.array(rows, dtype=np.float64).reshape(len(rows), r)
+            else:
+                list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
         except OverflowError as e:
             raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
-        # On the JSON lists, which read faster than the arrays and hold the same values.
-        # A NaN makes the sum NaN wherever min and max put it.
-        for k, row in enumerate(rows):
-            if not (0.0 <= min(row) and max(row) <= 1.0) or isnan(sum(row)):
-                raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
-        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, pair_scores))
+        if np is not None:
+            outside = np.flatnonzero(~((rows >= 0) & (rows <= 1)).all(axis=1))  # NaN too
+            outside = outside[0] if outside.size else None
+        else:  # a NaN makes the sum NaN wherever min and max put it
+            outside = next((k for k, row in enumerate(rows) if row and not (
+                0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row)))), None)
+        if outside is not None:
+            raise ParseError(f"{ctx}: pair {outside}: scores must lie in [0, 1]")
+        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, rows))
 
         boxes = None
         if obj.get("boxes") is not None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from array import array
 from unittest.mock import patch
 
 import numpy as np
@@ -706,3 +707,49 @@ def test_weights_at_x_one_are_numpy_weights_bit_for_bit(f_r):
     expected, expected_zero = numpy_weights(f_r, 1.0)
     assert np.array(weights).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     assert zero == np.flatnonzero(expected_zero).tolist()
+
+
+# --- the two stored forms --------------------------------------------------
+
+@pytest.mark.parametrize("object_scores", [
+    np.full((2, 3, 1), 1 / 3),
+    [[[0.5], [0.5]], [[0.5], [0.5]]],
+    [],
+    0.5,
+], ids=["numpy-n-C-1", "lists-n-C-1", "empty-list", "scalar"])
+def test_object_scores_that_are_not_2d_are_rejected(object_scores):
+    with pytest.raises(ValueError, match=r"^image 'i': object_scores must be 2-d$"):
+        PredictedGraph("i", object_scores, ())
+
+
+def test_a_prediction_without_nodes_is_an_empty_tuple_or_matrix():
+    assert PredictedGraph("i", (), ()).num_nodes == 0
+    assert PredictedGraph("i", np.zeros((0, 3)), ()).num_nodes == 0
+
+
+@pytest.mark.parametrize("object_scores", [np.eye(2, 3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                         ids=["matrix", "rows"])
+@pytest.mark.parametrize("scores, shape", [
+    (np.full((3, 1), 0.2), r"\(3, 1\)"),
+    (np.full((3, 2), 0.2), r"\(3, 2\)"),
+    ([[0.2], [0.3], [0.5]], r"\(3, 1\)"),
+    (0.5, r"\(\)"),
+], ids=["P-1", "P-2", "nested-list", "scalar"])
+def test_pair_scores_that_are_not_1d_are_named_by_their_shape(object_scores, scores, shape):
+    """array("d") would flatten a (P, 1) array and fail on the others with a bare TypeError
+    and no image id; each is kept as it is, and evaluation names its shape."""
+    ds = Dataset(Vocabulary(("a", "b", "c"), ("p0", "p1", "p2")),
+                 (make_graph("i", [0, 1], [(0, 0, 1)]),))
+    pred = PredictedGraph("i", object_scores, (PairScores(0, 1, scores),))
+    with pytest.raises(ValueError, match=rf"^image 'i': pair \(0, 1\) has scores of shape "
+                                         rf"{shape}; the vocabulary has 3 predicates$"):
+        recall_details([pred], ds, 50)
+
+
+def test_rows_are_stored_as_arrays_of_doubles():
+    pred = PredictedGraph("i", [[1, 0], np.array([0.25, 0.75])],
+                          (PairScores(0, 1, [0.5, 1]), PairScores(1, 0, np.array([0.0, 1.0]))))
+    assert [type(row) for row in pred.object_scores] == [array, array]
+    assert [type(p.scores) for p in pred.pairs] == [array, array]
+    assert [row.tolist() for row in pred.object_scores] == [[1.0, 0.0], [0.25, 0.75]]
+    assert pred.pairs[0].scores.tolist() == [0.5, 1.0]

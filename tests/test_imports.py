@@ -408,7 +408,6 @@ def test_each_eval_reaches_one_traced_entry_point_once(tmp_path, monkeypatch, me
     write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
                 ("on", "above", "near"))
     write_jsonl(tmp_path / "gt.jsonl", [graph_to_obj(graph)])
-    truth = {(e.subject, e.object): e.predicate for e in graph.edges}
     write_jsonl(tmp_path / "preds.jsonl", [{
         "image_id": "a", "object_labels": [PERSON, SURFBOARD],
         "pairs": [{"subject": 0, "object": 1, "predicate_scores": [1.0, 0.0, 0.0]}],

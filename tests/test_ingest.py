@@ -365,6 +365,103 @@ class TestLoadPredictions:
             load_predictions(path, vocab)
 
 
+def predictions_both_ways(monkeypatch, path, vocab):
+    """load_predictions(path) read into lists, then into numpy matrices."""
+    import sggkit.ingest
+
+    got = []
+    for matrix_bytes in (path.stat().st_size + 1, 0):
+        monkeypatch.setattr(sggkit.ingest, "MATRIX_BYTES", matrix_bytes)
+        try:
+            got.append(load_predictions(path, vocab))
+        except ParseError as e:
+            got.append(str(e))
+    return got
+
+
+class TestPredictionForms:
+    """Files of MATRIX_BYTES or more are read into numpy matrices, smaller ones into lists
+    that evaluation ranks in plain Python; a file reads and ranks the same either way."""
+
+    def test_forms(self, tmp_path, vocab, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "object_labels": [2, 0], "pairs": []}])
+        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
+        assert type(as_lists[0].object_scores) is tuple
+        assert type(as_matrices[0].object_scores) is np.ndarray
+
+    def test_same_ranking_and_recall(self, tmp_path, monkeypatch):
+        from sggkit.evaluation import rank_triplets, recall_details
+
+        rng = np.random.default_rng(7)
+        vocab = Vocabulary(("a", "b", "c", "d"), ("p0", "p1", "p2", "p3", "p4"))
+        lines, graphs = [], []
+        for i in range(6):
+            n = int(rng.integers(2, 6))
+            cats = rng.integers(0, 4, size=n).tolist()
+            graphs.append(make_graph(f"i{i}", cats, [(0, int(rng.integers(5)), 1), (1, 2, 0)]))
+            rows = rng.integers(1, 4, size=(n, 4)).astype(float)
+            pairs = [{"subject": s, "object": o,
+                      "predicate_scores": rng.choice([0.0, 0.25, 0.5, 1.0], size=5).tolist()}
+                     for s in range(n) for o in range(n) if s != o]
+            line = {"image_id": f"i{i}", "pairs": pairs}
+            if i % 2:
+                line["object_labels"] = cats
+            else:
+                line["object_scores"] = (rows / rows.sum(axis=1, keepdims=True)).tolist()
+            lines.append(line)
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, lines)
+        ds = Dataset(vocab, tuple(graphs))
+        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
+        for a, b in zip(as_lists, as_matrices):
+            for constraint in (True, False):
+                for k in (1, 5, 20, 200):
+                    assert rank_triplets(a, constraint, k) == rank_triplets(b, constraint, k)
+        f_r = [0.125, 0.0625, 0.25, 0.5, 0.1875]
+        for x in (0.0, 0.5, 1.0):
+            for constraint in (True, False):
+                for k in (3, 20):
+                    assert (recall_details(as_lists, ds, k, graph_constraint=constraint,
+                                           reweight_x=x, f_r=f_r)
+                            == recall_details(as_matrices, ds, k, graph_constraint=constraint,
+                                              reweight_x=x, f_r=f_r))
+
+    @pytest.mark.parametrize("change", [
+        {"object_scores": [[0.5, 0.5, 0, 0, True]]},
+        {"object_scores": [[0.5, 0.5, 0, 0, 0], [1.0]]},
+        {"object_scores": [{}]},
+        {"object_scores": [[0.5, 0.5, 0, 0, 10**400]]},
+        {"object_scores": [[0.5, 0.5, 0, 0, 0, 0]]},
+        {"object_scores": []},
+        {"object_scores": [[0.5, 0.5, 0, 0, float("nan")]]},
+        {"object_scores": [[0.5, 0.25, 0, 0, 0]]},
+        {"object_labels": [0, 7]},
+        {"pairs": [{"subject": 0, "object": 0, "predicate_scores": [0.5, 0.3, 0.2]}]},
+        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 0.3, 0.2]}] * 2},
+        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, "0.3", 0.2]}]},
+        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 10**400, 0.2]}]},
+        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 1.5, 0.2]}]},
+        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, float("nan"), 0.2]}]},
+        {"pairs": [{"subject": 1, "object": 0, "predicate_scores": [0.5, 0.5, 0]},
+                   {"subject": 0, "object": 1, "predicate_scores": [-0.5, 0.3, 0.2]}]},
+        {"boxes": [[0, 0, 1, 1]]},
+    ], ids=["object-bool", "object-ragged", "object-dict-row", "object-int-beyond-float", "object-columns",
+            "object-empty", "object-nan", "object-sum", "label-range", "self-pair",
+            "duplicate-pair", "pair-string", "pair-int-beyond-float", "pair-above-1",
+            "pair-nan", "second-pair-negative", "box-count"])
+    def test_same_messages(self, tmp_path, vocab, monkeypatch, change):
+        line = {"image_id": "img1", "object_labels": [0, 1], "pairs": []}
+        if "object_scores" in change:
+            del line["object_labels"]
+        line.update(change)
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
+        assert isinstance(as_lists, str) and as_lists.startswith(f"{path}:1 (image_id='img1'): ")
+        assert as_lists == as_matrices
+
+
 # Box corners: ints and floats, the extremes of float formatting among them.
 CORNER = st.one_of(
     st.integers(0, 10**20),
