@@ -10,9 +10,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import indexOf, mul, neg
-from struct import Struct
-from struct import error as StructError
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets, left_sum
 
@@ -27,9 +25,6 @@ class PairScores(NamedTuple):
     scores: Sequence[float]  # one score per predicate class
 
 
-_PACKERS: dict[int, Callable] = {}
-
-
 def _row(values) -> array:
     """`values`, a 1-d sequence of real numbers, as an array("d"); TypeError
     for anything else (a 2-d numpy row included, which array("d") would
@@ -38,13 +33,7 @@ def _row(values) -> array:
         return values
     if getattr(values, "ndim", 1) != 1:
         raise TypeError("not a 1-d sequence")
-    pack = _PACKERS.get(len(values))
-    if pack is None:  # struct reads a row of numbers faster than array("d") does
-        pack = _PACKERS[len(values)] = Struct(f"{len(values)}d").pack
-    try:
-        return array("d", pack(*values))
-    except StructError:  # a non-number or an int beyond a float; array("d") names which
-        return array("d", values)
+    return array("d", values)
 
 
 def _pair_row(values):
@@ -107,7 +96,7 @@ class PredictedGraph:
                 scores = None
             if scores is None or len(set(map(len, scores))) > 1:
                 raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
-            sums = list(map(_row_sum, rows if all(type(r) is list for r in rows) else scores))
+            sums = list(map(_row_sum, scores))
             if None in sums:
                 raise ValueError(f"image {self.image_id!r}: non-finite object scores")
             deviation = max((abs(total - 1.0) for total in sums), default=0.0)
