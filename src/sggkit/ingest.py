@@ -463,9 +463,9 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
 
 # Prediction files of at least this many bytes are read into numpy matrices,
 # smaller ones into lists that evaluation ranks in plain Python. Per image
-# numpy is faster, but importing it costs about as much as ranking 30 to 200
-# images in Python (BENCH_19.json), so only a file of some 30 images or more
-# pays for the import.
+# numpy is faster, but its import costs about 0.08 s: with all-pairs scores
+# over 51 predicates, lists were faster at 32 images (1.6 MB) and about even
+# at 64 (3.8 MB), measured in fresh processes (BENCH_19.json crossover).
 MATRIX_BYTES = 2 << 20
 
 
