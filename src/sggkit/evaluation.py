@@ -17,6 +17,13 @@ from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triple
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
 AGGREGATES = ("image", "triplet")
+# An evaluation with at least this many candidates (pairs x predicates, summed
+# over the predictions) ranks with numpy, a smaller one in plain Python: numpy
+# ranks each image faster, but its import costs about 0.1 s. In fresh processes
+# forced to one kernel, plain Python led on the four benchmark commands summed
+# up to 1.57M candidates (200 `perfbench/gen.py` images) and was even at 1.88M,
+# while reweighted mean recall fell behind from 1.26M to 1.57M (BENCH_20.json).
+MATRIX_CANDIDATES = 1_500_000
 
 
 class PairScores(NamedTuple):
@@ -62,17 +69,14 @@ class PredictedGraph:
     """Model output for one image: per-node object score rows and per-pair
     predicate score vectors; boxes only for detection-style evaluation.
 
-    Scores are kept in one of two forms, each ranked its own way. A numpy
-    `object_scores` is stored as a float64 matrix and the pair scores as
-    given, and numpy ranks them. Any other `object_scores`, a sequence of
-    equal-length rows, is stored as a tuple of array("d") rows, the pair
-    scores as array("d") too, and plain Python ranks them, so that an
-    evaluation that reads its predictions as lists never imports numpy
-    (ingest.load_predictions does so for small files). An empty list has no
-    column count and is rejected as not 2-d, as numpy would; the empty
-    tuple, the stored form of a prediction without nodes, is accepted. Pair
-    scores that are not a 1-d sequence of numbers are kept as they are, and
-    evaluation rejects them by their shape."""
+    `object_scores`, a sequence of equal-length rows or a 2-d numpy array, is
+    stored as a tuple of array("d") rows, and each pair's scores, a 1-d
+    sequence of finite numbers (a NaN or an inf is rejected), as one
+    array("d"). An empty list has no column count and is rejected as not
+    2-d, as numpy would; the empty tuple, the stored form of a prediction
+    without nodes, is accepted. Pair scores that are not a 1-d sequence of
+    numbers are kept as they are, and evaluation rejects them by their
+    shape."""
 
     image_id: str
     object_scores: Sequence  # n rows of |C|, row-stochastic (one-hot for GT labels)
@@ -81,31 +85,25 @@ class PredictedGraph:
 
     def __post_init__(self):
         rows = self.object_scores
-        if hasattr(rows, "ndim"):
-            import numpy as np  # the caller has imported it
-            scores = np.asarray(rows, dtype=np.float64)
-            if scores.ndim != 2:
-                raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
-            if not np.isfinite(scores).all():
-                raise ValueError(f"image {self.image_id!r}: non-finite object scores")
-            deviation = np.abs(scores.sum(axis=1) - 1.0).max() if len(scores) else 0.0
-        else:
-            try:
-                scores = tuple(map(_row, rows)) if rows or type(rows) is tuple else None
-            except TypeError:
-                scores = None
-            if scores is None or len(set(map(len, scores))) > 1:
-                raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
-            sums = list(map(_row_sum, scores))
-            if None in sums:
-                raise ValueError(f"image {self.image_id!r}: non-finite object scores")
-            deviation = max((abs(total - 1.0) for total in sums), default=0.0)
-        if deviation > 1e-6:
+        if hasattr(rows, "ndim"):  # a numpy matrix is stored as its rows
+            rows = tuple(rows) if rows.ndim == 2 else None
+        try:
+            scores = tuple(map(_row, rows)) if rows or type(rows) is tuple else None
+        except TypeError:
+            scores = None
+        if scores is None or len(set(map(len, scores))) > 1:
+            raise ValueError(f"image {self.image_id!r}: object_scores must be 2-d")
+        sums = list(map(_row_sum, scores))
+        if None in sums:
+            raise ValueError(f"image {self.image_id!r}: non-finite object scores")
+        if max((abs(total - 1.0) for total in sums), default=0.0) > 1e-6:
             raise ValueError(f"image {self.image_id!r}: object score rows must sum to 1")
         object.__setattr__(self, "object_scores", scores)
+        pairs = tuple(p if type(p.scores) is array and p.scores.typecode == "d" else
+                      PairScores(p.subject, p.object, _pair_row(p.scores)) for p in self.pairs)
         n = len(scores)
         seen = set()
-        for p in self.pairs:
+        for p in pairs:
             if p.subject == p.object:
                 raise ValueError(f"image {self.image_id!r}: pair with subject == object")
             if not (0 <= p.subject < n and 0 <= p.object < n):
@@ -115,11 +113,14 @@ class PredictedGraph:
                     f"image {self.image_id!r}: duplicate pair ({p.subject}, {p.object})"
                 )
             seen.add((p.subject, p.object))
+            # a NaN or an inf makes the sum NaN or inf; an overflowing sum alone does not count
+            if (type(p.scores) is array and not math.isfinite(sum(p.scores))
+                    and not all(map(math.isfinite, p.scores))):
+                raise ValueError(f"image {self.image_id!r}: pair ({p.subject}, {p.object}) has "
+                                 "non-finite scores")
         if self.boxes is not None and len(self.boxes) != n:
             raise ValueError(f"image {self.image_id!r}: box count != node count")
-        if type(scores) is tuple:
-            object.__setattr__(self, "pairs", tuple(
-                PairScores(p.subject, p.object, _pair_row(p.scores)) for p in self.pairs))
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def num_nodes(self) -> int:
@@ -184,6 +185,8 @@ def _check_pair_scores(
     pairs: Sequence[PairScores], num_predicates: int, where: str, owner: str
 ) -> None:
     for pair in pairs:
+        if type(pair.scores) is array and len(pair.scores) == num_predicates:
+            continue
         if _shape(pair.scores) != (num_predicates,):
             raise ValueError(f"{where}pair ({pair.subject}, {pair.object}) has scores of shape "
                              f"{_shape(pair.scores)}; {owner} has {num_predicates} predicates")
@@ -208,7 +211,10 @@ def reweight_scores(
         return tuple(pairs)
     if not pairs:
         return ()
-    weights, zero = _predicate_weights(f_r, x, len(pairs[0].scores))
+    shape = _shape(pairs[0].scores)
+    if len(shape) != 1:  # no predicate count: size by f_r, so that the pair is named
+        shape = _shape(f_r)
+    weights, zero = _predicate_weights(f_r, x, shape[0] if shape else 0)
     _check_pair_scores(pairs, len(weights), "", "f_r")
     return tuple(
         PairScores(p.subject, p.object, array("d", _reweighted(p.scores, weights, zero)))
@@ -226,19 +232,12 @@ def rank_triplets(
     competes; without it every predicate does. Ties break by (subject index,
     object index, predicate id) ascending so ranking is reproducible.
     """
-    return _rank(pred, graph_constraint, k, None)
-
-
-def _rank(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
-    """rank_triplets, each pair's scores reweighted first unless `weights` (from
-    _predicate_weights) is None; in the way that suits how `pred` stores them."""
-    if type(pred.object_scores) is tuple:
-        return _rank_rows(pred, graph_constraint, k, weights)
-    return _rank_matrix(pred, graph_constraint, k, weights)
+    return _rank_rows(pred, graph_constraint, k, None)
 
 
 def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
-    """_rank in plain Python, for scores stored as array("d") rows.
+    """rank_triplets, each pair's scores reweighted first unless `weights` (from
+    _predicate_weights) is None; in plain Python.
 
     A candidate's score is w * v, w being the product of the subject's and the
     object's label scores. w is positive and rounding is monotone, so a pair's
@@ -291,20 +290,21 @@ def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
 
 
 def _rank_matrix(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
-    """_rank with numpy, for scores stored as a matrix: only the top k become
-    Python objects."""
-    import numpy as np  # loaded with the matrix
+    """_rank_rows with numpy, from matrices that view the rows' bytes: only the
+    top k become Python objects. Every pair must hold the same number of scores."""
+    import numpy as np
 
     if not pred.pairs:
         return []
-    scores = np.stack([p.scores for p in pred.pairs])
+    scores = np.frombuffer(b"".join([p.scores for p in pred.pairs])).reshape(len(pred.pairs), -1)
     if weights is not None:
         weights, zero = weights
         if (scores[:, zero] > 0).any():
             raise ValueError("nonzero score for a predicate with zero training frequency")
         scores = scores * np.asarray(weights)
-    labels = pred.object_scores.argmax(axis=1)
-    label_scores = pred.object_scores.max(axis=1)
+    object_scores = np.frombuffer(b"".join(pred.object_scores)).reshape(pred.num_nodes, -1)
+    labels = object_scores.argmax(axis=1)
+    label_scores = object_scores.max(axis=1)
     subjects = np.array([p.subject for p in pred.pairs])
     objects = np.array([p.object for p in pred.pairs])
     if graph_constraint:
@@ -403,21 +403,24 @@ def _evaluate(
         raise ValueError(f"K must be >= 1, got {k}")
     num_objects, num_predicates = gt.vocabulary.num_objects, gt.vocabulary.num_predicates
     by_id: dict[str, PredictedGraph] = {}
+    candidates = 0
     for p in predictions:
         if p.image_id in by_id:
             raise ValueError(f"duplicate prediction for image {p.image_id!r}")
-        columns = _shape(p.object_scores)[1:]  # none for rows without a row
-        if columns and columns[0] != num_objects:
-            raise ValueError(f"image {p.image_id!r}: object_scores has {columns[0]} columns; "
+        columns = len(p.object_scores[0]) if p.object_scores else num_objects
+        if columns != num_objects:
+            raise ValueError(f"image {p.image_id!r}: object_scores has {columns} columns; "
                              f"the vocabulary has {num_objects} object categories")
         _check_pair_scores(p.pairs, num_predicates, f"image {p.image_id!r}: ", "the vocabulary")
         by_id[p.image_id] = p
+        candidates += len(p.pairs) * num_predicates
     gt_ids = {g.image_id for g in gt.graphs}
     unknown = sorted(set(by_id) - gt_ids)
     if unknown:
         raise ValueError(f"predictions for images absent from ground truth: {unknown}")
     subset = frozenset(subset_filter) if subset_filter is not None else None
     weights = _predicate_weights(f_r, reweight_x, num_predicates) if reweight_x != 0 else None
+    rank = _rank_matrix if candidates >= MATRIX_CANDIDATES else _rank_rows
 
     images = []
     classes: dict[int, list[tuple[str, int, int]]] = {}
@@ -439,7 +442,7 @@ def _evaluate(
             )
         if mode == "sggen" and pred.boxes is None:
             raise ValueError(f"image {graph.image_id!r}: sggen evaluation requires predicted boxes")
-        ranked = _rank(pred, graph_constraint, k, weights)
+        ranked = rank(pred, graph_constraint, k, weights)
         used = _matched_edges(ranked, graph, edge_indices, mode, pred.boxes)
         images.append((graph.image_id, sum(used), len(used)))
         of_class: dict[int, list[bool]] = {}

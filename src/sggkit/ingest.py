@@ -15,6 +15,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, isfinite, isnan
 from operator import itemgetter
 from pathlib import Path
+from struct import Struct
 from typing import TYPE_CHECKING, Iterable
 
 from .model import (BoundingBox, Dataset, SceneGraph, Triplet, Vocabulary, _dataset, _edge,
@@ -461,24 +462,15 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     return np.stack(rows) if rows else np.empty((0, d), dtype=np.float64)
 
 
-# Prediction files of at least this many bytes are read into numpy matrices,
-# smaller ones into lists that evaluation ranks in plain Python. Per image
-# numpy is faster, but its import costs about 0.08 s: with all-pairs scores
-# over 51 predicates, lists were faster at 32 images (1.6 MB) and about even
-# at 64 (3.8 MB), measured in fresh processes (BENCH_19.json crossover).
-MATRIX_BYTES = 2 << 20
-
-
 @_collector_paused()
 def load_predictions(path: str | Path, vocab: Vocabulary):
-    """Read predicted graphs from JSON-Lines (schema in the evaluation module),
-    as numpy matrices from a file of MATRIX_BYTES or more, else as lists."""
+    """Read predicted graphs from JSON-Lines (schema in README "File formats"),
+    without numpy: PredictedGraph stores the scores as array("d") rows."""
+    from array import array
+
     from .evaluation import PairScores, PredictedGraph
 
-    np = None
-    if Path(path).stat().st_size >= MATRIX_BYTES:
-        import numpy as np
-
+    pack = Struct(f"{vocab.num_predicates}d").pack
     preds = []
     for where, obj in iter_jsonl(path):
         image_id = obj["image_id"]
@@ -486,7 +478,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
 
         if "object_scores" in obj:
             scores = obj["object_scores"]
-            try:  # np.array or float() alone would read [true, "1"] as [1.0, 1.0]
+            try:  # float() alone would read [true, "1"] as [1.0, 1.0]
                 types = set(map(type, chain.from_iterable(scores)))
                 if not types <= {int, float} or not all(type(row) is list for row in scores):
                     raise TypeError("expected arrays of JSON numbers")
@@ -500,8 +492,6 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
                 raise ParseError(
                     f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
                 )
-            if np is not None:
-                scores = np.array(scores, dtype=np.float64)
         elif "object_labels" in obj:
             try:
                 labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
@@ -510,13 +500,9 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
             for lab in labels:
                 if not 0 <= lab < vocab.num_objects:
                     raise ParseError(f"{ctx}: object label {lab} out of range")
-            if np is not None:
-                scores = np.zeros((len(labels), vocab.num_objects), dtype=np.float64)
-                for i, lab in enumerate(labels):
-                    scores[i, lab] = 1.0
-            else:  # a tuple, which holds no nodes when empty, where an empty list is 1-d
-                scores = tuple([0.0] * lab + [1.0] + [0.0] * (vocab.num_objects - lab - 1)
-                               for lab in labels)
+            # a tuple, which holds no nodes when empty, where an empty list is 1-d
+            scores = tuple([0.0] * lab + [1.0] + [0.0] * (vocab.num_objects - lab - 1)
+                           for lab in labels)
         else:
             raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
@@ -534,21 +520,18 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
             if int in types:
                 with_ints.append(row)
         try:
-            if np is not None:
-                rows = np.array(rows, dtype=np.float64).reshape(len(rows), r)
-            else:
-                list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
+            list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
         except OverflowError as e:
             raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
-        if np is not None:
-            outside = np.flatnonzero(~((rows >= 0) & (rows <= 1)).all(axis=1))  # NaN too
-            outside = outside[0] if outside.size else None
-        else:  # a NaN makes the sum NaN wherever min and max put it
-            outside = next((k for k, row in enumerate(rows) if row and not (
-                0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row)))), None)
-        if outside is not None:
+        # A NaN makes a sum NaN wherever min and max put it. The image is checked at once,
+        # and only when it fails row by row, for the first pair out of range.
+        if rows and not (0.0 <= min(map(min, rows)) and max(map(max, rows)) <= 1.0
+                         and not isnan(sum(map(sum, rows)))):
+            outside = next(k for k, row in enumerate(rows)
+                           if not (0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row))))
             raise ParseError(f"{ctx}: pair {outside}: scores must lie in [0, 1]")
-        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, rows))
+        # packed, a row converts about twice as fast as through array("d", row)
+        pairs = tuple(PairScores(s, o, array("d", pack(*row))) for (s, o), row in zip(ends, rows))
 
         boxes = None
         if obj.get("boxes") is not None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
@@ -476,6 +477,17 @@ def test_reweighting_checks_every_pair_against_f_r():
         reweight_scores(pairs, np.array([0.5, 0.25, 0.25]), 1.0)
 
 
+@pytest.mark.parametrize("first, shape", [(0.5, r"\(\)"), ([[0.5], [0.5]], r"\(2, 1\)")],
+                         ids=["scalar", "nested-list"])
+def test_reweighting_names_a_malformed_first_pair(first, shape):
+    """The weights were sized by len(pairs[0].scores): a scalar raised a bare TypeError, and
+    a (2, 1) first pair was blamed on f_r."""
+    pairs = (PairScores(0, 1, first), PairScores(1, 0, np.array([0.5])))
+    with pytest.raises(ValueError, match=rf"^pair \(0, 1\) has scores of shape {shape}; f_r has "
+                                         "1 predicates$"):
+        reweight_scores(pairs, np.array([0.5]), 1.0)
+
+
 def test_reweighting_no_pairs_is_empty():
     assert reweight_scores((), np.full(3, 0.5), 1.0) == ()
 
@@ -682,21 +694,28 @@ def test_ranking_and_recall_match_the_numpy_ranking(instance):
             expected = numpy_rank(pred, constraint, k, None)
             assert rank_triplets(pred, constraint, k) == expected
             assert rank_triplets(as_numpy, constraint, k) == expected
-            for x in (0.0, 0.5, 1.0):
+            assert evaluation._rank_matrix(pred, constraint, k, None) == expected
+            for x, matrix_candidates in product((0.0, 0.5, 1.0),
+                                                (evaluation.MATRIX_CANDIDATES, 0)):
                 def reference(p, gc, kk, weights, x=x):
                     return numpy_rank(p, gc, kk, None if weights is None else numpy_weights(f_r, x))
+
+                def evaluate(x=x):
+                    return recall_details([pred], ds, k, graph_constraint=constraint,
+                                          reweight_x=x, f_r=f_r)
+
                 try:
-                    got = recall_details([pred], ds, k, graph_constraint=constraint,
-                                         reweight_x=x, f_r=f_r)
+                    with patch.object(evaluation, "MATRIX_CANDIDATES", matrix_candidates):
+                        got = evaluate()
                 except ValueError as e:
                     with pytest.raises(ValueError, match=re.escape(str(e))):
-                        with patch.object(evaluation, "_rank", reference):
-                            recall_details([pred], ds, k, graph_constraint=constraint,
-                                           reweight_x=x, f_r=f_r)
+                        with patch.object(evaluation, "_rank_rows", reference), \
+                                patch.object(evaluation, "_rank_matrix", reference):
+                            evaluate()
                     continue
-                with patch.object(evaluation, "_rank", reference):
-                    want = recall_details([pred], ds, k, graph_constraint=constraint,
-                                          reweight_x=x, f_r=f_r)
+                with patch.object(evaluation, "_rank_rows", reference), \
+                        patch.object(evaluation, "_rank_matrix", reference):
+                    want = evaluate()
                 assert got == want
 
 
@@ -727,6 +746,25 @@ def test_a_prediction_without_nodes_is_an_empty_tuple_or_matrix():
     assert PredictedGraph("i", np.zeros((0, 3)), ()).num_nodes == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("as_numpy", [False, True], ids=["rows", "matrix"])
+def test_non_finite_pair_scores_are_rejected(bad, as_numpy):
+    """A NaN was ranked by where it sat: with the constraint, predicate 2 (0.5) then 0.3 as
+    rows, but 0.3 then predicate 1 scored nan as a matrix, which without the constraint
+    returned one triplet for K = 2."""
+    rows, first, second = [[1, 0], [0, 1]], [0.2, bad, 0.5], [0.3, 0.1, 0.1]
+    if as_numpy:
+        rows, first, second = np.array(rows, dtype=float), np.array(first), np.array(second)
+    with pytest.raises(ValueError, match=r"^image 'i': pair \(0, 1\) has non-finite scores$"):
+        PredictedGraph("i", rows, (PairScores(0, 1, first), PairScores(1, 0, second)))
+
+
+def test_pair_scores_whose_sum_overflows_are_finite():
+    pred = PredictedGraph("i", [[1, 0], [0, 1]], (PairScores(0, 1, [1e308, 1e308, 0.5]),))
+    assert rank_triplets(pred, True, 1)[0].score == 1e308
+
+
 @pytest.mark.parametrize("object_scores", [np.eye(2, 3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
                          ids=["matrix", "rows"])
 @pytest.mark.parametrize("scores, shape", [
@@ -753,3 +791,11 @@ def test_rows_are_stored_as_arrays_of_doubles():
     assert [type(p.scores) for p in pred.pairs] == [array, array]
     assert [row.tolist() for row in pred.object_scores] == [[1.0, 0.0], [0.25, 0.75]]
     assert pred.pairs[0].scores.tolist() == [0.5, 1.0]
+
+
+def test_arrays_of_other_types_are_stored_as_doubles():
+    pred = PredictedGraph("i", [array("f", [1, 0]), [0, 1]],
+                          (PairScores(0, 1, array("f", [0.5, 0.25])),))
+    assert [row.typecode for row in pred.object_scores] == ["d", "d"]
+    assert pred.pairs[0].scores.typecode == "d"
+    assert pred.pairs[0].scores.tolist() == [0.5, 0.25]

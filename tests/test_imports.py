@@ -188,6 +188,76 @@ def test_eval_loads_no_numpy(tmp_path):
         assert json.loads((tmp_path / f"{name}.json").read_text())["value"] == 100.0
 
 
+def test_large_predictions_load_without_numpy_and_rank_alike_both_ways(tmp_path):
+    """A predictions file over 2 MiB loads without numpy, and the benchmark's four eval flag
+    sets write the same bytes whether evaluation ranks in plain Python or with numpy."""
+    import random
+
+    from sggkit.ingest import graph_to_obj
+
+    from .conftest import make_graph, write_jsonl, write_vocab
+
+    rng = random.Random(3)
+    n, num_objects, num_predicates = 28, 5, 3
+    write_vocab(tmp_path / "vocab.json", ("person", "surfboard", "wave", "dog", "cat"),
+                ("on", "above", "near"))
+    graphs, predictions = [], []
+    for i in range(48):
+        cats = [rng.randrange(num_objects) for _ in range(n)]
+        edges = {(rng.randrange(n), rng.randrange(n)): rng.randrange(num_predicates)
+                 for _ in range(8)}
+        graph = make_graph(f"g{i}", cats, [(s, p, o) for (s, o), p in edges.items() if s != o],
+                           width=300)
+        graphs.append(graph_to_obj(graph))
+        predictions.append({
+            "image_id": graph.image_id,
+            "object_scores": [[0.75 if c == peak else 0.0625 for c in range(num_objects)]
+                              for peak in (rng.choice((cat, cat, rng.randrange(num_objects)))
+                                           for cat in cats)],
+            "pairs": [{"subject": s, "object": o, "predicate_scores": [
+                rng.choice((0.0, 0.125, 0.25, 0.5, 1.0)) for _ in range(num_predicates)]}
+                for s in range(n) for o in range(n) if s != o],
+            "boxes": [[b.x1, b.y1, b.x2, b.y2] for b in (node.box for node in graph.nodes)],
+        })
+    write_jsonl(tmp_path / "gt.jsonl", graphs)
+    write_jsonl(tmp_path / "preds.jsonl", predictions)
+    assert (tmp_path / "preds.jsonl").stat().st_size > 2 << 20
+    (tmp_path / "zs.json").write_text(json.dumps({"triplets": [
+        {"s": s, "p": p, "o": o} for s in range(num_objects) for p in range(num_predicates)
+        for o in range(num_objects) if (s + p + o) % 3 == 0]}))
+    (tmp_path / "stats.json").write_text(json.dumps({"predicate_freq": [0.5, 0.25, 0.25]}))
+    base = ["eval", "--predictions", str(tmp_path / "preds.jsonl"),
+            "--gt", str(tmp_path / "gt.jsonl"), "--vocab", str(tmp_path / "vocab.json")]
+    runs = {
+        "recall": ["--mode", "sgcls", "--k", "100"],
+        "recall_gc": ["--mode", "predcls", "--k", "50", "--graph-constraint",
+                      "--subset", str(tmp_path / "zs.json")],
+        "mean_recall": ["--metric", "mean-recall", "--mode", "sgcls", "--k", "100",
+                        "--reweight-x", "1", "--stats", str(tmp_path / "stats.json")],
+        "sggen": ["--mode", "sggen", "--k", "100"],
+    }
+    commands = {kernel: [base + flags + ["--out", str(tmp_path / f"{name}_{kernel}.json")]
+                         for name, flags in runs.items()]
+                for kernel in ("rows", "matrix")}
+    loaded = run_python(
+        "import sys\n"
+        "from sggkit import evaluation\n"
+        "from sggkit.cli import main\n"
+        "from sggkit.ingest import load_predictions, load_vocabulary\n"
+        f"load_predictions({str(tmp_path / 'preds.jsonl')!r}, "
+        f"load_vocabulary({str(tmp_path / 'vocab.json')!r}))\n"
+        "print('numpy' in sys.modules)\n"
+        f"print([main(argv) for argv in {commands['rows']!r}], 'numpy' in sys.modules)\n"
+        "evaluation.MATRIX_CANDIDATES = 0\n"
+        f"print([main(argv) for argv in {commands['matrix']!r}], 'numpy' in sys.modules)"
+    )
+    assert loaded.splitlines() == ["False", "[0, 0, 0, 0] False", "[0, 0, 0, 0] True"]
+    for name in runs:
+        rows = (tmp_path / f"{name}_rows.json").read_bytes()
+        assert rows == (tmp_path / f"{name}_matrix.json").read_bytes()
+        assert 0 < json.loads(rows)["value"] < 100
+
+
 def test_perturb_methods_but_graphn_load_no_stats_module(tmp_path):
     """Only graphn reads a triplet table, so rand, neigh and oracle_zs in one fresh
     process never import (or, without bytecode, compile) `sggkit.stats`."""

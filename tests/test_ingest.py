@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -365,32 +366,21 @@ class TestLoadPredictions:
             load_predictions(path, vocab)
 
 
-def predictions_both_ways(monkeypatch, path, vocab):
-    """load_predictions(path) read into lists, then into numpy matrices."""
-    import sggkit.ingest
-
-    got = []
-    for matrix_bytes in (path.stat().st_size + 1, 0):
-        monkeypatch.setattr(sggkit.ingest, "MATRIX_BYTES", matrix_bytes)
-        try:
-            got.append(load_predictions(path, vocab))
-        except ParseError as e:
-            got.append(str(e))
-    return got
-
-
 class TestPredictionForms:
-    """Files of MATRIX_BYTES or more are read into numpy matrices, smaller ones into lists
-    that evaluation ranks in plain Python; a file reads and ranks the same either way."""
+    """Every file is read into array("d") rows; evaluation ranks them in plain Python, or
+    with numpy from evaluation.MATRIX_CANDIDATES candidates on, and both rank alike."""
 
-    def test_forms(self, tmp_path, vocab, monkeypatch):
+    def test_forms(self, tmp_path, vocab):
         path = tmp_path / "p.jsonl"
-        write_jsonl(path, [{"image_id": "img1", "object_labels": [2, 0], "pairs": []}])
-        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
-        assert type(as_lists[0].object_scores) is tuple
-        assert type(as_matrices[0].object_scores) is np.ndarray
+        write_jsonl(path, [{"image_id": "img1", "object_labels": [2, 0], "pairs": [
+            {"subject": 0, "object": 1, "predicate_scores": [0.5, 0.25, 0.25]}]}])
+        (pred,) = load_predictions(path, vocab)
+        assert type(pred.object_scores) is tuple
+        assert [type(row) for row in pred.object_scores] == [array, array]
+        assert type(pred.pairs[0].scores) is array
 
     def test_same_ranking_and_recall(self, tmp_path, monkeypatch):
+        from sggkit import evaluation
         from sggkit.evaluation import rank_triplets, recall_details
 
         rng = np.random.default_rng(7)
@@ -413,53 +403,68 @@ class TestPredictionForms:
         path = tmp_path / "p.jsonl"
         write_jsonl(path, lines)
         ds = Dataset(vocab, tuple(graphs))
-        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
-        for a, b in zip(as_lists, as_matrices):
+        preds = load_predictions(path, vocab)
+        for p in preds:
             for constraint in (True, False):
                 for k in (1, 5, 20, 200):
-                    assert rank_triplets(a, constraint, k) == rank_triplets(b, constraint, k)
+                    assert (rank_triplets(p, constraint, k)
+                            == evaluation._rank_matrix(p, constraint, k, None))
         f_r = [0.125, 0.0625, 0.25, 0.5, 0.1875]
         for x in (0.0, 0.5, 1.0):
             for constraint in (True, False):
                 for k in (3, 20):
-                    assert (recall_details(as_lists, ds, k, graph_constraint=constraint,
-                                           reweight_x=x, f_r=f_r)
-                            == recall_details(as_matrices, ds, k, graph_constraint=constraint,
-                                              reweight_x=x, f_r=f_r))
+                    got = recall_details(preds, ds, k, graph_constraint=constraint,
+                                         reweight_x=x, f_r=f_r)
+                    with monkeypatch.context() as m:
+                        m.setattr(evaluation, "MATRIX_CANDIDATES", 0)
+                        assert got == recall_details(preds, ds, k, graph_constraint=constraint,
+                                                     reweight_x=x, f_r=f_r)
 
-    @pytest.mark.parametrize("change", [
-        {"object_scores": [[0.5, 0.5, 0, 0, True]]},
-        {"object_scores": [[0.5, 0.5, 0, 0, 0], [1.0]]},
-        {"object_scores": [{}]},
-        {"object_scores": [[0.5, 0.5, 0, 0, 10**400]]},
-        {"object_scores": [[0.5, 0.5, 0, 0, 0, 0]]},
-        {"object_scores": []},
-        {"object_scores": [[0.5, 0.5, 0, 0, float("nan")]]},
-        {"object_scores": [[0.5, 0.25, 0, 0, 0]]},
-        {"object_labels": [0, 7]},
-        {"pairs": [{"subject": 0, "object": 0, "predicate_scores": [0.5, 0.3, 0.2]}]},
-        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 0.3, 0.2]}] * 2},
-        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, "0.3", 0.2]}]},
-        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 10**400, 0.2]}]},
-        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 1.5, 0.2]}]},
-        {"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, float("nan"), 0.2]}]},
-        {"pairs": [{"subject": 1, "object": 0, "predicate_scores": [0.5, 0.5, 0]},
-                   {"subject": 0, "object": 1, "predicate_scores": [-0.5, 0.3, 0.2]}]},
-        {"boxes": [[0, 0, 1, 1]]},
+    @pytest.mark.parametrize("change, message", [
+        ({"object_scores": [[0.5, 0.5, 0, 0, True]]},
+         "malformed 'object_scores': expected arrays of JSON numbers"),
+        ({"object_scores": [[0.5, 0.5, 0, 0, 0], [1.0]]},
+         "malformed 'object_scores': rows differ in length"),
+        ({"object_scores": [{}]}, "malformed 'object_scores': expected arrays of JSON numbers"),
+        ({"object_scores": [[0.5, 0.5, 0, 0, 10**400]]},
+         "malformed 'object_scores': int too large to convert to float"),
+        ({"object_scores": [[0.5, 0.5, 0, 0, 0, 0]]}, "'object_scores' must be n x 5"),
+        ({"object_scores": []}, "'object_scores' must be n x 5"),
+        ({"object_scores": [[0.5, 0.5, 0, 0, float("nan")]]},
+         "image 'img1': non-finite object scores"),
+        ({"object_scores": [[0.5, 0.25, 0, 0, 0]]},
+         "image 'img1': object score rows must sum to 1"),
+        ({"object_labels": [0, 7]}, "object label 7 out of range"),
+        ({"pairs": [{"subject": 0, "object": 0, "predicate_scores": [0.5, 0.3, 0.2]}]},
+         "image 'img1': pair with subject == object"),
+        ({"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 0.3, 0.2]}] * 2},
+         "image 'img1': duplicate pair (0, 1)"),
+        ({"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, "0.3", 0.2]}]},
+         "pair 0: 'predicate_scores' must be 3 JSON numbers"),
+        ({"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 10**400, 0.2]}]},
+         "'predicate_scores': int too large to convert to float"),
+        ({"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 1.5, 0.2]}]},
+         "pair 0: scores must lie in [0, 1]"),
+        ({"pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, float("nan"), 0.2]}]},
+         "pair 0: scores must lie in [0, 1]"),
+        ({"pairs": [{"subject": 1, "object": 0, "predicate_scores": [0.5, 0.5, 0]},
+                    {"subject": 0, "object": 1, "predicate_scores": [-0.5, 0.3, 0.2]}]},
+         "pair 1: scores must lie in [0, 1]"),
+        ({"boxes": [[0, 0, 1, 1]]}, "image 'img1': box count != node count"),
     ], ids=["object-bool", "object-ragged", "object-dict-row", "object-int-beyond-float", "object-columns",
             "object-empty", "object-nan", "object-sum", "label-range", "self-pair",
             "duplicate-pair", "pair-string", "pair-int-beyond-float", "pair-above-1",
             "pair-nan", "second-pair-negative", "box-count"])
-    def test_same_messages(self, tmp_path, vocab, monkeypatch, change):
+    def test_same_messages(self, tmp_path, vocab, change, message):
         line = {"image_id": "img1", "object_labels": [0, 1], "pairs": []}
         if "object_scores" in change:
             del line["object_labels"]
         line.update(change)
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps(line) + "\n")
-        as_lists, as_matrices = predictions_both_ways(monkeypatch, path, vocab)
-        assert isinstance(as_lists, str) and as_lists.startswith(f"{path}:1 (image_id='img1'): ")
-        assert as_lists == as_matrices
+        with pytest.raises(ParseError) as e:
+            load_predictions(path, vocab)
+        assert str(e.value) == f"{path}:1 (image_id='img1'): {message}"
 
 
 # Box corners: ints and floats, the extremes of float formatting among them.
