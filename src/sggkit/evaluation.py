@@ -6,23 +6,22 @@ reweighting.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import indexOf, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import BoundingBox, Dataset, SceneGraph, Triplet, categorical_triplets, left_sum
+from .model import (BoundingBox, Dataset, SceneGraph, Triplet, _collector_paused,
+                    categorical_triplets, left_sum)
 
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
 AGGREGATES = ("image", "triplet")
-# An evaluation with at least this many candidates (pairs x predicates, summed
-# over the predictions) ranks with numpy, a smaller one in plain Python: numpy
-# ranks each image faster, but its import costs about 0.1 s. In fresh processes
-# forced to one kernel, plain Python led on the four benchmark commands summed
-# up to 1.57M candidates (200 `perfbench/gen.py` images) and was even at 1.88M,
-# while reweighted mean recall fell behind from 1.26M to 1.57M (BENCH_20.json).
+# From this many candidates (pairs x predicates, summed over the predictions) on,
+# evaluation ranks with numpy, below in plain Python, which saves numpy's 0.1 s import.
+# Set from one-off fresh-process runs (BENCH_20.json crossover); no benchmark verifies it.
 MATRIX_CANDIDATES = 1_500_000
 
 
@@ -50,6 +49,22 @@ def _pair_row(values):
         return _row(values)
     except (TypeError, ValueError, OverflowError):
         return values
+
+
+# _flagged's tables for a native double's top byte (sign, exponent) and the byte under it:
+# _NON_FINITE flags NaN and inf, _NOT_BELOW_ONE all but [+0.0, 1.0) (so -0.0 and 1.0 too)
+_TOP, _NEXT = (7, 6) if sys.byteorder == "little" else (0, 1)
+_NON_FINITE = (bytes(b & 0x7F == 0x7F for b in range(256)), bytes(b >= 0xF0 for b in range(256)))
+_NOT_BELOW_ONE = (bytes(0 if b < 0x3F else 1 if b == 0x3F else 3 for b in range(256)),
+                  bytes(3 if b >= 0xF0 else 2 for b in range(256)))
+
+
+def _flagged(doubles: bytes, tables: tuple[bytes, bytes]) -> bool:
+    """Whether a double in `doubles` (native, as array("d") holds them) has a top-byte
+    flag and a next-byte flag in `tables` with a bit in common; a test at C speed."""
+    top, below = tables
+    return bool(int.from_bytes(doubles[_TOP::8].translate(top), "little")
+                & int.from_bytes(doubles[_NEXT::8].translate(below), "little"))
 
 
 def _row_sum(row) -> float | None:
@@ -113,11 +128,11 @@ class PredictedGraph:
                     f"image {self.image_id!r}: duplicate pair ({p.subject}, {p.object})"
                 )
             seen.add((p.subject, p.object))
-            # a NaN or an inf makes the sum NaN or inf; an overflowing sum alone does not count
-            if (type(p.scores) is array and not math.isfinite(sum(p.scores))
-                    and not all(map(math.isfinite, p.scores))):
-                raise ValueError(f"image {self.image_id!r}: pair ({p.subject}, {p.object}) has "
-                                 "non-finite scores")
+        if _flagged(b"".join([p.scores for p in pairs if type(p.scores) is array]), _NON_FINITE):
+            p = next(p for p in pairs if type(p.scores) is array
+                     and not all(map(math.isfinite, p.scores)))
+            raise ValueError(f"image {self.image_id!r}: pair ({p.subject}, {p.object}) has "
+                             "non-finite scores")
         if self.boxes is not None and len(self.boxes) != n:
             raise ValueError(f"image {self.image_id!r}: box count != node count")
         object.__setattr__(self, "pairs", pairs)
@@ -184,10 +199,9 @@ def _predicate_weights(
 def _check_pair_scores(
     pairs: Sequence[PairScores], num_predicates: int, where: str, owner: str
 ) -> None:
-    for pair in pairs:
-        if type(pair.scores) is array and len(pair.scores) == num_predicates:
-            continue
-        if _shape(pair.scores) != (num_predicates,):
+    for pair in pairs:  # _shape, recursive, only for what is not an array("d") of that length
+        if ((type(pair.scores) is not array or len(pair.scores) != num_predicates)
+                and _shape(pair.scores) != (num_predicates,)):
             raise ValueError(f"{where}pair ({pair.subject}, {pair.object}) has scores of shape "
                              f"{_shape(pair.scores)}; {owner} has {num_predicates} predicates")
 
@@ -390,6 +404,7 @@ def _percent(rows, aggregate: str) -> float:
     return 100.0 * left_sum(fractions.values()) / len(fractions)
 
 
+@_collector_paused()  # its collections, in numpy's import too, would walk every stored row
 def _evaluate(
     predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
 ) -> RecallResult:

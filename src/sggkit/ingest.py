@@ -6,9 +6,7 @@ ignored for forward compatibility.
 """
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -18,8 +16,8 @@ from pathlib import Path
 from struct import Struct
 from typing import TYPE_CHECKING, Iterable
 
-from .model import (BoundingBox, Dataset, SceneGraph, Triplet, Vocabulary, _dataset, _edge,
-                    _graph, _node)
+from .model import (BoundingBox, Dataset, SceneGraph, Triplet, Vocabulary, _collector_paused,
+                    _dataset, _edge, _graph, _node)
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     import numpy as np
@@ -189,20 +187,6 @@ def json_number(value) -> float:
     if type(value) is not float and type(value) is not int:
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, which finds no cycles among the acyclic objects
-    a loader builds but walks all of them again at each full collection, so that loading
-    grows faster than the file. The caller's collector state is restored."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _context(where: str, image_id: str) -> str:
@@ -468,7 +452,7 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
     without numpy: PredictedGraph stores the scores as array("d") rows."""
     from array import array
 
-    from .evaluation import PairScores, PredictedGraph
+    from .evaluation import _NOT_BELOW_ONE, PairScores, PredictedGraph, _flagged
 
     pack = Struct(f"{vocab.num_predicates}d").pack
     preds = []
@@ -523,15 +507,13 @@ def load_predictions(path: str | Path, vocab: Vocabulary):
             list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
         except OverflowError as e:
             raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
-        # A NaN makes a sum NaN wherever min and max put it. The image is checked at once,
-        # and only when it fails row by row, for the first pair out of range.
-        if rows and not (0.0 <= min(map(min, rows)) and max(map(max, rows)) <= 1.0
-                         and not isnan(sum(map(sum, rows)))):
-            outside = next(k for k, row in enumerate(rows)
-                           if not (0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row))))
-            raise ParseError(f"{ctx}: pair {outside}: scores must lie in [0, 1]")
         # packed, a row converts about twice as fast as through array("d", row)
-        pairs = tuple(PairScores(s, o, array("d", pack(*row))) for (s, o), row in zip(ends, rows))
+        packed = [array("d", pack(*row)) for row in rows]
+        if _flagged(b"".join(packed), _NOT_BELOW_ONE):  # a score may lie outside [0, 1)
+            for k, row in enumerate(rows):  # a NaN makes the sum NaN wherever min and max put it
+                if not (0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row))):
+                    raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
+        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, packed))
 
         boxes = None
         if obj.get("boxes") is not None:

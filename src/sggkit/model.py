@@ -5,7 +5,9 @@ Boxes, nodes, edges and graphs are slotted, so an instance keeps no dict.
 """
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -226,6 +228,20 @@ def _dataset(vocab: Vocabulary, graphs: tuple[SceneGraph, ...]) -> Dataset:
     dataset = _new(Dataset)
     _set(dataset, "vocabulary", vocab), _set(dataset, "graphs", graphs)
     return dataset
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, which finds no cycles among the acyclic objects
+    that loading and evaluation build but walks all of them again at each full collection,
+    so that loading grows faster than the file. The caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def degree(graph: SceneGraph, node: int) -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import math
 import re
 from array import array
 from itertools import product
@@ -760,6 +762,33 @@ def test_non_finite_pair_scores_are_rejected(bad, as_numpy):
         PredictedGraph("i", rows, (PairScores(0, 1, first), PairScores(1, 0, second)))
 
 
+def test_bit_tests_match_the_float_tests():
+    """evaluation._flagged reads the sign and exponent bits: _NON_FINITE flags exactly NaN
+    and the infinities, _NOT_BELOW_ONE every value but those in [+0.0, 1.0)."""
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -15, 0.5, 0.9999999999999999, 1.0,
+             1.0000000000000002, 1.5, 2.0, 1e308, -1e308, float("inf"), -float("inf"),
+             float("nan"), -float("nan"), 3e-5, 0.0625, 0.999]
+    values = edges + rng.random(200).tolist() + np.frombuffer(
+        rng.integers(0, 256, size=8 * 400, dtype=np.uint8).tobytes()).tolist()
+
+    def below_one(v):
+        return 0.0 <= v < 1.0 and math.copysign(1.0, v) > 0
+
+    for v in values:
+        doubles = array("d", [v]).tobytes()
+        assert evaluation._flagged(doubles, evaluation._NON_FINITE) == (not math.isfinite(v))
+        assert evaluation._flagged(doubles, evaluation._NOT_BELOW_ONE) == (not below_one(v))
+    for start in range(0, len(values), 7):  # a value's flags are its own, not its neighbours'
+        chunk = values[start:start + 7]
+        doubles = array("d", chunk).tobytes()
+        assert (evaluation._flagged(doubles, evaluation._NON_FINITE)
+                == (not all(map(math.isfinite, chunk))))
+        assert (evaluation._flagged(doubles, evaluation._NOT_BELOW_ONE)
+                == (not all(map(below_one, chunk))))
+    assert not evaluation._flagged(b"", evaluation._NON_FINITE)
+
+
 def test_pair_scores_whose_sum_overflows_are_finite():
     pred = PredictedGraph("i", [[1, 0], [0, 1]], (PairScores(0, 1, [1e308, 1e308, 0.5]),))
     assert rank_triplets(pred, True, 1)[0].score == 1e308
@@ -782,6 +811,28 @@ def test_pair_scores_that_are_not_1d_are_named_by_their_shape(object_scores, sco
     with pytest.raises(ValueError, match=rf"^image 'i': pair \(0, 1\) has scores of shape "
                                          rf"{shape}; the vocabulary has 3 predicates$"):
         recall_details([pred], ds, 50)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_evaluation_pauses_the_collector_and_restores_it(enabled):
+    """Evaluation ranks with the cyclic collector paused; the caller's state is what it was
+    afterwards, also after an error."""
+    ds = Dataset(Vocabulary(("a", "b", "c"), ("p0", "p1", "p2")),
+                 (make_graph("i", [0, 1], [(0, 0, 1)]),))
+    pred = PredictedGraph("i", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                          (PairScores(0, 1, [0.5, 0.25, 0.25]),))
+    seen, rank, before = [], evaluation._rank_rows, gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with patch.object(evaluation, "_rank_rows",
+                          lambda *a: seen.append(gc.isenabled()) or rank(*a)):
+            assert recall_details([pred], ds, 50).value == 100.0
+        assert (seen, gc.isenabled()) == ([False], enabled)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            recall_details([pred], ds, 0)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_rows_are_stored_as_arrays_of_doubles():

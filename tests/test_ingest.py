@@ -353,6 +353,25 @@ class TestLoadPredictions:
         with pytest.raises(ParseError, match="predicate_scores"):
             load_predictions(path, vocab)
 
+    @pytest.mark.parametrize("scores, ok", [
+        ([1.0, 0.0, 0.0], True), ([-0.0, 1.0, 5e-324], True), ([0.5, 0.25, 0.99999999], True),
+        ([0.5, 1.0000000000000002, 0.0], False), ([0.5, -5e-324, 0.0], False),
+        ([0.5, 2.0, 0.0], False), ([0.5, float("inf"), 0.0], False),
+    ], ids=["one", "signed-zero", "below-one", "just-above-one", "just-below-zero", "two",
+            "inf"])
+    def test_scores_at_the_ends_of_the_range(self, tmp_path, vocab, scores, ok):
+        """Only scores in [0, 1) pass the bit test at once; 1.0, -0.0 and the rest go on to
+        the row by row test, which accepts [0, 1]."""
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [{"image_id": "img1", "object_labels": [0, 1], "pairs": [
+            {"subject": 0, "object": 1, "predicate_scores": [0.5, 0.25, 0.25]},
+            {"subject": 1, "object": 0, "predicate_scores": scores}]}])
+        if ok:
+            assert load_predictions(path, vocab)[0].pairs[1].scores.tolist() == scores
+        else:
+            with pytest.raises(ParseError, match=r"pair 1: scores must lie in \[0, 1\]$"):
+                load_predictions(path, vocab)
+
     @pytest.mark.parametrize("key, value", [
         *(("object_labels", v) for v in (5, None, True, {}, "")),
         *(("pairs", v) for v in (5, None, True, {}, "")),
