@@ -221,8 +221,7 @@ def cmd_hit_rate(args) -> int:
 
 
 def cmd_plausibility(args) -> int:
-    import numpy as np
-    from . import ingest, quality
+    from . import ingest, perturb, quality
     endpoint = args.endpoint or os.environ.get(LM_ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(
@@ -232,11 +231,10 @@ def cmd_plausibility(args) -> int:
     vocab = ingest.load_vocabulary(args.vocab)
     dataset = ingest.load_dataset(args.dataset, vocab)
     records = _load_records(args.records) if args.records else None
-    rng = np.random.default_rng(args.seed)
     report = quality.score_graphs(
         scorer,
         dataset,
-        rng,
+        perturb._Stream(args.seed),
         records=records,
         mask_token=args.mask_token,
         max_workers=args.jobs,

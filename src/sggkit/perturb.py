@@ -116,21 +116,37 @@ _MIX_STEPS = [(src, dst, *step) for (src, dst), step in zip(
 _STATE_STEPS = [(i % 4, *step) for i, step in enumerate(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))]
 
 
+def _wide_pool(seed: int) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """The pool and mix steps of a seed of three or more 32-bit words. SeedSequence hashes
+    the first four words into the pool; after the pool's own mix it mixes each later word
+    into every pool word, its hashes running on from the pool's."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # numpy's message
+    words = [seed >> shift & _U32 for shift in range(0, seed.bit_length(), 32)]
+    pool = [_hashmix(w, step) for w, step in zip(words, _POOL_STEPS[:4])]
+    hashes = _hash_steps(_POOL_STEPS[-1][1], 0x931E8875, 4 * (len(words) - 4))
+    steps = _MIX_STEPS + [(4 + i // 4, i % 4, *step) for i, step in enumerate(hashes)]
+    return pool + _POOL_PAD[len(pool):] + words[4:], steps
+
+
 class _Stream:
-    """The draws of `numpy.random.default_rng(seed)` for `seed` in [0, 2**64), bit for
-    bit: `random()`, and `integers(high)` for `high` >= 1 with numpy's int64 path. A
-    32-bit bound draws from the halves of 64-bit outputs, and a half left over is kept
-    across `random()` calls, as PCG64's `has_uint32` buffer is."""
+    """The draws of `numpy.random.default_rng(seed)` for any int `seed` >= 0, bit for
+    bit: `random()`, `integers(high)` for `high` >= 1 with numpy's int64 path, and
+    `permutation(n)` for an int `n`. A 32-bit draw takes a half of a 64-bit output, and
+    a half left over is kept across `random()` calls, as PCG64's `has_uint32` buffer is."""
 
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int):
-        if seed >> 32:
+        steps = _MIX_STEPS
+        if seed >> 64:  # three or more 32-bit words, or a negative seed
+            pool, steps = _wide_pool(seed)
+        elif seed >> 32:
             pool = [_hashmix(seed & _U32, _POOL_STEPS[0]), _hashmix(seed >> 32, _POOL_STEPS[1]),
                     *_POOL_PAD[2:]]
         else:
             pool = [_hashmix(seed, _POOL_STEPS[0]), *_POOL_PAD[1:]]
-        for src, dst, xor, mult in _MIX_STEPS:  # pool[dst] = mix(pool[dst], hash(pool[src]))
+        for src, dst, xor, mult in steps:  # pool[dst] = mix(pool[dst], hash(pool[src]))
             h = (pool[src] ^ xor) * mult & _U32
             h = (0xCA01F9DD * pool[dst] - 0x4973F715 * (h ^ h >> 16)) & _U32
             pool[dst] = h ^ h >> 16
@@ -163,6 +179,26 @@ class _Stream:
 
     def random(self) -> float:
         return (self._next64() >> 11) * 2.0 ** -53
+
+    def permutation(self, n: int) -> list[int]:
+        """`range(n)` shuffled as numpy's `Generator.permutation(n)` shuffles it: Fisher-Yates
+        from the last index down to 1, swapping each index i with `_interval(i)`."""
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self._interval(i)
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def _interval(self, i: int) -> int:
+        """Uniform on [0, i], as numpy's `random_interval`: draw under the smallest all-ones
+        mask >= i and reject what lies above i, in 32-bit draws up to 2**32 - 1 and in
+        64-bit ones above."""
+        draw = self._next32 if i <= _U32 else self._next64
+        mask = (1 << i.bit_length()) - 1
+        j = draw() & mask
+        while j > i:
+            j = draw() & mask
+        return j
 
     def integers(self, high: int) -> int:
         """Uniform on [0, high), by Lemire's multiply-and-reject: 32-bit below a bound

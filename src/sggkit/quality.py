@@ -13,9 +13,10 @@ from urllib.parse import urlsplit
 from .ingest import PerturbationRecord
 from .model import Dataset, SceneGraph, Triplet, Vocabulary, categorical_triplets
 
-if TYPE_CHECKING:  # hit rates need neither numpy nor the triplet table
+if TYPE_CHECKING:  # hit rates and plausibility need neither numpy nor the triplet table
     import numpy as np
 
+    from .perturb import _Stream
     from .stats import TripletFrequencyTable
 
 DEFAULT_MASK_TOKEN = "[MASK]"
@@ -94,7 +95,7 @@ def build_query(
     graph: SceneGraph,
     masked_node: int,
     vocab: Vocabulary,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Stream,
     mask_token: str = DEFAULT_MASK_TOKEN,
 ) -> PlausibilityQuery:
     """Textual query for a scene graph with one node mention masked out.
@@ -102,7 +103,8 @@ def build_query(
     Every edge becomes a "subject predicate object" phrase; one incident
     edge of the masked node is chosen at random and the node's mention in
     that phrase is replaced by the mask token, then all phrases are
-    shuffled and joined.
+    shuffled and joined. `rng` is a numpy `Generator` or a `perturb._Stream`,
+    which draws the same numbers from the same seed.
     """
     incident = graph.incident_edges(masked_node)
     if not incident:
@@ -263,7 +265,7 @@ class PlausibilityReport:
 def score_graphs(
     scorer: PlausibilityScorer,
     dataset: Dataset,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Stream,
     records: Sequence[PerturbationRecord] | None = None,
     mask_token: str = DEFAULT_MASK_TOKEN,
     max_workers: int = 1,
@@ -274,10 +276,11 @@ def score_graphs(
     with graph context); without, a uniformly chosen non-isolated node.
     Graphs offering no such node are skipped and counted. Queries are built
     sequentially for determinism; up to max_workers (>= 1) queries run
-    concurrently. The mean is NaN when no graph was scored.
+    concurrently. `rng` is a numpy `Generator` or a `perturb._Stream`; both
+    give the same queries from the same seed. The mean is numpy's `np.mean`
+    of the scores, bit for bit, and NaN when no graph was scored.
     """
     from concurrent.futures import ThreadPoolExecutor
-    import numpy as np
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     by_id = {} if records is None else _records_by_image(records, dataset)
@@ -314,5 +317,31 @@ def score_graphs(
         results = [run(q) for q in queries]
 
     per_graph = dict(results)
-    mean = float(np.mean(list(per_graph.values()))) if per_graph else float("nan")
+    scores = list(per_graph.values())
+    mean = (0.0 + _pairwise_sum(scores)) / len(scores) if scores else float("nan")
     return PlausibilityReport(mean, per_graph, skipped)
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """The float64 sum of `values` in numpy's pairwise order, which `np.mean` and `np.sum`
+    add in; `0.0 +` it, over the count, is `np.mean`. Below 8 values it adds them in turn
+    to 0.0; up to 128 it keeps 8 running sums, one per position mod 8, combines them
+    pairwise and adds the tail; above 128 it splits at half the count, rounded down to a
+    multiple of 8. `sum` would compensate from Python 3.12 on."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        end = n - n % 8
+        r = values[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end:]:
+            total += value
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

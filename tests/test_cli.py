@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -370,6 +372,60 @@ class TestPlausibility:
         assert payload["mean_score"] is None
         assert (payload["scored"], payload["skipped"]) == (0, len(graphs))
         assert state["connections"] == 0
+
+    @staticmethod
+    def text_score(text, target):
+        """A score fixed by the query, of mixed magnitude, so the order of the sum shows."""
+        digest = hashlib.sha256(f"{target}|{text}".encode()).digest()
+        return int.from_bytes(digest[:8], "little") / 2**64 * 10.0 ** (digest[8] % 13 - 6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**32 - 1, 2**32, 2**64, 2**130 + 7])
+    def test_report_bytes_equal_numpy_generator_and_mean(self, tmp_path, seed):
+        """The report is the one numpy's generator and `np.mean` give, byte for byte, over
+        more than 128 graphs of up to 14 edges each."""
+        from sggkit.quality import score_graphs
+
+        from .lm_stub import stub_lm_server
+
+        write_vocab(tmp_path / "vocab.json", OBJECTS, PREDICATES)
+        draw = random.Random(4)
+        graphs = []
+        for i in range(150):
+            n = draw.randint(2, 7)
+            edges = [(s, draw.randrange(3), o) for s, o in
+                     (draw.sample(range(n), 2) for _ in range(draw.randint(0, 14)))]
+            graphs.append(make_graph(f"g{i}", [draw.randrange(5) for _ in range(n)], edges))
+        write_jsonl(tmp_path / "graphs.jsonl", [graph_to_obj(g) for g in graphs])
+        vocab = load_vocabulary(tmp_path / "vocab.json")
+        dataset = load_dataset(tmp_path / "graphs.jsonl", vocab)
+
+        class Scorer:
+            def score(self, text, target):
+                return TestPlausibility.text_score(text, target)
+
+        report = score_graphs(Scorer(), dataset, np.random.default_rng(seed))
+        assert report.scored > 128 and report.skipped > 0
+        _write_json(tmp_path / "expected.json", {
+            "mean_score": float(np.mean(list(report.per_graph.values()))),
+            "scored": report.scored, "skipped": report.skipped, "per_graph": report.per_graph})
+        with stub_lm_server(self.text_score) as (url, _):
+            code = run(["plausibility", "--dataset", tmp_path / "graphs.jsonl",
+                        "--vocab", tmp_path / "vocab.json", "--endpoint", url, "--jobs", "2",
+                        "--seed", seed, "--out", tmp_path / "p.json"])
+        assert code == 0
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    def test_negative_seed_exit_2_sending_nothing(self, workspace, capsys):
+        from .lm_stub import stub_lm_server
+
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(["plausibility", "--dataset", workspace / "train.jsonl",
+                        "--vocab", workspace / "vocab.json", "--endpoint", url,
+                        "--seed", "-1", "--out", workspace / "p.json"])
+        assert code == 2
+        assert "error: expected non-negative integer" in capsys.readouterr().err
+        assert state["connections"] == 0
+        assert not (workspace / "p.json").exists()
 
     def test_zero_retries_exit_2(self, workspace, capsys):
         code = run(["plausibility", "--dataset", workspace / "train.jsonl",

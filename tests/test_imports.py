@@ -61,10 +61,8 @@ def test_cli_import_loads_no_library_module():
     assert loaded == "[]"
 
 
-def test_commands_without_array_work_load_no_numpy(tmp_path):
-    """stats, subsets and hit-rate in one fresh process, after the record type
-    is imported from the package: numpy never loads, nor does the perturb
-    module."""
+def _array_free_inputs(tmp_path) -> dict[str, str]:
+    """A vocabulary, train and test splits, one perturbed graph and its record."""
     from sggkit.ingest import PerturbationRecord, graph_to_obj
 
     from .conftest import CAT, DOG, ON, PERSON, SURFBOARD, make_graph, write_jsonl, write_vocab
@@ -79,8 +77,15 @@ def test_commands_without_array_work_load_no_numpy(tmp_path):
         write_jsonl(tmp_path / f"{name}.jsonl", [graph_to_obj(g) for g in graphs])
     write_jsonl(tmp_path / "records.jsonl",
                 [PerturbationRecord("p", ((0, DOG, CAT),), (0,)).to_json_obj()])
-    files = {name: str(tmp_path / name) for name in ("vocab.json", "train.jsonl", "test.jsonl",
-                                                      "perturbed.jsonl", "records.jsonl")}
+    return {name: str(tmp_path / name) for name in ("vocab.json", "train.jsonl", "test.jsonl",
+                                                     "perturbed.jsonl", "records.jsonl")}
+
+
+def test_commands_without_array_work_load_no_numpy(tmp_path):
+    """stats, subsets and hit-rate in one fresh process, after the record type
+    is imported from the package: numpy never loads, nor does the perturb
+    module."""
+    files = _array_free_inputs(tmp_path)
     commands = [
         ["stats", "--train", files["train.jsonl"], "--vocab", files["vocab.json"],
          "--out", str(tmp_path / "stats.json")],
@@ -102,6 +107,29 @@ def test_commands_without_array_work_load_no_numpy(tmp_path):
     assert loaded.splitlines() == ["[]", "[0, 0, 0]", "[]"]
     hits = json.loads((tmp_path / "hits.json").read_text())["hit_rates"]["zs"]
     assert (hits["hits"], hits["total"]) == (1, 1)
+
+
+def test_plausibility_loads_no_numpy(tmp_path):
+    """plausibility --records in a fresh process, against a scoring service in this one,
+    draws from the plain-Python generator and averages in plain Python: neither numpy
+    nor the stats module loads."""
+    from .lm_stub import stub_lm_server
+
+    files = _array_free_inputs(tmp_path)
+    watched = ["numpy", "sggkit.stats"]
+    with stub_lm_server(lambda text, target: 0.5) as (url, state):
+        argv = ["plausibility", "--dataset", files["perturbed.jsonl"], "--vocab",
+                files["vocab.json"], "--records", files["records.jsonl"], "--endpoint", url,
+                "--out", str(tmp_path / "plausibility.json")]
+        loaded = run_python(
+            "import sys\n"
+            "from sggkit.cli import main\n"
+            f"print(main({argv!r}), [m for m in {watched!r} if m in sys.modules])"
+        )
+    assert loaded == "0 []"
+    assert [payload for _, payload in state["requests"]] == [
+        {"text": "[MASK] on surfboard", "target": "cat"}]
+    assert json.loads((tmp_path / "plausibility.json").read_text())["mean_score"] == 0.5
 
 
 def test_rand_and_oracle_zs_perturb_load_no_numpy(tmp_path):

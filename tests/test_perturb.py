@@ -871,6 +871,16 @@ draws = st.lists(st.one_of(
 ), max_size=40)
 
 
+# Like `draws`, with ("permutation", n) for a `permutation(n)` call.
+shuffles = st.lists(st.one_of(
+    st.none(), st.integers(1, 300), st.sampled_from([2, 2**32 - 1, 2**32, 2**63 - 1]),
+    st.tuples(st.just("permutation"), st.one_of(st.integers(0, 2), st.integers(0, 300))),
+), max_size=30)
+# Seeds of one and two 32-bit words, of three or four (the whole pool), and of more.
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1),
+                  st.integers(2**64, 2**128 - 1), st.integers(2**128, 2**512))
+
+
 class TestSameDrawsAsNumpy:
     """The plain-Python draws against the numpy code they replaced: same picks, same
     categories, and the generator left in the same state."""
@@ -884,6 +894,59 @@ class TestSameDrawsAsNumpy:
                 assert mine.random() == numpy_rng.random()
             else:
                 assert mine.integers(high) == numpy_rng.integers(high)
+
+    @settings(max_examples=500, deadline=None)
+    @given(seeds, shuffles)
+    def test_stream_permutation_equals_default_rng(self, seed, calls):
+        mine, numpy_rng = _Stream(seed), np.random.default_rng(seed)
+        for call in calls:
+            if call is None:
+                assert mine.random() == numpy_rng.random()
+            elif isinstance(call, tuple):
+                assert mine.permutation(call[1]) == numpy_rng.permutation(call[1]).tolist()
+            else:
+                assert mine.integers(call) == numpy_rng.integers(call)
+        assert mine.integers(2**32) == numpy_rng.integers(2**32)  # the same half left over
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64])
+    def test_stream_swap_draws_widen_past_32_bits(self, seed):
+        """Above 2**32 - 1, numpy's shuffle draws each swap index from 64 bits. A permutation
+        that long cannot be built, so numpy shuffles a sequence that only claims that length
+        and records the indices it swaps, for the first few indices down from 2**32 + 2."""
+        from collections.abc import MutableSequence
+
+        class Enough(Exception):
+            pass
+
+        class Claimed(MutableSequence):
+            def __init__(self):
+                self.swapped = []
+
+            def __len__(self):
+                return 2**32 + 3
+
+            def __getitem__(self, i):
+                return i
+
+            def __setitem__(self, i, value):  # x[i], x[j] = x[j], x[i] sets x[i], then x[j]
+                self.swapped.append(i)
+                if len(self.swapped) == 12:
+                    raise Enough
+
+            __delitem__ = insert = None
+
+        claimed, mine, indices = Claimed(), _Stream(seed), range(2**32 + 2, 2**32 - 4, -1)
+        with pytest.raises(Enough):
+            np.random.default_rng(seed).shuffle(claimed)
+        assert claimed.swapped[::2] == list(indices)
+        assert claimed.swapped[1::2] == [mine._interval(i) for i in indices]
+
+    def test_stream_rejects_a_negative_seed_as_numpy_does(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng(-1)
+        for seed in (-1, -2**40, -2**200):
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                _Stream(seed)
 
     @pytest.mark.parametrize("high", [0, -1])
     def test_stream_rejects_an_empty_range(self, high):

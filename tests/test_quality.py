@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sggkit
 from sggkit.model import Triplet
@@ -18,6 +22,7 @@ from sggkit.quality import (
     FrequencyStubScorer,
     HttpScorer,
     ScorerError,
+    _pairwise_sum,
     build_query,
     hit_rate,
     score_graphs,
@@ -185,6 +190,14 @@ class ConstantScorer:
         return self.value
 
 
+class ListScorer:
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def score(self, text, target):
+        return next(self.values)
+
+
 class TestScoreGraphs:
     def test_constant_scorer_mean(self, vocab, rng):
         ds = dataset_of(
@@ -283,6 +296,56 @@ class TestScoreGraphs:
         scorer = FrequencyStubScorer(table, vocab)
         value = scorer.score("[MASK] hanging over street", "traffic light")
         assert value == pytest.approx(math.log(4))
+
+
+# Signed zeros, the smallest and largest subnormals and normals, values that overflow when
+# added, and magnitudes far enough apart that the order of addition shows.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1.0, -1.0, 1e-16, 0.1]
+score_values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1, 1),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def seeded_scores(n, seed):
+    """n floats of mixed magnitude and sign, with EDGE_FLOATS among them."""
+    draw = random.Random(seed)
+    return [draw.choice(EDGE_FLOATS) if draw.random() < 0.1
+            else draw.uniform(-1, 1) * 10.0 ** draw.randint(-30, 30) for _ in range(n)]
+
+
+def same_bits(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def numpy_mean(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(values))
+
+
+class TestPairwiseMean:
+    """`score_graphs` averages as `np.mean` does: numpy's pairwise float64 sum, from 0.0,
+    over the count. The order is numpy's own, so the bits match, -0.0 and inf included."""
+
+    @staticmethod
+    def mean(values):
+        return (0.0 + _pairwise_sum(values)) / len(values)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(score_values, min_size=1, max_size=300))
+    def test_equals_np_mean(self, values):
+        assert same_bits(self.mean(values), numpy_mean(values))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255,
+                                   256, 257, 8191, 8192, 8193, 16383, 16384, 16385, 69_997])
+    def test_equals_np_mean_around_the_block_sizes(self, n):
+        for seed in range(3):
+            values = seeded_scores(n, seed)
+            assert same_bits(self.mean(values), numpy_mean(values))
+
+    def test_score_graphs_mean_is_np_mean(self, vocab, rng):
+        graphs = [make_graph(f"g{i}", [PERSON, SURFBOARD], [(0, ON, 1)]) for i in range(300)]
+        report = score_graphs(ListScorer(seeded_scores(300, 5)), dataset_of(vocab, *graphs), rng)
+        assert same_bits(report.mean, numpy_mean(list(report.per_graph.values())))
 
 
 class TestHttpScorer:
