@@ -262,7 +262,6 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--reweight-x must be finite and >= 0, got {args.reweight_x}")
     vocab = ingest.load_vocabulary(args.vocab)
     gt = ingest.load_dataset(args.gt, vocab)
-    predictions = ingest.load_predictions(args.predictions, vocab)
     subset = _load_triplet_set(args.subset) if args.subset else None
     f_r = None
     if args.reweight_x != 0:
@@ -271,6 +270,8 @@ def cmd_eval(args) -> int:
         f_r = _load_side_file(args.stats,
                               lambda f: _predicate_freq(json.load(f), vocab.num_predicates))
     k = args.k if args.k is not None else (50 if args.mode == "predcls" else 100)
+    # read, ranked and matched one image at a time; the report is written after the last
+    predictions = ingest.iter_predictions(args.predictions, vocab)
     common = dict(
         mode=args.mode,
         subset_filter=subset,

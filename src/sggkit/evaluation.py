@@ -9,6 +9,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, repeat
 from operator import indexOf, mul, neg
 from typing import Iterable, NamedTuple, Sequence
@@ -19,8 +20,9 @@ from .model import (BoundingBox, Dataset, SceneGraph, Triplet, _collector_paused
 SGGEN_IOU_THRESHOLD = 0.5
 MODES = ("sgcls", "predcls", "sggen")
 AGGREGATES = ("image", "triplet")
-# From this many candidates (pairs x predicates, summed over the predictions) on,
-# evaluation ranks with numpy, below in plain Python, which saves numpy's 0.1 s import.
+# Once this many candidates (pairs x predicates, summed over the predictions read so far,
+# the current one included) are read, evaluation ranks with numpy, before in plain Python,
+# which saves numpy's 0.1 s import.
 # Set from one-off fresh-process runs (BENCH_20.json crossover); no benchmark verifies it.
 MATRIX_CANDIDATES = 1_500_000
 
@@ -206,11 +208,10 @@ def _check_pair_scores(
                              f"{_shape(pair.scores)}; {owner} has {num_predicates} predicates")
 
 
-def _reweighted(scores: Sequence[float], weights: list[float], zero: list[int]) -> list[float]:
+def _check_zero(scores: Sequence[float], zero: list[int]) -> None:
     for i in zero:
         if scores[i] > 0:
             raise ValueError("nonzero score for a predicate with zero training frequency")
-    return list(map(mul, scores, weights))
 
 
 def reweight_scores(
@@ -230,10 +231,10 @@ def reweight_scores(
         shape = _shape(f_r)
     weights, zero = _predicate_weights(f_r, x, shape[0] if shape else 0)
     _check_pair_scores(pairs, len(weights), "", "f_r")
-    return tuple(
-        PairScores(p.subject, p.object, array("d", _reweighted(p.scores, weights, zero)))
-        for p in pairs
-    )
+    for p in pairs:
+        _check_zero(p.scores, zero)
+    return tuple(PairScores(p.subject, p.object, array("d", map(mul, p.scores, weights)))
+                 for p in pairs)
 
 
 def rank_triplets(
@@ -250,7 +251,7 @@ def rank_triplets(
 
 
 def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
-    """rank_triplets, each pair's scores reweighted first unless `weights` (from
+    """rank_triplets, each pair's scores reweighted unless `weights` (from
     _predicate_weights) is None; in plain Python.
 
     A candidate's score is w * v, w being the product of the subject's and the
@@ -266,12 +267,16 @@ def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
         return []
     label_scores = list(map(max, pred.object_scores))
     rows = [p.scores for p in pred.pairs]
+    scaled = iter  # a row's scores as ranked, reweighted where they are read: no row is copied
     if weights is not None:
-        rows = [_reweighted(row, *weights) for row in rows]
+        weights, zero = weights
+        for row in rows:
+            _check_zero(row, zero)
+        scaled = partial(map, mul, weights)  # weight * score, the same float as score * weight
     subjects = [p.subject for p in pred.pairs]
     objects = [p.object for p in pred.pairs]
     w = [label_scores[s] * label_scores[o] for s, o in zip(subjects, objects)]
-    bounds = list(map(mul, w, map(max, rows)))
+    bounds = list(map(mul, w, map(max, map(scaled, rows))))
     # (-score, subject, object, predicate or -1 for the pair's first best, pair); (s, o)
     # is unique, so no comparison reaches the -1.
     if graph_constraint:
@@ -285,7 +290,7 @@ def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
                 break
             wi, s, o = w[i], subjects[i], objects[i]
             candidates += [(-x, s, o, p, i)
-                           for p, v in enumerate(rows[i]) if (x := wi * v) >= floor]
+                           for p, v in enumerate(scaled(rows[i])) if (x := wi * v) >= floor]
             if len(candidates) >= 2 * k:  # keep the k first; none after them can rise
                 candidates.sort()
                 del candidates[k:]
@@ -296,7 +301,7 @@ def _rank_rows(pred, graph_constraint, k, weights) -> list[RankedTriplet]:
     ranked = []
     for score, s, o, p, i in candidates:
         if p < 0:  # the first best predicate, whose own score keeps the sign of a zero
-            row = rows[i]
+            row = list(scaled(rows[i]))
             p = indexOf(row, max(row))
             score = -(w[i] * row[p])
         ranked.append(RankedTriplet(s, o, labels[s], p, labels[o], -score))
@@ -404,12 +409,13 @@ def _percent(rows, aggregate: str) -> float:
     return 100.0 * left_sum(fractions.values()) / len(fractions)
 
 
-@_collector_paused()  # its collections, in numpy's import too, would walk every stored row
+@_collector_paused()  # its collections, in numpy's import too, would walk the ground truth
 def _evaluate(
     predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
 ) -> RecallResult:
-    """Rank each image with eligible GT edges once, match its edges once, and
-    count the matches per image and per predicate class of the GT edge."""
+    """Read the predictions once, as they arrive: check each, rank and match each image
+    with eligible GT edges, and keep only its match flags. Then count the matches per
+    image and per predicate class of the GT edge, in ground-truth order."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if aggregate not in AGGREGATES:
@@ -417,58 +423,64 @@ def _evaluate(
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     num_objects, num_predicates = gt.vocabulary.num_objects, gt.vocabulary.num_predicates
-    by_id: dict[str, PredictedGraph] = {}
-    candidates = 0
-    for p in predictions:
-        if p.image_id in by_id:
-            raise ValueError(f"duplicate prediction for image {p.image_id!r}")
-        columns = len(p.object_scores[0]) if p.object_scores else num_objects
-        if columns != num_objects:
-            raise ValueError(f"image {p.image_id!r}: object_scores has {columns} columns; "
-                             f"the vocabulary has {num_objects} object categories")
-        _check_pair_scores(p.pairs, num_predicates, f"image {p.image_id!r}: ", "the vocabulary")
-        by_id[p.image_id] = p
-        candidates += len(p.pairs) * num_predicates
-    gt_ids = {g.image_id for g in gt.graphs}
-    unknown = sorted(set(by_id) - gt_ids)
-    if unknown:
-        raise ValueError(f"predictions for images absent from ground truth: {unknown}")
     subset = frozenset(subset_filter) if subset_filter is not None else None
     weights = _predicate_weights(f_r, reweight_x, num_predicates) if reweight_x != 0 else None
-    rank = _rank_matrix if candidates >= MATRIX_CANDIDATES else _rank_rows
-
-    images = []
-    classes: dict[int, list[tuple[str, int, int]]] = {}
-    missing = []
+    gt_ids = {g.image_id for g in gt.graphs}
+    eligible = {}  # image id -> (graph, its eligible edge indices), in ground-truth order
     for graph in gt.graphs:
         edge_indices = [
             i for i, t in enumerate(categorical_triplets(graph)) if subset is None or t in subset
         ]
-        if not edge_indices:
-            continue
-        pred = by_id.get(graph.image_id)
-        if pred is None:
-            missing.append(graph.image_id)
-            continue
-        if mode in ("sgcls", "predcls") and pred.num_nodes != graph.num_nodes:
-            raise ValueError(
-                f"image {graph.image_id!r}: prediction has {pred.num_nodes} nodes, "
-                f"ground truth has {graph.num_nodes}"
-            )
-        if mode == "sggen" and pred.boxes is None:
-            raise ValueError(f"image {graph.image_id!r}: sggen evaluation requires predicted boxes")
-        ranked = rank(pred, graph_constraint, k, weights)
-        used = _matched_edges(ranked, graph, edge_indices, mode, pred.boxes)
-        images.append((graph.image_id, sum(used), len(used)))
+        if edge_indices:
+            eligible[graph.image_id] = graph, edge_indices
+    seen, unknown, flags = set(), [], {}  # flags: image id -> its eligible edges' matches
+    candidates, rank = 0, _rank_rows
+    for pred in predictions:
+        if pred.image_id in seen:
+            raise ValueError(f"duplicate prediction for image {pred.image_id!r}")
+        seen.add(pred.image_id)
+        columns = len(pred.object_scores[0]) if pred.object_scores else num_objects
+        if columns != num_objects:
+            raise ValueError(f"image {pred.image_id!r}: object_scores has {columns} columns; "
+                             f"the vocabulary has {num_objects} object categories")
+        _check_pair_scores(pred.pairs, num_predicates, f"image {pred.image_id!r}: ",
+                           "the vocabulary")
+        candidates += len(pred.pairs) * num_predicates
+        if candidates >= MATRIX_CANDIDATES:  # from here on numpy ranks faster than it loads
+            rank = _rank_matrix
+        if pred.image_id not in gt_ids:
+            unknown.append(pred.image_id)
+        elif pred.image_id in eligible:
+            graph, edge_indices = eligible[pred.image_id]
+            if mode in ("sgcls", "predcls") and pred.num_nodes != graph.num_nodes:
+                raise ValueError(
+                    f"image {graph.image_id!r}: prediction has {pred.num_nodes} nodes, "
+                    f"ground truth has {graph.num_nodes}"
+                )
+            if mode == "sggen" and pred.boxes is None:
+                raise ValueError(
+                    f"image {graph.image_id!r}: sggen evaluation requires predicted boxes")
+            flags[pred.image_id] = _matched_edges(
+                rank(pred, graph_constraint, k, weights), graph, edge_indices, mode, pred.boxes)
+        del pred  # before the next one is read
+    if unknown:
+        raise ValueError(f"predictions for images absent from ground truth: {sorted(unknown)}")
+    missing = sorted(eligible.keys() - flags.keys())
+    if missing:
+        raise ValueError(f"missing predictions for images: {missing}")
+    if not eligible:
+        raise ValueError("no ground-truth triplets left after filtering")
+
+    images = []
+    classes: dict[int, list[tuple[str, int, int]]] = {}
+    for image_id, (graph, edge_indices) in eligible.items():
+        used = flags[image_id]
+        images.append((image_id, sum(used), len(used)))
         of_class: dict[int, list[bool]] = {}
         for i, u in zip(edge_indices, used):
             of_class.setdefault(graph.edges[i].predicate, []).append(u)
-        for predicate, flags in of_class.items():
-            classes.setdefault(predicate, []).append((graph.image_id, sum(flags), len(flags)))
-    if missing:
-        raise ValueError(f"missing predictions for images: {sorted(missing)}")
-    if not images:
-        raise ValueError("no ground-truth triplets left after filtering")
+        for predicate, matched in of_class.items():
+            classes.setdefault(predicate, []).append((image_id, sum(matched), len(matched)))
     return RecallResult(
         _percent(images, aggregate),
         {i: m / t for i, m, t in images},
@@ -479,7 +491,7 @@ def _evaluate(
 
 
 def recall_details(
-    predictions: Sequence[PredictedGraph],
+    predictions: Iterable[PredictedGraph],
     gt: Dataset,
     k: int,
     mode: str = "sgcls",
@@ -490,6 +502,9 @@ def recall_details(
     aggregate: str = "image",
 ) -> RecallResult:
     """Recall@K with per-image and per-class values, from one ranking of each image.
+
+    `predictions` may be any iterable; it is read once, and each image is ranked
+    and matched as it arrives, then dropped.
 
     Per image, ground-truth instances (optionally restricted to a triplet
     subset by categorical composition) are greedily matched against the
@@ -508,7 +523,7 @@ def recall_at_k(*args, **kwargs) -> float:
 
 
 def mean_recall(
-    predictions: Sequence[PredictedGraph],
+    predictions: Iterable[PredictedGraph],
     gt: Dataset,
     k: int,
     mode: str = "sgcls",
@@ -519,7 +534,8 @@ def mean_recall(
     aggregate: str = "image",
 ) -> float:
     """Recall averaged uniformly over the predicate classes present in the
-    eligible GT: recall_details(...).mean."""
+    eligible GT: recall_details(...).mean. `predictions` may be any iterable,
+    read once."""
     return _evaluate(
         predictions, gt, k, mode, subset_filter, graph_constraint, reweight_x, f_r, aggregate
     ).mean

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite, isnan
 from operator import itemgetter
@@ -179,6 +180,7 @@ def iter_jsonl(path: str | Path):
                              f"(first on line {first_line[image_id]})")
         first_line[image_id] = lineno
         yield where, obj
+        del obj  # so that two lines' objects are never held at once
 
 
 def json_number(value) -> float:
@@ -448,83 +450,92 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
 
 @_collector_paused()
 def load_predictions(path: str | Path, vocab: Vocabulary):
-    """Read predicted graphs from JSON-Lines (schema in README "File formats"),
-    without numpy: PredictedGraph stores the scores as array("d") rows."""
+    """The list of `iter_predictions(path, vocab)`."""
+    return list(iter_predictions(path, vocab))
+
+
+def iter_predictions(path: str | Path, vocab: Vocabulary):
+    """Yield the predicted graph of each line of a JSON-Lines file (schema in README
+    "File formats"), in file order, without numpy: PredictedGraph stores the scores as
+    array("d") rows. Neither a decoded line nor a yielded graph is kept once the next
+    line is read."""
+    return starmap(partial(_predicted_graph, vocab, Struct(f"{vocab.num_predicates}d").pack),
+                   iter_jsonl(path))
+
+
+def _predicted_graph(vocab: Vocabulary, pack, where: str, obj: dict):
+    """The predicted graph on one line; `pack` packs one row of predicate scores."""
     from array import array
 
     from .evaluation import _NOT_BELOW_ONE, PairScores, PredictedGraph, _flagged
 
-    pack = Struct(f"{vocab.num_predicates}d").pack
-    preds = []
-    for where, obj in iter_jsonl(path):
-        image_id = obj["image_id"]
-        ctx = _context(where, image_id)
+    image_id = obj["image_id"]
+    ctx = _context(where, image_id)
 
-        if "object_scores" in obj:
-            scores = obj["object_scores"]
-            try:  # float() alone would read [true, "1"] as [1.0, 1.0]
-                types = set(map(type, chain.from_iterable(scores)))
-                if not types <= {int, float} or not all(type(row) is list for row in scores):
-                    raise TypeError("expected arrays of JSON numbers")
-                if int in types:
-                    list(map(float, chain.from_iterable(scores)))  # an int beyond a float
-                if len(set(map(len, scores))) > 1:
-                    raise ValueError("rows differ in length")
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ParseError(f"{ctx}: malformed 'object_scores': {e}") from e
-            if not scores or len(scores[0]) != vocab.num_objects:
-                raise ParseError(
-                    f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
-                )
-        elif "object_labels" in obj:
-            try:
-                labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
-            except TypeError as e:
-                raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
-            for lab in labels:
-                if not 0 <= lab < vocab.num_objects:
-                    raise ParseError(f"{ctx}: object label {lab} out of range")
-            # a tuple, which holds no nodes when empty, where an empty list is 1-d
-            scores = tuple([0.0] * lab + [1.0] + [0.0] * (vocab.num_objects - lab - 1)
-                           for lab in labels)
-        else:
-            raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
-
-        ends, rows, with_ints, r = [], [], [], vocab.num_predicates
-        for k, p in enumerate(_array(obj, "pairs", where, image_id)):
-            try:
-                ends.append((json_int(p["subject"]), json_int(p["object"])))
-                row = p["predicate_scores"]
-            except (KeyError, TypeError) as e:
-                raise ParseError(f"{ctx}: malformed pair {k}") from e
-            types = set(map(type, row)) if type(row) is list else None
-            if types is None or len(row) != r or not types <= {int, float}:
-                raise ParseError(f"{ctx}: pair {k}: 'predicate_scores' must be {r} JSON numbers")
-            rows.append(row)
+    if "object_scores" in obj:
+        scores = obj["object_scores"]
+        try:  # float() alone would read [true, "1"] as [1.0, 1.0]
+            types = set(map(type, chain.from_iterable(scores)))
+            if not types <= {int, float} or not all(type(row) is list for row in scores):
+                raise TypeError("expected arrays of JSON numbers")
             if int in types:
-                with_ints.append(row)
+                list(map(float, chain.from_iterable(scores)))  # an int beyond a float
+            if len(set(map(len, scores))) > 1:
+                raise ValueError("rows differ in length")
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"{ctx}: malformed 'object_scores': {e}") from e
+        if not scores or len(scores[0]) != vocab.num_objects:
+            raise ParseError(
+                f"{ctx}: 'object_scores' must be n x {vocab.num_objects}"
+            )
+    elif "object_labels" in obj:
         try:
-            list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
-        except OverflowError as e:
-            raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
-        # packed, a row converts about twice as fast as through array("d", row)
-        packed = [array("d", pack(*row)) for row in rows]
-        if _flagged(b"".join(packed), _NOT_BELOW_ONE):  # a score may lie outside [0, 1)
-            for k, row in enumerate(rows):  # a NaN makes the sum NaN wherever min and max put it
-                if not (0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row))):
-                    raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
-        pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, packed))
+            labels = [json_int(lab) for lab in _array(obj, "object_labels", where, image_id)]
+        except TypeError as e:
+            raise ParseError(f"{ctx}: malformed 'object_labels': {e}") from e
+        for lab in labels:
+            if not 0 <= lab < vocab.num_objects:
+                raise ParseError(f"{ctx}: object label {lab} out of range")
+        # a tuple, which holds no nodes when empty, where an empty list is 1-d
+        scores = tuple([0.0] * lab + [1.0] + [0.0] * (vocab.num_objects - lab - 1)
+                       for lab in labels)
+    else:
+        raise ParseError(f"{ctx}: need 'object_scores' or 'object_labels'")
 
-        boxes = None
-        if obj.get("boxes") is not None:
-            corners = _array(obj, "boxes", where, image_id)
-            try:
-                boxes = tuple(BoundingBox(*map(json_number, b)) for b in corners)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
-
+    ends, rows, with_ints, r = [], [], [], vocab.num_predicates
+    for k, p in enumerate(_array(obj, "pairs", where, image_id)):
         try:
-            preds.append(PredictedGraph(image_id, scores, pairs, boxes))
-        except ValueError as e:
-            raise ParseError(f"{ctx}: {e}") from e
-    return preds
+            ends.append((json_int(p["subject"]), json_int(p["object"])))
+            row = p["predicate_scores"]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"{ctx}: malformed pair {k}") from e
+        types = set(map(type, row)) if type(row) is list else None
+        if types is None or len(row) != r or not types <= {int, float}:
+            raise ParseError(f"{ctx}: pair {k}: 'predicate_scores' must be {r} JSON numbers")
+        rows.append(row)
+        if int in types:
+            with_ints.append(row)
+    try:
+        list(map(float, chain.from_iterable(with_ints)))  # an int beyond a float
+    except OverflowError as e:
+        raise ParseError(f"{ctx}: 'predicate_scores': {e}") from e
+    # packed, a row converts about twice as fast as through array("d", row)
+    packed = [array("d", pack(*row)) for row in rows]
+    if _flagged(b"".join(packed), _NOT_BELOW_ONE):  # a score may lie outside [0, 1)
+        for k, row in enumerate(rows):  # a NaN makes the sum NaN wherever min and max put it
+            if not (0.0 <= min(row) and max(row) <= 1.0 and not isnan(sum(row))):
+                raise ParseError(f"{ctx}: pair {k}: scores must lie in [0, 1]")
+    pairs = tuple(PairScores(s, o, row) for (s, o), row in zip(ends, packed))
+
+    boxes = None
+    if obj.get("boxes") is not None:
+        corners = _array(obj, "boxes", where, image_id)
+        try:
+            boxes = tuple(BoundingBox(*map(json_number, b)) for b in corners)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"{ctx}: malformed 'boxes': {e}") from e
+
+    try:
+        return PredictedGraph(image_id, scores, pairs, boxes)
+    except ValueError as e:
+        raise ParseError(f"{ctx}: {e}") from e

@@ -64,8 +64,8 @@ def fnv1a64(data: bytes) -> int:
 
 
 def graph_seed(image_id: str, master_seed: int) -> int:
-    """Stable per-image seed, independent of processing order."""
-    return fnv1a64(image_id.encode("utf-8")) ^ (master_seed & _U64)
+    """Stable per-image seed, independent of processing order; as wide as the master seed."""
+    return fnv1a64(image_id.encode("utf-8")) ^ master_seed
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ class PerturbationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.master_seed < 0:
+            raise ValueError("expected non-negative integer")  # _Stream's, numpy's message
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError(f"intensity must lie in [0, 1], got {self.intensity}")
         if self.top_k < 0:

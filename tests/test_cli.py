@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import random
+import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -161,6 +163,17 @@ class TestPerturb:
             record = json.loads(line)
             assert record["replacements"] == []
             assert record["affected_edges"] == []
+
+    def test_master_seed_is_taken_whole_and_must_not_be_negative(self, workspace, capsys):
+        """A seed of 2**64 is its own seed, not 0's; a negative seed exits 2, writing nothing."""
+        outputs = []
+        for seed in (0, 2**64):
+            assert self.run_perturb(workspace, "rand", f"s{seed}", ["--seed", seed]) == 0
+            outputs.append((workspace / f"s{seed}.jsonl").read_bytes())
+        assert outputs[0] != outputs[1]
+        assert self.run_perturb(workspace, "rand", "negative", ["--seed", "-1"]) == 2
+        assert "error: expected non-negative integer" in capsys.readouterr().err
+        assert not list(workspace.glob("negative*"))
 
     def test_oracle_without_zs_exit_2(self, workspace):
         assert self.run_perturb(workspace, "oracle_zs", "px") == 2
@@ -586,6 +599,63 @@ class TestEval:
         payload = json.loads(report.read_text())
         assert payload["value"] == 100.0
         assert payload["K"] == 50
+
+
+class TestEvalStreaming:
+    """`eval` ranks and matches each prediction as it is read."""
+
+    def test_kernel_switch_leaves_the_benchmark_reports_byte_identical(self, tmp_path,
+                                                                        monkeypatch):
+        """The four flag sets of the benchmark's `evaluate` write the same bytes whether
+        numpy ranks every image, the images from mid-file on, or none."""
+        from sggkit import evaluation
+
+        from .test_interpreters import commands, output_hashes, write_inputs
+
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        write_inputs(inputs)
+        lines = (inputs / "predictions.jsonl").read_text().splitlines()
+        mid = sum(len(json.loads(line)["pairs"]) * 3 for line in lines[:len(lines) // 2])
+        used = []
+        for name in ("_rank_rows", "_rank_matrix"):
+            kernel = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name,
+                                lambda *a, name=name, kernel=kernel: used.append(name) or kernel(*a))
+        hashes, kernels = [], []
+        for limit in (0, mid, 10**18):
+            out = tmp_path / str(limit)
+            out.mkdir()
+            used.clear()
+            with patch.object(evaluation, "MATRIX_CANDIDATES", limit):
+                for argv in commands(inputs, out, "http://127.0.0.1:9"):
+                    if argv[0] == "eval":
+                        assert run(argv) == 0
+            hashes.append(output_hashes(out))
+            kernels.append(set(used))
+        assert kernels == [{"_rank_matrix"}, {"_rank_rows", "_rank_matrix"}, {"_rank_rows"}]
+        assert len(hashes[0]) == 4 and hashes[0] == hashes[1] == hashes[2]
+
+    @pytest.mark.parametrize("last, message", [
+        ("{not json", r"preds\.jsonl:21: invalid JSON"),
+        (json.dumps({"image_id": "elsewhere", "object_labels": [0, 1], "pairs": []}),
+         r"predictions for images absent from ground truth: \['elsewhere'\]"),
+    ], ids=["malformed-json", "absent-image"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier report\n"], ids=["new", "existing"])
+    def test_bad_last_line_exit_2_writing_no_report(self, workspace, capsys, last, message,
+                                                     existing):
+        TestEval().write_predictions(workspace)
+        with open(workspace / "preds.jsonl", "a", encoding="utf-8") as f:
+            f.write(last + "\n")
+        report = workspace / "eval.json"
+        if existing is not None:
+            report.write_bytes(existing)
+        code = run(["eval", "--predictions", workspace / "preds.jsonl",
+                    "--gt", workspace / "test.jsonl", "--vocab", workspace / "vocab.json",
+                    "--out", report])
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert (report.read_bytes() if report.exists() else None) == existing
 
 
 class TestFeatMetrics:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import re
+import weakref
 from array import array
 from itertools import product
 from unittest.mock import patch
@@ -850,3 +851,42 @@ def test_arrays_of_other_types_are_stored_as_doubles():
     assert [row.typecode for row in pred.object_scores] == ["d", "d"]
     assert pred.pairs[0].scores.typecode == "d"
     assert pred.pairs[0].scores.tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("reweight_x", [0.0, 1.0])
+@pytest.mark.parametrize("matrix_candidates", [evaluation.MATRIX_CANDIDATES, 0],
+                         ids=["plain-python", "numpy"])
+def test_each_prediction_is_dropped_before_the_next_is_read(rng, matrix_candidates, reweight_x):
+    """Evaluation reads any iterable of predictions once, as it arrives, and keeps no image:
+    each is dead by the time the next is requested. The result is that of a list."""
+    instances = [quantised_instance(rng, f"img{i}") for i in range(8)]
+    ds = dataset_of(Vocabulary(("a", "b", "c"), ("p0", "p1", "p2")), *(g for g, _ in instances))
+    refs = []
+
+    def stream():
+        for _, pred in instances:
+            assert [ref() for ref in refs] == [None] * len(refs)
+            image = PredictedGraph(pred.image_id, pred.object_scores, pred.pairs)
+            refs.append(weakref.ref(image))
+            yield image
+            del image
+
+    with patch.object(evaluation, "MATRIX_CANDIDATES", matrix_candidates):
+        common = dict(reweight_x=reweight_x, f_r=[0.5, 0.25, 0.25])
+        got = recall_details(stream(), ds, 20, **common)
+        assert len(refs) == 8
+        assert got == recall_details([pred for _, pred in instances], ds, 20, **common)
+
+
+def test_unknown_images_are_reported_after_the_stream():
+    """An image absent from the ground truth is reported once every prediction is read, so
+    a later image's own error comes first; the unknown ids are then reported sorted."""
+    ds = Dataset(Vocabulary(("a", "b"), ("p0",)), (make_graph("i", [0, 1], [(0, 0, 1)]),))
+
+    def pred(image_id, n=2):
+        return PredictedGraph(image_id, [[1.0, 0.0]] * n, (PairScores(0, 1, [1.0]),))
+
+    with pytest.raises(ValueError, match="^image 'i': prediction has 3 nodes"):
+        recall_details(iter([pred("z"), pred("i", 3)]), ds, 5)
+    with pytest.raises(ValueError, match=r"absent from ground truth: \['y', 'z'\]$"):
+        recall_details(iter([pred("z"), pred("i"), pred("y")]), ds, 5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import sys
 from array import array
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from sggkit.ingest import (
     ParseError,
     graph_to_obj,
     iter_jsonl,
+    iter_predictions,
     json_int,
     load_dataset,
     load_embeddings,
@@ -383,6 +385,42 @@ class TestLoadPredictions:
         with pytest.raises(ParseError, match=rf"p\.jsonl:1 \(image_id='img1'\): '{key}' must be "
                                              r"a JSON array"):
             load_predictions(path, vocab)
+
+
+class TestIterPredictions:
+    @staticmethod
+    def line(image_id):
+        return {"image_id": image_id, "object_labels": [0, 1],
+                "pairs": [{"subject": 0, "object": 1, "predicate_scores": [0.5, 0.25, 0.25]}]}
+
+    def test_yields_each_graph_before_reading_the_next_line(self, tmp_path, vocab):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [self.line("img1")])
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+        preds = iter_predictions(path, vocab)
+        assert next(preds).image_id == "img1"
+        with pytest.raises(ParseError, match=r"p\.jsonl:2: invalid JSON"):
+            next(preds)
+
+    def test_a_decoded_line_is_dropped_before_the_next_is_decoded(self, tmp_path, vocab,
+                                                                   monkeypatch):
+        """Neither iter_jsonl nor iter_predictions holds a line's JSON object once the
+        next line is requested, so at most one line's objects are alive."""
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [self.line(f"img{i}") for i in range(4)])
+        decoded, counts, loads = [], [], json.loads
+
+        def counting_loads(text):
+            counts.append([sys.getrefcount(obj) for obj in decoded])
+            decoded.append(loads(text))
+            return decoded[-1]
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        held_by_a_list_alone = [sys.getrefcount(obj) for obj in [{}]][0]
+        assert [p.image_id for p in iter_predictions(path, vocab)] == [
+            "img0", "img1", "img2", "img3"]
+        assert counts == [[held_by_a_list_alone] * i for i in range(4)]
 
 
 class TestPredictionForms:

@@ -566,11 +566,18 @@ class TestPerturbDataset:
         assert graph_seed("img1", 5) == 0xEE1E49C5769E028F ^ 5
         assert graph_seed("img1", 5) != graph_seed("img2", 5)
 
+    def test_seed_hash_keeps_a_master_seed_past_64_bits(self):
+        assert graph_seed("img1", 2**64 + 5) == 2**64 + (0xEE1E49C5769E028F ^ 5)
+
 
 class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             PerturbationConfig("bogus")
+
+    def test_negative_master_seed(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            PerturbationConfig("rand", master_seed=-1)
 
     def test_bad_intensity(self):
         with pytest.raises(ValueError):
