@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("rand", "neigh", "graphn", "oracle_zs"))
     p.add_argument("--intensity", "-L", type=float, default=0.2)
     p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=2.0,
+                   help="graphn's rarity cutoff: drop each candidate whose mean triplet count "
+                        "is below it (0 keeps every candidate; inf leaves every graph unchanged)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dataset", required=True)
     p.add_argument("--vocab", required=True)

@@ -85,7 +85,7 @@ class PerturbationConfig:
             raise ValueError(f"intensity must lie in [0, 1], got {self.intensity}")
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
-        if not self.alpha >= 0:  # rejects NaN too; inf means no cutoff
+        if not self.alpha >= 0:  # rejects NaN too; inf drops every graphn candidate
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
@@ -367,23 +367,27 @@ def _graphn_scores(
     """
     import numpy as np
 
-    total = np.zeros(table.category_bound, dtype=np.int64)
-    support = np.zeros(table.category_bound, dtype=np.int64)
+    hits, bound = [], 0
     for edge in graph.edges:
         if edge.subject == node:
-            groups, key = table.by_predicate_object, (edge.predicate, categories[edge.object])
+            index, a, b = table.by_predicate_object, edge.predicate, categories[edge.object]
         elif edge.object == node:
-            groups, key = table.by_subject_predicate, (categories[edge.subject], edge.predicate)
+            index, a, b = table.by_subject_predicate, categories[edge.subject], edge.predicate
         else:
             continue
-        bounds, members, counts = groups
-        hit = bounds.get(key)
-        if hit is not None:
-            i, j = hit
-            cats = members[i:j]
-            total[cats] += counts[i:j]
-            support[cats] += 1
-    if categories[node] < table.category_bound:
+        keys, bounds, members, counts = index
+        k = keys.get(a, {}).get(b)
+        if k is not None:
+            i, j = bounds[k], bounds[k + 1]
+            hits.append((members[i:j], counts[i:j]))
+            # Members ascend within a key, so a slice's last member is its largest.
+            bound = max(bound, members.item(j - 1) + 1)
+    total = np.zeros(bound, dtype=np.int64)
+    support = np.zeros(bound, dtype=np.int64)
+    for cats, summand in hits:
+        total[cats] += summand
+        support[cats] += 1
+    if categories[node] < bound:
         support[categories[node]] = 0
     cats = np.flatnonzero(support)
     means = total[cats] / support[cats]
@@ -412,7 +416,7 @@ def graphn_candidates(
     """
     if node < 0 or node >= graph.num_nodes:
         raise IndexError(f"node {node} out of range (n={graph.num_nodes})")
-    if not alpha >= 0:  # rejects NaN too; inf means no cutoff
+    if not alpha >= 0:  # rejects NaN too; inf drops every candidate
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     scores = _graphn_scores([n.category for n in graph.nodes], graph, node, table, alpha)
     return [GraphNCandidate(*row) for row in zip(*(a.tolist() for a in scores))]
@@ -516,9 +520,10 @@ def perturb_graph(
     gives the graph and record `perturb_dataset` gives for that image. The
     rule is made on every call, from lookups built once per `resources`:
     oracle_zs's reference index is kept on the resources object, the neighbour
-    rankings on the embedding table, and graphn's groups on the triplet table:
-    its columns sorted by (predicate, object) and by (subject, predicate), with
-    the (start, end) of each key's rows, which `_graphn_scores` slices.
+    rankings on the embedding table, and graphn's two indexes on the triplet
+    table: its member and count columns sorted by (predicate, object, subject)
+    and by (subject, predicate, object), with a nested dict from each key to its
+    rows, which `_graphn_scores` slices.
     """
     graph.validate(vocab)
     return _perturb(graph, cfg, _rule(cfg, vocab, resources), rng, vocab.num_objects)

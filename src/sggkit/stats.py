@@ -15,10 +15,13 @@ from .ingest import _int_values, triplet_set_from_json_obj, triplet_set_to_json_
 from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_triplets
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
+    from array import array
+
     import numpy as np
 
-    # Members and counts sorted by key, and the (start, end) of each key's rows in them.
-    _Groups = tuple[dict[tuple[int, int], tuple[int, int]], np.ndarray, np.ndarray]
+    # keys[a][b] = k for each key (a, b), whose members and counts are rows
+    # bounds[k]:bounds[k + 1] of the two columns, ascending by key, then by member.
+    _Index = tuple[dict[int, dict[int, int]], array, np.ndarray, np.ndarray]
 
 FEW10_MAX = 10
 FEW100_MAX = 100
@@ -38,8 +41,10 @@ _DIGITS_ONLY = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isdi
 
 class TripletFrequencyTable:
     """Training-set count per categorical triplet, as a dict and as (s, p, o, count)
-    int64 columns. A table holds the form it was made from, the dict or, through
-    `from_json_obj` and `from_stats_json`, the columns; the other is built on first use."""
+    int64 columns in row order. A table holds the form it was made from, the dict or,
+    through `from_json_obj` and `from_stats_json`, the columns; the other is built on
+    first use, as are graphn's two indexes, but for the (s, p) one of a table read from
+    rows, which its duplicate check builds from the same sort."""
 
     def __init__(self, counts: dict[Triplet, int]):
         _check_counts(counts)
@@ -80,16 +85,16 @@ class TripletFrequencyTable:
         return 1 + int(max(s.max(), o.max())) if len(s) else 0
 
     @cached_property
-    def by_predicate_object(self) -> _Groups:
-        """Subject categories and counts grouped by (predicate, object category)."""
+    def by_predicate_object(self) -> _Index:
+        """Subject categories and counts indexed by (predicate, object category)."""
         s, p, o, c = self._columns
-        return _group(p, o, s, c)
+        return _index(p, o, s, c)
 
     @cached_property
-    def by_subject_predicate(self) -> _Groups:
-        """Object categories and counts grouped by (subject category, predicate)."""
+    def by_subject_predicate(self) -> _Index:
+        """Object categories and counts indexed by (subject category, predicate)."""
         s, p, o, c = self._columns
-        return _group(s, p, o, c)
+        return _index(s, p, o, c)
 
     @cached_property
     def _predicate_bound(self) -> int:
@@ -151,14 +156,15 @@ class TripletFrequencyTable:
         if (c < 1).any():
             i = int(np.flatnonzero(c < 1)[0])
             raise _count_error(Triplet(int(s[i]), int(p[i]), int(o[i])), int(c[i]))
-        # Equal triplets are equal 24-byte rows; a stable sort puts repeats after their first.
-        spo = np.stack((s, p, o), axis=1).view(np.dtype((np.void, 24))).ravel()
-        order = np.argsort(spo, kind="stable")
-        repeats = order[1:][spo[order[1:]] == spo[order[:-1]]]
+        # A stable sort by (s, p, o) puts each repeat of a triplet after the row it
+        # repeats; it is the (s, p) index's order too, so that index is built here.
+        order = np.lexsort((o, p, s))
+        repeats = order[_same_as_previous(order, (s, p, o))]
         if repeats.size:
             i = int(repeats.min())
             raise ValueError(f"duplicate triplet {Triplet(int(s[i]), int(p[i]), int(o[i]))} "
                              "in frequency table")
+        table.by_subject_predicate = _index(s, p, o, c, order)
         return table
 
 
@@ -245,18 +251,33 @@ def _layout_columns(text: str):
     return tuple(columns[::-1])  # the layouts list count, o, p, s
 
 
-def _group(a, b, member, count) -> _Groups:
-    """`member` and `count` sorted stably by (a, b), with the (start, end) of each
-    distinct (a, b); the keys are compared column by column, so no two merge."""
+def _same_as_previous(order, columns):
+    """For each row in `order`, whether it equals the row before it in every one of
+    `columns`. Compared column by column, no two keys merge for any int64 ids, and
+    only one column is gathered at a time."""
     import numpy as np
-    if not len(a):
-        return {}, member, count
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    heads = np.flatnonzero(np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]))))
-    bounds = [*heads.tolist(), len(a)]
-    keys = zip(a[heads].tolist(), b[heads].tolist())
-    return dict(zip(keys, zip(bounds, bounds[1:]))), member[order], count[order]
+    same = np.ones(len(order), bool)
+    same[:1] = False
+    for column in columns:
+        x = column[order]
+        same[1:] &= x[1:] == x[:-1]
+    return same
+
+
+def _index(a, b, member, count, order=None) -> _Index:
+    """`member` and `count` sorted by (a, b, member), as `order` sorts them if given,
+    with keys[a][b] = k for each distinct (a, b), whose rows are bounds[k]:bounds[k + 1]."""
+    from array import array
+
+    import numpy as np
+    if order is None:
+        order = np.lexsort((member, b, a))
+    heads = np.flatnonzero(~_same_as_previous(order, (a, b)))
+    first = order[heads]
+    keys: dict[int, dict[int, int]] = {}
+    for k, (x, y) in enumerate(zip(a[first].tolist(), b[first].tolist())):
+        keys.setdefault(x, {})[y] = k
+    return keys, array("q", [*heads.tolist(), len(order)]), member[order], count[order]
 
 
 def build_frequency_table(train: Dataset) -> TripletFrequencyTable:

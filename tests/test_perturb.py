@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -297,6 +298,24 @@ class TestGraphNCandidates:
                 graphn_candidates(graph, 0, table, alpha)
         assert graphn_candidates(graph, 0, table, float("inf")) == []
 
+    def test_arrays_sized_by_the_ids_read(self):
+        """The largest id, 2**24, sits in a row the call never reads. Sized by the
+        table's largest id, the call allocated two 128 MB arrays."""
+        import tracemalloc
+
+        table = table_of({(PERSON, ON, SURFBOARD): 4, (CAT, ON, SURFBOARD): 1,
+                          (2**24, ABOVE, 2**24): 2})
+        graph = make_graph("g", [DOG, SURFBOARD], [(0, ON, 1)])
+        table.by_predicate_object, table.by_subject_predicate  # built once per table
+        tracemalloc.start()
+        try:
+            cands = graphn_candidates(graph, 0, table, alpha=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.category for c in cands] == [PERSON, CAT]
+        assert peak < 1 << 20
+
     def test_alpha_monotonicity(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -559,6 +578,29 @@ class TestPerturbDataset:
             budget = max(1, round(0.5 * graph.num_nodes))
             assert len(record.replacements) <= budget
             assert out.edges == graph.edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4)),
+                           st.integers(1, 9), min_size=1, max_size=45),
+           st.sampled_from([0, 2, 4]), st.data())
+    def test_graphn_ignores_the_stats_files_row_order(self, counts, alpha, data):
+        """The table's indexes sort the rows they are read from, so a stats file's row
+        order, in either layout the text reader takes, reaches no draw."""
+        vocab = Vocabulary(("person", "surfboard", "wave", "dog", "cat"), ("on", "above", "near"))
+        ds = self.corpus(vocab, n=30)
+        rows = table_of(counts).to_json_obj()
+        shuffled = data.draw(st.permutations(rows))
+        cfg = PerturbationConfig("graphn", intensity=0.5, top_k=2, alpha=alpha, master_seed=7)
+
+        def perturbed(rows, **layout):
+            text = json.dumps({"triplets": rows}, sort_keys=True, **layout)
+            table = TripletFrequencyTable.from_stats_json(io.StringIO(text))
+            return perturb_dataset(ds, cfg, PerturbationResources(embeddings_for(5), table))
+
+        graphs, records = perturbed(rows, separators=(",", ":"))
+        for layout in ({"separators": (",", ":")}, {"indent": 2}):
+            got_graphs, got_records = perturbed(shuffled, **layout)
+            assert got_graphs.graphs == graphs.graphs and got_records == records
 
     def test_seed_hash_is_stable(self):
         # frozen FNV-1a value so the seeding scheme cannot drift silently

@@ -135,6 +135,22 @@ class TestTableColumns:
         assert table.count(Triplet(PERSON, ON, SURFBOARD)) == 3
         assert "counts" in vars(table)
 
+    def test_dataset_table_builds_only_what_it_reads(self, vocab):
+        """`stats` and `subsets` read the dict alone; graphn builds the columns and
+        both indexes, and reads them."""
+        from sggkit.ingest import EmbeddingTable
+        from sggkit.perturb import PerturbationConfig, PerturbationResources, perturb_dataset
+
+        corpus = toy_corpus(vocab)
+        table = build_frequency_table(corpus)
+        table.to_json_obj(), table.total_triplets, table.distinct_triplets
+        shot_subsets(corpus, table)
+        assert set(vars(table)) == {"counts"}
+        embeddings = EmbeddingTable(np.random.default_rng(0).normal(size=(vocab.num_objects, 4)))
+        cfg = PerturbationConfig("graphn", intensity=1.0, top_k=2, alpha=0)
+        perturb_dataset(corpus, cfg, PerturbationResources(embeddings, table))
+        assert {"_columns", "by_predicate_object", "by_subject_predicate"} <= set(vars(table))
+
     @pytest.mark.parametrize("rows, message", [
         ([{"s": 0, "p": 0, "o": 1, "count": 0}], "non-positive count 0"),
         ([{"s": 0, "p": -1, "o": 1, "count": 2}], "negative category or predicate id"),
@@ -160,8 +176,10 @@ class TestTableColumns:
 
 def groups(table, name):
     """A grouping of `table` as {key: (members, counts)}."""
-    bounds, members, counts = getattr(table, name)
-    return {key: (members[i:j].tolist(), counts[i:j].tolist()) for key, (i, j) in bounds.items()}
+    keys, bounds, members, counts = getattr(table, name)
+    return {(a, b): (members[bounds[k]:bounds[k + 1]].tolist(),
+                     counts[bounds[k]:bounds[k + 1]].tolist())
+            for a, row in keys.items() for b, k in row.items()}
 
 
 def test_groups_keep_keys_apart_for_any_int64_ids():
@@ -516,6 +534,7 @@ def read_probe(request, tmp_path_factory):
                              capture_output=True, text=True, check=True).stdout.split()
         assert int(out[0]) == 120_000
         return float(out[1]), int(out[2])
+    probe.layout = request.param
     return probe
 
 
@@ -525,9 +544,39 @@ def test_stats_read_after_a_dataset_load_starts_no_full_collection(read_probe):
 
 
 def test_stats_read_peak_per_row_is_bounded(read_probe):
-    """About 165 (compact) and 170 (indented) bytes per row at the peak; with row dicts
-    decoded first, about 420."""
-    assert read_probe("traced")[0] < 256
+    """About 129 (compact) and 169 (indented) bytes per row at the peak, each 10% under
+    its bound; about 420 with row dicts decoded first. The indented file's peak is its
+    read: the file's bytes and their decoded text, 2.3 times the compact file's."""
+    assert read_probe("traced")[0] < {"compact": 142, "indent": 186}[read_probe.layout]
+
+
+def test_table_memory_per_row_is_bounded(tmp_path):
+    """graphn's table, read from a compact stats file of 120,000 distinct triplets over
+    150 categories and 51 predicates (about 7,650 keys in each index, as in the
+    benchmark's full-split table), holds about 73 bytes per row once both indexes are
+    built and peaks at about 82 over the read and both indexes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    spo = rng.choice(150 * 51 * 150, size=120_000, replace=False)
+    rows = sorted_rows(*zip((spo // 7650).tolist(), (spo // 150 % 51).tolist(),
+                            (spo % 150).tolist(), rng.integers(1, 3000, 120_000).tolist()))
+    path = tmp_path / "stats.json"
+    path.write_text(compact({"triplets": rows}), encoding="utf-8")
+    del rows
+    warm = TripletFrequencyTable.from_stats_json(io.StringIO(compact({"triplets": ROWS})))
+    warm.by_predicate_object, warm.by_subject_predicate  # numpy's first calls allocate too
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as f:
+            table = TripletFrequencyTable.from_stats_json(f)
+        table.by_predicate_object, table.by_subject_predicate
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.distinct_triplets == 120_000
+    assert held / 120_000 <= 80
+    assert peak / 120_000 <= 95
 
 
 class TestShotSubsets:
