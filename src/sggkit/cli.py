@@ -30,10 +30,15 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or infinity is a ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: str | Path, payload) -> None:
-    """Strict JSON: a NaN or infinity is a ValueError, raised before the
-    file is opened, so no truncated report is left behind."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`_json_text(payload)`, made before the file is opened, so no truncated report is
+    left behind."""
+    text = _json_text(payload)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -46,10 +51,10 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_side_file(path: str | Path, parse):
-    """parse(the open side file: stats or a triplet set). Malformed JSON, a
-    missing key or a bad row is a ValueError that names the file."""
-    with open(path, encoding="utf-8") as f:
+def _load_side_file(path: str | Path, parse, binary: bool = False):
+    """parse(the open side file: stats or a triplet set; in binary if `binary`). Malformed
+    JSON, a missing key or a bad row is a ValueError that names the file."""
+    with open(path, "rb", buffering=0) if binary else open(path, encoding="utf-8") as f:
         try:
             return parse(f)
         except KeyError as e:
@@ -68,11 +73,15 @@ def _load_triplet_set(path: str | Path):
     return _load_side_file(path, parse)
 
 
-def _frequency_table(f, vocab):
+def _frequency_table(path: str | Path, vocab):
+    """The triplet table of a stats file, read from its bytes, within `vocab`."""
     from . import stats
-    table = stats.TripletFrequencyTable.from_stats_json(f)
-    table.check_vocabulary(vocab)
-    return table
+
+    def parse(f):
+        table = stats.TripletFrequencyTable.from_stats_json(f)
+        table.check_vocabulary(vocab)
+        return table
+    return _load_side_file(path, parse, binary=True)
 
 
 def _predicate_freq(payload, num_predicates: int) -> list:
@@ -88,59 +97,47 @@ def _predicate_freq(payload, num_predicates: int) -> list:
 
 
 def cmd_stats(args) -> int:
-    from . import ingest, stats
+    from . import ingest, outputs, stats
     vocab = ingest.load_vocabulary(args.vocab)
-    train = ingest.load_dataset(args.train, vocab)
-    if len(train) == 0:
+    tally = stats._tally(ingest.iter_dataset(args.train, vocab), vocab)
+    if tally.graphs == 0:
         raise ValueError(f"{args.train}: empty dataset")
-    table = stats.build_frequency_table(train)
-    f_r = stats.predicate_frequencies(train)
-    obj_hist, _ = stats.marginal_distributions(train)
-    _write_json(
-        args.out,
-        {
-            "triplets": table.to_json_obj(),
-            "predicate_freq": f_r,
-            "object_hist": obj_hist.counts,
-        },
-    )
+    text = tally.stats_json()
+    with outputs.replacing(args.out) as (f,):
+        f.write(text)
     _log(
-        f"stats: {len(train)} graphs, {table.total_triplets} triplet instances, "
-        f"{table.distinct_triplets} distinct -> {args.out}"
+        f"stats: {tally.graphs} graphs, {sum(tally.triplets.values())} triplet instances, "
+        f"{len(tally.triplets)} distinct -> {args.out}"
     )
     return 0
 
 
 def cmd_subsets(args) -> int:
-    from . import ingest, stats
+    from . import ingest, outputs, stats
     vocab = ingest.load_vocabulary(args.vocab)
-    train = ingest.load_dataset(args.train, vocab)
-    test = ingest.load_dataset(args.test, vocab)
-    for path, dataset in ((args.train, train), (args.test, test)):
-        if len(dataset) == 0:
-            raise ValueError(f"{path}: empty dataset")
-    table = stats.build_frequency_table(train)
-    subsets = stats.shot_subsets(test, table)
+    train = stats._tally(ingest.iter_dataset(args.train, vocab), vocab)
+    if train.graphs == 0:
+        raise ValueError(f"{args.train}: empty dataset")
+    names = ("zs", "few10", "few100")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, bucket in (
-        ("zs", subsets.zero),
-        ("few10", subsets.few10),
-        ("few100", subsets.few100),
-    ):
-        ingest.save_dataset(bucket.dataset, out_dir / f"{name}.jsonl")
-        _write_json(
-            out_dir / f"{name}_triplets.json",
-            {"triplets": stats.triplet_set_to_json_obj(bucket.triplets)},
-        )
-        _log(f"subsets: {name}: {len(bucket.dataset)} graphs, {len(bucket.triplets)} triplets")
+    with outputs.replacing(*(out_dir / f"{name}.jsonl" for name in names),
+                           *(out_dir / f"{name}_triplets.json" for name in names)) as files:
+        read, graphs, triplets = stats._write_split(ingest.iter_dataset(args.test, vocab),
+                                                    train.triplets, files[:3])
+        if read == 0:
+            raise ValueError(f"{args.test}: empty dataset")
+        for f, bucket in zip(files[3:], triplets):
+            f.write(_json_text({"triplets": stats.triplet_set_to_json_obj(bucket)}))
+    for name, n, bucket in zip(names, graphs, triplets):
+        _log(f"subsets: {name}: {n} graphs, {len(bucket)} triplets")
     return 0
 
 
 def cmd_perturb(args) -> int:
-    from . import ingest, perturb
+    from . import ingest, outputs, perturb
+    outputs.resolve((args.out_dataset, args.out_records))  # before any input is read
     vocab = ingest.load_vocabulary(args.vocab)
-    dataset = ingest.load_dataset(args.dataset, vocab)
     cfg = perturb.PerturbationConfig(
         method=args.method,
         intensity=args.intensity,
@@ -156,24 +153,24 @@ def cmd_perturb(args) -> int:
     if args.method == "graphn":
         from . import stats
         if args.stats:
-            table = _load_side_file(args.stats, lambda f: _frequency_table(f, vocab))
-        else:
-            table = stats.build_frequency_table(dataset)
+            table = _frequency_table(args.stats, vocab)
+        else:  # a first pass over the dataset counts its triplets
+            counts = stats._tally(ingest.iter_dataset(args.dataset, vocab), vocab).triplets
+            table = stats.TripletFrequencyTable(dict(counts))
+            del counts
     if args.method == "oracle_zs":
         if not args.zs:
             raise ValueError("--zs is required for method 'oracle_zs'")
         zs_triplets = _load_triplet_set(args.zs)
     resources = perturb.PerturbationResources(embeddings, table, zs_triplets)
-    perturbed, records = perturb.perturb_dataset(dataset, cfg, resources)
-    ingest.save_dataset(perturbed, args.out_dataset)
-    with open(args.out_records, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record.to_json_obj(), separators=(",", ":")) + "\n")
-    changed = sum(len(r.replacements) for r in records)
-    touched = sum(len(r.affected_edges) for r in records)
+    # the rule is made here, before the first line is read
+    perturbed = perturb._perturbed(ingest.iter_dataset(args.dataset, vocab), cfg, vocab,
+                                   resources)
+    with outputs.replacing(args.out_dataset, args.out_records) as files:
+        graphs, changed, touched = outputs.write_perturbed(perturbed, *files)
     _log(
         f"perturb[{args.method}]: {changed} nodes changed, {touched} compositions touched "
-        f"across {len(perturbed)} graphs"
+        f"across {graphs} graphs"
     )
     return 0
 
@@ -194,7 +191,6 @@ def _load_records(path: str | Path) -> list[ingest.PerturbationRecord]:
 def cmd_hit_rate(args) -> int:
     from . import ingest, quality
     vocab = ingest.load_vocabulary(args.vocab)
-    perturbed = ingest.load_dataset(args.perturbed, vocab)
     records = _load_records(args.records)
     references = []
     for spec_arg in args.reference:
@@ -204,10 +200,12 @@ def cmd_hit_rate(args) -> int:
         if not name or any(name == seen for seen, _ in references):
             raise ValueError(f"--reference names must be distinct and non-empty, got {spec_arg!r}")
         references.append((name, _load_triplet_set(path)))
+    hits, total = quality._hit_counts(records, ingest.iter_dataset(args.perturbed, vocab),
+                                      [reference for _, reference in references])
     results = {}
     rows = []
-    for name, reference in references:
-        result = quality.hit_rate(records, perturbed, reference)
+    for (name, _), n in zip(references, hits):
+        result = quality.HitRateResult(100.0 * n / total if total else 0.0, n, total)
         if result.empty:
             _log(f"hit-rate: warning: no perturbed compositions; {name} rate is 0 by convention")
         results[name] = {"value": result.value, "hits": result.hits, "total": result.total}
@@ -229,13 +227,13 @@ def cmd_plausibility(args) -> int:
         )
     scorer = quality.HttpScorer(endpoint, timeout=args.timeout, retries=args.retries)
     vocab = ingest.load_vocabulary(args.vocab)
-    dataset = ingest.load_dataset(args.dataset, vocab)
-    records = _load_records(args.records) if args.records else None
+    # read in this order, and the dataset not kept here: `score_graphs` drops it once its
+    # queries are built, before the first request
     report = quality.score_graphs(
         scorer,
-        dataset,
-        perturb._Stream(args.seed),
-        records=records,
+        ingest.load_dataset(args.dataset, vocab),
+        records=_load_records(args.records) if args.records else None,
+        rng=perturb._Stream(args.seed),
         mask_token=args.mask_token,
         max_workers=args.jobs,
     )

@@ -206,7 +206,7 @@ def _array(obj: dict, key: str, where: str, image_id: str) -> list:
 _NUMBER = (int, float)
 
 
-def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
+def _graph_from_obj(vocab: Vocabulary, where: str, obj: dict) -> SceneGraph:
     """The graph on one dataset line. Each value is checked once, as it is read, for
     all that the model's constructors and `validate` check; they are not run again.
     Integers must be JSON integers and box corners JSON numbers (`json_int`,
@@ -256,8 +256,13 @@ def _graph_from_obj(obj: dict, vocab: Vocabulary, where: str) -> SceneGraph:
 def load_dataset(path: str | Path, vocab: Vocabulary) -> Dataset:
     """Read a JSON-Lines dataset; one scene graph per line, file order kept,
     image ids unique. Each graph is checked once, as it is read."""
-    graphs = tuple(_graph_from_obj(obj, vocab, where) for where, obj in iter_jsonl(path))
-    return _dataset(vocab, graphs)
+    return _dataset(vocab, tuple(iter_dataset(path, vocab)))
+
+
+def iter_dataset(path: str | Path, vocab: Vocabulary):
+    """Yield the graph of each line of a JSON-Lines dataset, as `load_dataset` reads it.
+    Neither a decoded line nor a yielded graph is kept once the next line is read."""
+    return starmap(partial(_graph_from_obj, vocab), iter_jsonl(path))
 
 
 def graph_to_obj(graph: SceneGraph) -> dict:
@@ -277,18 +282,22 @@ def graph_to_obj(graph: SceneGraph) -> dict:
 
 
 def save_dataset(dataset: Dataset | Iterable[SceneGraph], path: str | Path) -> None:
-    """Write graphs as JSON-Lines in the same schema `load_dataset` reads. Each line is
-    `json.dumps(graph_to_obj(g), separators=(",", ":"))`, formatted directly: json writes
-    an int or a float as its repr, which is what formatting one in an f-string gives."""
+    """Write graphs as JSON-Lines in the same schema `load_dataset` reads, one
+    `graph_line` each."""
     graphs = dataset.graphs if isinstance(dataset, Dataset) else dataset
     with open(path, "w", encoding="utf-8") as f:
-        for g in graphs:
-            objects = ",".join(f'{{"category":{n.category},"box":[{n.box.x1},{n.box.y1},'
-                               f'{n.box.x2},{n.box.y2}]}}' for n in g.nodes)
-            edges = ",".join(f'{{"subject":{e.subject},"predicate":{e.predicate},'
-                             f'"object":{e.object}}}' for e in g.edges)
-            f.write(f'{{"image_id":{encode_basestring_ascii(g.image_id)},"width":{g.width},'
-                    f'"height":{g.height},"objects":[{objects}],"relationships":[{edges}]}}\n')
+        f.writelines(map(graph_line, graphs))
+
+
+def graph_line(g: SceneGraph) -> str:
+    """`json.dumps(graph_to_obj(g), separators=(",", ":"))` and a newline, formatted
+    directly: json writes an int or a float as its repr, as an f-string does."""
+    objects = ",".join(f'{{"category":{n.category},"box":[{n.box.x1},{n.box.y1},'
+                       f'{n.box.x2},{n.box.y2}]}}' for n in g.nodes)
+    edges = ",".join(f'{{"subject":{e.subject},"predicate":{e.predicate},'
+                     f'"object":{e.object}}}' for e in g.edges)
+    return (f'{{"image_id":{encode_basestring_ascii(g.image_id)},"width":{g.width},'
+            f'"height":{g.height},"objects":[{objects}],"relationships":[{edges}]}}\n')
 
 
 # A records file (written by `perturb`, read by `hit-rate` and `plausibility`) holds one

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 # PerturbationRecord and _affected_edges are re-exported.
 from .ingest import EmbeddingTable, PerturbationRecord, _affected_edges
@@ -541,17 +541,28 @@ def perturb_dataset(
     processing order or parallelism. One record is emitted per graph, empty
     when nothing changed. A missing resource or a vocabulary or
     configuration that admits no replacement is raised before any graph is
-    perturbed.
+    perturbed. Each graph goes through `_perturbed`, as each line that
+    `sggkit perturb` reads does.
     """
-    vocab = dataset.vocabulary
-    rule = _rule(cfg, vocab, resources)
-    perturbed = []
-    records = []
-    for graph in dataset.graphs:
-        rng = _Stream(graph_seed(graph.image_id, cfg.master_seed))
-        new_graph, record = _perturb(graph, cfg, rule, rng, vocab.num_objects)
-        perturbed.append(new_graph)
-        records.append(record)
+    pairs = list(_perturbed(dataset.graphs, cfg, dataset.vocabulary, resources))
     # `_perturb` checked every category it changed against |C|; the rest of each graph
     # comes from `dataset`, which was checked when it was built.
-    return _dataset(vocab, tuple(perturbed)), records
+    return _dataset(dataset.vocabulary, tuple(g for g, _ in pairs)), [r for _, r in pairs]
+
+
+def _perturbed(
+    graphs: Iterable[SceneGraph],
+    cfg: PerturbationConfig,
+    vocab: Vocabulary,
+    resources: PerturbationResources | None,
+) -> Iterator[tuple[SceneGraph, PerturbationRecord]]:
+    """(perturbed graph, record) of each of `graphs` in turn, each drawn from
+    `_Stream(graph_seed(image id, cfg.master_seed))`; no graph is kept. The rule is
+    made, and a missing resource raised, before the first graph is taken."""
+    rule = _rule(cfg, vocab, resources)
+
+    def one(graph: SceneGraph) -> tuple[SceneGraph, PerturbationRecord]:
+        rng = _Stream(graph_seed(graph.image_id, cfg.master_seed))
+        return _perturb(graph, cfg, rule, rng, vocab.num_objects)
+    return map(one, graphs)
+

@@ -54,6 +54,41 @@ def _records_by_image(
     return by_id
 
 
+def _hit_counts(
+    records: Iterable[PerturbationRecord],
+    graphs: Iterable[SceneGraph],
+    references: Sequence[frozenset[Triplet]],
+) -> tuple[list[int], int]:
+    """(hits in each of `references`, total) over the perturbed compositions of `graphs`,
+    taken one at a time and not kept: each graph with a record is checked against it, and
+    the triplets of its affected edges are counted with multiplicity. A repeated record
+    is a ValueError at once; a record whose image no graph has, after the last graph."""
+    by_id: dict[str, PerturbationRecord] = {}
+    for record in records:
+        if record.image_id in by_id:
+            raise ValueError(f"duplicate perturbation record for image {record.image_id!r}")
+        by_id[record.image_id] = record
+    unseen = set(by_id)
+    hits, total = [0] * len(references), 0
+    for graph in graphs:
+        record = by_id.get(graph.image_id)
+        if record is not None:
+            unseen.discard(record.image_id)
+            record.check(graph)
+            triplets = categorical_triplets(graph)
+            for edge_index in record.affected_edges:
+                triplet = triplets[edge_index]
+                total += 1
+                for i, reference in enumerate(references):
+                    if triplet in reference:
+                        hits[i] += 1
+        del graph, record  # so that two graphs are never held at once
+    missing = [image_id for image_id in by_id if image_id in unseen]
+    if missing:
+        raise ValueError(f"record image {missing[0]!r} missing from perturbed dataset")
+    return hits, total
+
+
 def hit_rate(
     records: Sequence[PerturbationRecord],
     perturbed: Dataset,
@@ -61,22 +96,10 @@ def hit_rate(
 ) -> HitRateResult:
     """Fraction (as a percentage) of perturbed-edge compositions that match
     the reference set; instances are counted with multiplicity. Graphs
-    without a record count nothing."""
-    reference = frozenset(reference)
-    by_id = _records_by_image(records, perturbed)
-    hits = 0
-    total = 0
-    for graph in perturbed.graphs:
-        record = by_id.get(graph.image_id)
-        if record is None:
-            continue
-        triplets = categorical_triplets(graph)
-        for edge_index in record.affected_edges:
-            total += 1
-            if triplets[edge_index] in reference:
-                hits += 1
-    value = 100.0 * hits / total if total else 0.0
-    return HitRateResult(value, hits, total)
+    without a record count nothing. Counted by `_hit_counts`, as `sggkit
+    hit-rate` counts each graph it reads against every reference at once."""
+    (hits,), total = _hit_counts(records, perturbed.graphs, [frozenset(reference)])
+    return HitRateResult(100.0 * hits / total if total else 0.0, hits, total)
 
 
 @dataclass(frozen=True)
@@ -278,7 +301,9 @@ def score_graphs(
     sequentially for determinism; up to max_workers (>= 1) queries run
     concurrently. `rng` is a numpy `Generator` or a `perturb._Stream`; both
     give the same queries from the same seed. The mean is numpy's `np.mean`
-    of the scores, bit for bit, and NaN when no graph was scored.
+    of the scores, bit for bit, and NaN when no graph was scored. The
+    dataset is dropped once the queries are built, so a caller that keeps
+    no reference to it frees it before the first request.
     """
     from concurrent.futures import ThreadPoolExecutor
     if max_workers < 1:
@@ -302,6 +327,8 @@ def score_graphs(
             continue
         node = candidates[int(rng.integers(len(candidates)))]
         queries.append((graph.image_id, build_query(graph, node, dataset.vocabulary, rng, mask_token)))
+
+    del dataset, by_id  # the requests need only the queries
 
     def run(item):
         image_id, query = item

@@ -8,11 +8,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 # The triplet-set format is ingest's; its reader and writer are re-exported.
-from .ingest import _int_values, triplet_set_from_json_obj, triplet_set_to_json_obj
-from .model import Dataset, Triplet, Vocabulary, _dataset, _graph, categorical_triplets
+from .ingest import (_int_values, graph_line, triplet_set_from_json_obj,
+                     triplet_set_to_json_obj)
+from .model import (Dataset, SceneGraph, Triplet, Vocabulary, _dataset, _graph,
+                    categorical_triplets)
 
 if TYPE_CHECKING:  # numpy loads in the functions that compute with arrays
     from array import array
@@ -31,12 +33,12 @@ FEW100_MAX = 100
 # gives a row and its "," with the digits taken out, the text after the last row, and
 # the text of a value slot left empty (each ":" of a row opens one).
 _ROW_LAYOUTS = {
-    '"triplets":[': ('{"count":,"o":,"p":,"s":},', "", (":,", ":}")),
-    '"triplets": [': (
-        '\n    {\n      "count": ,\n      "o": ,\n      "p": ,\n      "s": \n    },', "\n  ",
-        (": ,", ": \n"))}
-_NO_DIGITS = str.maketrans("", "", "0123456789")
-_DIGITS_ONLY = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isdigit()})
+    b'"triplets":[': (b'{"count":,"o":,"p":,"s":},', b"", (b":,", b":}")),
+    b'"triplets": [': (
+        b'\n    {\n      "count": ,\n      "o": ,\n      "p": ,\n      "s": \n    },', b"\n  ",
+        (b": ,", b": \n"))}
+_DIGITS = b"0123456789"
+_DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))  # the rest to b" "
 
 
 class TripletFrequencyTable:
@@ -136,12 +138,23 @@ class TripletFrequencyTable:
 
     @classmethod
     def from_stats_json(cls, fp) -> "TripletFrequencyTable":
-        """`from_json_obj(json.load(fp)["triplets"])`: read straight from the text of
-        `fp` where `_layout_columns` shows the two the same, through it otherwise."""
-        text = fp.read()
-        if (columns := _layout_columns(text)) is None:
+        """`from_json_obj(json.load(fp)["triplets"])` for a text file `fp`, and for a
+        binary one read as text-mode reading decodes it: UTF-8, with universal newlines.
+        Read straight from the bytes where `_layout_columns` shows the two the same, so
+        a binary file's bytes are all the read holds of it; through it otherwise."""
+        data = fp.read()
+        if was_text := isinstance(data, str):  # kept as bytes alone, read as a binary file
+            data = data.encode("utf-8", "surrogatepass")
+        if (columns := _layout_columns(data)) is None:
+            if was_text:
+                text = data.decode("utf-8", "surrogatepass")
+            else:
+                text = data.decode("utf-8")
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+            del data
             return cls.from_json_obj(json.loads(text)["triplets"])
-        del text  # before the checks, which take memory too
+        del data  # before the checks, which take memory too
         return cls._of_columns(columns)
 
     @classmethod
@@ -202,13 +215,15 @@ def _columns_of(values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         raise ValueError(_TOO_WIDE) from e
 
 
-def _layout_columns(text: str):
-    """The (s, p, o, count) int64 columns of the "triplets" rows of `text` where they are
-    laid out as in `_ROW_LAYOUTS` and shown to be what `json.loads` finds there; else None.
-    The rows array is taken to close at the first "]" after it, and it is shown thus:
+def _layout_columns(text: bytes):
+    """The (s, p, o, count) int64 columns of the "triplets" rows of the UTF-8 `text` where
+    they are laid out as in `_ROW_LAYOUTS` and shown to be what `json.loads` finds in the
+    decoded text; else None. The rows array is taken to close at the first "]" after it,
+    and it is shown thus:
     - `outside`, the text with "[]" for the array, has one `"triplets"` and no backslash,
-      and parses as an object whose "triplets" is []. With no escape, each '"' in it
-      delimits a string, so that `"triplets"` is the top-level key and the array its value;
+      and decodes as UTF-8 (a BOM kept, as text-mode reading keeps it) to an object whose
+      "triplets" is []. With no escape, each '"' in it delimits a string, so that
+      `"triplets"` is the top-level key and the array its value;
     - each chunk, its digits taken out, is k rows of the layout, and none of its 4k value
       slots (from a ":" to the "," or "}" or line end after it) is left empty. Its digits
       parse to 4k numbers, one a run, so each slot holds one run and no digit stands
@@ -218,27 +233,27 @@ def _layout_columns(text: str):
     So the reference decodes the same rows, all JSON integers within int64, and hands
     `_of_columns` the same columns. Any other file goes to the reference, errors and all."""
     import numpy as np
-    key = text.find('"triplets"')
-    opening = text[key:text.find("[", key) + 1]
+    key = text.find(b'"triplets"')
+    opening = text[key:text.find(b"[", key) + 1]
     if key < 0 or opening not in _ROW_LAYOUTS:
         return None
     (row, tail, empty), start = _ROW_LAYOUTS[opening], key + len(opening)
-    close = text.find("]", start)
+    close = text.find(b"]", start)
     outside = text[:start] + text[close:]
     try:
-        if (close < 0 or outside.count('"triplets"') != 1 or "\\" in outside
-                or json.loads(outside)["triplets"] != []):
+        if (close < 0 or outside.count(b'"triplets"') != 1 or b"\\" in outside
+                or json.loads(outside.decode("utf-8"))["triplets"] != []):
             return None
     except (LookupError, TypeError, ValueError):
         return None
-    columns = np.empty((4, text.count("}", start, close)), np.int64)
+    columns = np.empty((4, text.count(b"}", start, close)), np.int64)
     at, done = start, 0
     while at < close:
-        end = text.find("},", at + (1 << 18), close)  # chunks of 256K characters and up
+        end = text.find(b"},", at + (1 << 18), close)  # chunks of 256K bytes and up
         end = close if end < 0 else end + 2
         chunk = text[at:end]
-        skeleton = chunk.translate(_NO_DIGITS)
-        k = skeleton.count("}")
+        skeleton = chunk.translate(None, _DIGITS)
+        k = skeleton.count(b"}")
         if (not k or skeleton != (row * k if end < close else (row * k)[:-1] + tail)
                 or any(e in chunk for e in empty)):
             return None
@@ -280,11 +295,63 @@ def _index(a, b, member, count, order=None) -> _Index:
     return keys, array("q", [*heads.tolist(), len(order)]), member[order], count[order]
 
 
+class _Tally:
+    """The counts of graphs added one at a time: the edges of each triplet and the
+    nodes of each object category. A predicate's edges are summed from its triplets'."""
+
+    def __init__(self, vocab: Vocabulary):
+        self.vocabulary = vocab
+        self.graphs = 0
+        self.triplets: Counter[Triplet] = Counter()
+        self.objects = [0] * vocab.num_objects
+
+    def add(self, graph: SceneGraph) -> None:
+        self.graphs += 1
+        self.triplets.update(categorical_triplets(graph))
+        objects = self.objects
+        for node in graph.nodes:
+            objects[node.category] += 1
+
+    def predicates(self) -> list[int]:
+        counts = [0] * self.vocabulary.num_predicates
+        for (_, p, _), c in self.triplets.items():
+            counts[p] += c
+        return counts
+
+    def predicate_frequencies(self) -> list[float]:
+        counts = self.predicates()
+        total = sum(counts)
+        if total == 0:
+            raise ValueError("dataset has no edges; predicate frequencies undefined")
+        # int / int rounds the exact quotient once, as numpy's float64 division does for
+        # counts below 2**53, so the fractions have the same bits.
+        return [c / total for c in counts]
+
+    def stats_json(self) -> str:
+        """The `sggkit stats` report, `json.dumps` of its "triplets" (`to_json_obj`'s
+        rows), "predicate_freq" and "object_hist" with `indent=2` and sorted keys, and a
+        newline. The rows, each of `_ROW_LAYOUTS`' indented shape, are formatted directly;
+        the dataset has edges, so there is at least one."""
+        head = json.dumps({"object_hist": self.objects, "triplets": [],
+                           "predicate_freq": self.predicate_frequencies()},
+                          indent=2, sort_keys=True, allow_nan=False)
+        rows = ",".join(f'\n    {{\n      "count": {c},\n      "o": {o},\n      "p": {p},'
+                        f'\n      "s": {s}\n    }}' for (s, p, o), c in sorted(self.triplets.items()))
+        return head[:-len("[]\n}")] + f"[{rows}\n  ]\n}}\n"  # head ends '"triplets": []\n}'
+
+
+def _tally(graphs: Iterable[SceneGraph], vocab: Vocabulary) -> _Tally:
+    """The counts of `graphs`, taken one at a time; none is kept."""
+    tally = _Tally(vocab)
+    for graph in graphs:
+        tally.add(graph)
+        del graph  # so that two graphs are never held at once
+    return tally
+
+
 def build_frequency_table(train: Dataset) -> TripletFrequencyTable:
-    counter: Counter[Triplet] = Counter()
-    for graph in train.graphs:
-        counter.update(categorical_triplets(graph))
-    return TripletFrequencyTable(dict(counter))
+    """The table of `train`'s triplets, in the order each first occurs."""
+    return TripletFrequencyTable(dict(_tally(train.graphs, train.vocabulary).triplets))
 
 
 @dataclass(frozen=True)
@@ -303,19 +370,19 @@ class ShotSubsets:
     all_shot: SubsetBucket
 
 
-def _bucket(test: Dataset, keep) -> SubsetBucket:
-    """The graphs of `test` cut down to their edges whose triplet `keep` accepts. They are
-    built without the constructors' checks: their parts are `test`'s, checked already."""
-    graphs = []
-    triplets: set[Triplet] = set()
-    for graph in test.graphs:
-        kept = [(e, t) for e, t in zip(graph.edges, categorical_triplets(graph)) if keep(t)]
-        if not kept:
-            continue
-        graphs.append(_graph(graph.image_id, graph.width, graph.height, graph.nodes,
-                             tuple(e for e, _ in kept)))
-        triplets.update(t for _, t in kept)
-    return SubsetBucket(_dataset(test.vocabulary, tuple(graphs)), frozenset(triplets))
+def _split(graph: SceneGraph, counts) -> list[tuple[SceneGraph | None, list[Triplet]]]:
+    """For the zero, few10 and few100 buckets in turn, `graph` cut down to its edges whose
+    triplet's training count (`counts.get`) falls in the bucket, and those triplets; None
+    for a bucket that keeps no edge. A cut graph is built without the constructors'
+    checks: its parts are `graph`'s."""
+    kept: list[list] = [[], [], []]
+    for edge, triplet in zip(graph.edges, categorical_triplets(graph)):
+        count = counts.get(triplet, 0)
+        if count <= FEW100_MAX:
+            kept[0 if count == 0 else 1 if count <= FEW10_MAX else 2].append((edge, triplet))
+    return [(_graph(graph.image_id, graph.width, graph.height, graph.nodes,
+                    tuple(e for e, _ in pairs)) if pairs else None, [t for _, t in pairs])
+            for pairs in kept]
 
 
 def shot_subsets(test: Dataset, table: TripletFrequencyTable) -> ShotSubsets:
@@ -324,11 +391,17 @@ def shot_subsets(test: Dataset, table: TripletFrequencyTable) -> ShotSubsets:
     Buckets: zero (count 0), few10 (1-10), few100 (11-100); the all-shot
     bucket is the unfiltered test set. Graphs keep their full node list but
     only the edges of the bucket; graphs left without edges are dropped. A
-    graph may appear in several buckets when its triplets qualify.
+    graph may appear in several buckets when its triplets qualify. Each graph
+    is split by `_split`, as `sggkit subsets` splits each line it reads.
     """
-    zero = _bucket(test, lambda t: table.count(t) == 0)
-    few10 = _bucket(test, lambda t: 1 <= table.count(t) <= FEW10_MAX)
-    few100 = _bucket(test, lambda t: FEW10_MAX < table.count(t) <= FEW100_MAX)
+    buckets: list[tuple[list, set]] = [([], set()), ([], set()), ([], set())]
+    for graph in test.graphs:
+        for (graphs, triplets), (cut, kept) in zip(buckets, _split(graph, table.counts)):
+            if cut is not None:
+                graphs.append(cut)
+                triplets.update(kept)
+    zero, few10, few100 = (SubsetBucket(_dataset(test.vocabulary, tuple(graphs)),
+                                        frozenset(triplets)) for graphs, triplets in buckets)
     all_triplets = frozenset(
         t for graph in test.graphs for t in categorical_triplets(graph)
     )
@@ -340,18 +413,25 @@ def shot_subsets(test: Dataset, table: TripletFrequencyTable) -> ShotSubsets:
     )
 
 
+def _write_split(test: Iterable[SceneGraph], counts, files) -> tuple[int, list, list]:
+    """Write each graph of `test`, taken one at a time and not kept, cut by `_split`, as a
+    `graph_line` to the file of each bucket that keeps an edge of it; (the graphs read,
+    the graphs written to each bucket, each bucket's triplets)."""
+    read, graphs, triplets = 0, [0, 0, 0], [set(), set(), set()]
+    for graph in test:
+        read += 1
+        for b, (cut, kept) in enumerate(_split(graph, counts)):
+            if cut is not None:
+                files[b].write(graph_line(cut))
+                graphs[b] += 1
+                triplets[b].update(kept)
+        del graph, cut  # so that two graphs are never held at once
+    return read, graphs, triplets
+
+
 def predicate_frequencies(train: Dataset) -> list[float]:
     """Per-predicate fraction of training edges; entries sum to 1."""
-    counts = [0] * train.vocabulary.num_predicates
-    for graph in train.graphs:
-        for edge in graph.edges:
-            counts[edge.predicate] += 1
-    total = sum(counts)
-    if total == 0:
-        raise ValueError("dataset has no edges; predicate frequencies undefined")
-    # int / int rounds the exact quotient once, as numpy's float64 division does for
-    # counts below 2**53, so the fractions have the same bits.
-    return [c / total for c in counts]
+    return _tally(train.graphs, train.vocabulary).predicate_frequencies()
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,11 +459,6 @@ class Histogram:
 def marginal_distributions(dataset: Dataset) -> tuple[Histogram, Histogram]:
     """Object histogram over node occurrences and predicate histogram over edges."""
     vocab = dataset.vocabulary
-    obj = [0] * vocab.num_objects
-    pred = [0] * vocab.num_predicates
-    for graph in dataset.graphs:
-        for node in graph.nodes:
-            obj[node.category] += 1
-        for edge in graph.edges:
-            pred[edge.predicate] += 1
-    return Histogram(obj, vocab.object_names), Histogram(pred, vocab.predicate_names)
+    tally = _tally(dataset.graphs, vocab)
+    return (Histogram(tally.objects, vocab.object_names),
+            Histogram(tally.predicates(), vocab.predicate_names))

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +236,27 @@ class TestScoreGraphs:
         capture = Capture()
         score_graphs(capture, ds, rng, records=records)
         assert capture.targets == ["dog"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dataset_is_dropped_before_the_first_request(self, vocab, rng, workers):
+        """A dataset the caller does not keep is freed once the queries are built, as
+        `sggkit plausibility` passes it."""
+        refs = []
+
+        def dataset():
+            ds = dataset_of(vocab, make_graph("a", [PERSON, SURFBOARD], [(0, ON, 1)]),
+                            make_graph("b", [DOG, WAVE], [(0, ABOVE, 1)]))
+            refs.append(weakref.ref(ds))
+            return ds
+
+        class Check:
+            def score(self, text, target):
+                assert refs[0]() is None
+                return 1.0
+
+        # not inside an assert: pytest's rewriting would keep the argument alive
+        report = score_graphs(Check(), dataset(), rng, max_workers=workers)
+        assert report.scored == 2
 
     def test_records_without_usable_node_skip(self, vocab, rng):
         graph = make_graph("a", [DOG, SURFBOARD], [(0, ON, 1)])

@@ -297,7 +297,7 @@ def compact(payload) -> str:
 
 
 def indented(payload) -> str:
-    """`payload` as `sggkit stats` writes it (`cli._write_json`)."""
+    """`payload` as `sggkit stats` writes it."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -493,11 +493,61 @@ class TestStatsFileText:
             assert not reached_reference(counted_read(text, monkeypatch)[1])
 
 
-# Reads a 120,000-row stats file after loading a 3,000-graph dataset, as `perturb
-# --stats` does, in a fresh interpreter: prints the traced peak per row and the number
-# of full (generation-2) collections during the read.
+def read_binary_and_text(raw: bytes):
+    """(`from_stats_json` on a binary file of `raw`, `from_json_obj` on the rows of the
+    text that text-mode UTF-8 reading decodes from `raw`): a table, or the type and
+    message of the error raised."""
+    outcomes = []
+    for read in (lambda: TripletFrequencyTable.from_stats_json(io.BytesIO(raw)),
+                 lambda: TripletFrequencyTable.from_json_obj(json.load(
+                     io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))["triplets"])):
+        try:
+            outcomes.append(read())
+        except (KeyError, TypeError, ValueError) as e:
+            outcomes.append((type(e), str(e)))
+    return outcomes
+
+
+class TestStatsFileBytes:
+    """A binary stats file reads as its text-mode decoding does: the same table, or the
+    same error, whatever its bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LAYOUTS), st.sampled_from([b"\n", b"\r\n", b"\r"]), st.booleans(),
+           st.booleans(), st.sampled_from([b"", b"\xff", b"\xed\xa0\x80", b"\xc3", "\u00e9".encode(),
+                                           b"\r", b"\r\n", "\ufeff".encode(), b" ", b"7"]),
+           st.integers(0, 10**6), st.data())
+    def test_reads_like_text_mode(self, layout, newline, bom, utf16, inserted, at, data):
+        """Line ends, a BOM, UTF-16, and bytes inserted anywhere."""
+        rows = [{"s": k, "p": k % 2, "o": 1, "count": 2 + k} for k in range(4)]
+        raw = stats_text(rows, layout, data.draw).encode().replace(b"\n", newline)
+        at %= len(raw) + 1
+        raw = (b"\xef\xbb\xbf" if bom else b"") + raw[:at] + inserted + raw[at:]
+        if utf16:
+            raw = raw.decode(errors="replace").encode("utf-16")
+        got, want = read_binary_and_text(raw)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_table(got, want)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"triplets": [], "x": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"),
+        (b'\xef\xbb\xbf{"triplets": []}', "Unexpected UTF-8 BOM"),
+    ], ids=["not-utf8", "bom"])
+    def test_rejected_as_text_mode_rejects(self, raw, message):
+        got, want = read_binary_and_text(raw)
+        assert got == want and message in got[1]
+
+
+# Reads a 120,000-row stats file after loading a 3,000-graph dataset, in a fresh
+# interpreter that has imported numpy, as `perturb --method graphn` has through its
+# embeddings: prints the traced peak per row and the number of full (generation-2)
+# collections during the read.
 READ_PROBE = """
 import gc, sys, tracemalloc
+import numpy
 from sggkit import cli, ingest
 vocab = ingest.load_vocabulary("vocab.json")
 dataset = ingest.load_dataset("train.jsonl", vocab)
@@ -507,7 +557,7 @@ gc.callbacks.append(lambda phase, info: phase == "start" and info["generation"] 
 traced = sys.argv[1] == "traced"
 if traced:
     tracemalloc.start()
-table = cli._load_side_file("stats.json", lambda f: cli._frequency_table(f, vocab))
+table = cli._frequency_table("stats.json", vocab)
 peak = tracemalloc.get_traced_memory()[1] if traced else 0
 print(table.distinct_triplets, peak / table.distinct_triplets, len(full))
 """
@@ -544,10 +594,11 @@ def test_stats_read_after_a_dataset_load_starts_no_full_collection(read_probe):
 
 
 def test_stats_read_peak_per_row_is_bounded(read_probe):
-    """About 129 (compact) and 169 (indented) bytes per row at the peak, each 10% under
-    its bound; about 420 with row dicts decoded first. The indented file's peak is its
-    read: the file's bytes and their decoded text, 2.3 times the compact file's."""
-    assert read_probe("traced")[0] < {"compact": 142, "indent": 186}[read_probe.layout]
+    """About 78 (compact) and 118 (indented) bytes per row at the peak, each 10% under
+    its bound. The file is read as bytes and never decoded, so the indented file's peak
+    is its 77 bytes a row with the table's columns; read as text, its bytes and their
+    decoded text at once made it 155."""
+    assert read_probe("traced")[0] < {"compact": 86, "indent": 130}[read_probe.layout]
 
 
 def test_table_memory_per_row_is_bounded(tmp_path):
@@ -664,6 +715,32 @@ class TestShotSubsets:
                     table.count(t) > 100,
                 ]
                 assert sum(memberships) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 4), min_size=2, max_size=4),
+                          st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                                             st.integers(0, 3)), max_size=5)),
+                min_size=1, max_size=6))
+def test_stats_report_is_json_dumps_of_the_library_values(specs):
+    """`sggkit stats` formats its triplet rows directly; the report is still `json.dumps`
+    of the table's rows, the predicate frequencies and the object histogram."""
+    from sggkit.stats import _tally
+
+    vocab = Vocabulary(("person", "surfboard", "wave", "dog", "cat"), ("on", "above", "near"))
+    graphs = [make_graph(f"g{i}", cats, [(s % len(cats), p, o % len(cats)) for s, p, o in edges
+                                         if s % len(cats) != o % len(cats)])
+              for i, (cats, edges) in enumerate(specs)]
+    ds = dataset_of(vocab, *graphs)
+    payload = {"triplets": build_frequency_table(ds).to_json_obj(), "object_hist":
+               marginal_distributions(ds)[0].counts}
+    tally = _tally(ds.graphs, vocab)
+    if not payload["triplets"]:
+        with pytest.raises(ValueError, match="dataset has no edges"):
+            tally.stats_json()
+        return
+    payload["predicate_freq"] = predicate_frequencies(ds)
+    assert tally.stats_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestPredicateFrequencies:
