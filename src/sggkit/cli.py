@@ -227,16 +227,16 @@ def cmd_plausibility(args) -> int:
         )
     scorer = quality.HttpScorer(endpoint, timeout=args.timeout, retries=args.retries)
     vocab = ingest.load_vocabulary(args.vocab)
-    # read in this order, and the dataset not kept here: `score_graphs` drops it once its
-    # queries are built, before the first request
-    report = quality.score_graphs(
-        scorer,
-        ingest.load_dataset(args.dataset, vocab),
+    # the records, then each graph as it is read; the requests hold the queries alone
+    queries, skipped = quality._build_queries(
+        ingest.iter_dataset(args.dataset, vocab),
+        vocab,
         records=_load_records(args.records) if args.records else None,
         rng=perturb._Stream(args.seed),
         mask_token=args.mask_token,
-        max_workers=args.jobs,
     )
+    report = quality._score_queries(scorer, queries, skipped, args.jobs)
+    del queries  # not held while the report is written
     _write_json(
         args.out,
         {

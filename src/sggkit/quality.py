@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .ingest import PerturbationRecord
@@ -37,21 +38,29 @@ class HitRateResult:
         return self.total == 0
 
 
-def _records_by_image(
-    records: Sequence[PerturbationRecord], dataset: Dataset
-) -> dict[str, PerturbationRecord]:
-    """Records keyed by image id, each checked against its perturbed graph.
-    A repeated id or one missing from the dataset is a ValueError."""
-    graphs = {g.image_id: g for g in dataset.graphs}
+def _with_records(
+    records: Iterable[PerturbationRecord], graphs: Iterable[SceneGraph]
+) -> Iterator[tuple[SceneGraph, PerturbationRecord | None]]:
+    """(graph, its record or None) for each of `graphs`, taken one at a time and not kept,
+    each record checked against its graph as the graph arrives. The records are indexed
+    first: a repeated one is a ValueError before any graph is read; a record whose image
+    no graph has, after the last graph."""
     by_id: dict[str, PerturbationRecord] = {}
     for record in records:
         if record.image_id in by_id:
             raise ValueError(f"duplicate perturbation record for image {record.image_id!r}")
-        if record.image_id not in graphs:
-            raise ValueError(f"record image {record.image_id!r} missing from perturbed dataset")
-        record.check(graphs[record.image_id])
         by_id[record.image_id] = record
-    return by_id
+    unseen = set(by_id)
+    for graph in graphs:
+        record = by_id.get(graph.image_id)
+        if record is not None:
+            unseen.discard(record.image_id)
+            record.check(graph)
+        yield graph, record
+        del graph, record  # so that two graphs are never held at once
+    missing = [image_id for image_id in by_id if image_id in unseen]
+    if missing:
+        raise ValueError(f"record image {missing[0]!r} missing from perturbed dataset")
 
 
 def _hit_counts(
@@ -60,21 +69,11 @@ def _hit_counts(
     references: Sequence[frozenset[Triplet]],
 ) -> tuple[list[int], int]:
     """(hits in each of `references`, total) over the perturbed compositions of `graphs`,
-    taken one at a time and not kept: each graph with a record is checked against it, and
-    the triplets of its affected edges are counted with multiplicity. A repeated record
-    is a ValueError at once; a record whose image no graph has, after the last graph."""
-    by_id: dict[str, PerturbationRecord] = {}
-    for record in records:
-        if record.image_id in by_id:
-            raise ValueError(f"duplicate perturbation record for image {record.image_id!r}")
-        by_id[record.image_id] = record
-    unseen = set(by_id)
+    paired with their records by `_with_records`: the triplets of each record's affected
+    edges are counted with multiplicity; a graph without a record counts nothing."""
     hits, total = [0] * len(references), 0
-    for graph in graphs:
-        record = by_id.get(graph.image_id)
+    for graph, record in _with_records(records, graphs):
         if record is not None:
-            unseen.discard(record.image_id)
-            record.check(graph)
             triplets = categorical_triplets(graph)
             for edge_index in record.affected_edges:
                 triplet = triplets[edge_index]
@@ -83,9 +82,6 @@ def _hit_counts(
                     if triplet in reference:
                         hits[i] += 1
         del graph, record  # so that two graphs are never held at once
-    missing = [image_id for image_id in by_id if image_id in unseen]
-    if missing:
-        raise ValueError(f"record image {missing[0]!r} missing from perturbed dataset")
     return hits, total
 
 
@@ -160,16 +156,52 @@ class ScorerError(RuntimeError):
     """The scoring backend could not produce a score."""
 
 
+# The reply to an HTTP/1.0 request, read until the server closes (RFC 9112 section 6.1: it
+# is never chunked), and the characters that `http.client` refuses in a host or a path.
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})(?: ([^\r\n]*))?")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_NOT_IN_URL = re.compile(r"[\x00-\x20\x7f]")
+
+
+def _parse_reply(reply: bytes) -> tuple[int, str, bytes]:
+    """(status, reason, body) of a whole HTTP/1.0 reply. One without the blank line that
+    ends its headers, with a status line that is not `HTTP/x.y NNN ...`, with a
+    Transfer-Encoding or with a body unlike its Content-Length is a ValueError."""
+    end = _HEAD_END.search(reply)
+    if end is None:
+        raise ValueError("malformed reply: no blank line after the headers")
+    status_line, *header_lines = reply[:end.start()].split(b"\n")
+    status = _STATUS_LINE.fullmatch(status_line.rstrip(b"\r"))
+    if status is None:
+        raise ValueError(f"malformed reply: status line {status_line[:80]!r}")
+    length = None
+    for line in header_lines:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"transfer-encoding":
+            raise ValueError("malformed reply: Transfer-Encoding in a reply to HTTP/1.0")
+        if name == b"content-length":
+            length = value.strip()
+    body = reply[end.end():]
+    if length is not None and not (length.isdigit() and int(length) == len(body)):
+        raise ValueError(f"malformed reply: a {len(body)}-byte body, "
+                         f"Content-Length {length[:20]!r}")
+    return int(status[1]), (status[2] or b"").decode("latin-1"), body
+
+
 class HttpScorer:
     """Client for the plausibility wire protocol.
 
     POST <endpoint>/score with {"text": ..., "target": ...}; the response
-    must be a 200 with {"score": <finite number>}. Each attempt opens its
-    own connection, straight to the endpoint (no proxy), and waits at most
-    `timeout` seconds (finite, > 0) per socket operation. A transport
-    error, a non-200 status, a body that is not JSON or a missing,
-    non-numeric or non-finite score is retried with a short backoff before
-    raising.
+    must be a 200 with {"score": <finite number>}. Each attempt sends one
+    HTTP/1.0 request with `Connection: close` over a socket of its own,
+    straight to the endpoint (no proxy), and reads the reply until the
+    server closes, waiting at most `timeout` seconds (finite, > 0) per socket
+    operation. An `https` endpoint verifies the server with `ssl`'s default
+    context, and only it loads `ssl`. A transport or TLS error, a reply
+    that `_parse_reply` finds malformed, a non-200 status, a body that is
+    not JSON or a missing, non-numeric or non-finite score is retried with
+    a short backoff before raising.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 3,
@@ -180,7 +212,10 @@ class HttpScorer:
             raise ValueError(f"retries must be >= 1, got {retries}")
         if not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
-        parts = urlsplit(endpoint)
+        try:
+            parts = urlsplit(endpoint)
+        except ValueError as e:  # an unclosed IPv6 bracket
+            raise ValueError(f"bad scorer endpoint {endpoint!r}: {e}") from e
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"scorer endpoint must be an http:// or https:// URL, "
                              f"got {endpoint!r}")
@@ -189,38 +224,54 @@ class HttpScorer:
         if parts.username is not None or parts.query or parts.fragment:
             raise ValueError(f"scorer endpoint must not carry credentials, a query or a "
                              f"fragment: {endpoint!r}")
-        # http.client (and ssl with it) loads here, not at import: the CLI's
-        # other commands never pay for it.
-        import http.client
-
-        self._connection = (http.client.HTTPSConnection if parts.scheme == "https"
-                            else http.client.HTTPConnection)
+        self._host, path = parts.hostname, parts.path.rstrip("/") + "/score"
         try:
-            self._host, self._port = parts.hostname, parts.port
-            self._connection(self._host, self._port)  # checks the host; connects nowhere
-        except (ValueError, http.client.InvalidURL) as e:
+            port = parts.port
+            self._port = port if port is not None else 443 if parts.scheme == "https" else 80
+            if _NOT_IN_URL.search(self._host) or _NOT_IN_URL.search(path):
+                raise ValueError("a space or control character in the host or path")
+            host = parts.netloc.encode("ascii" if parts.netloc.isascii() else "idna")
+            self._head = (b"POST %s HTTP/1.0\r\nHost: %s\r\nContent-Type: application/json"
+                          b"\r\nConnection: close\r\nContent-Length: "
+                          % (path.encode("ascii"), host))
+        except ValueError as e:  # UnicodeError too
             raise ValueError(f"bad scorer endpoint {endpoint!r}: {e}") from e
-        self._path = parts.path.rstrip("/") + "/score"
+        self._tls = None
+        if parts.scheme == "https":
+            import ssl  # here, not at import: no other endpoint or command pays for it
+
+            self._tls = ssl.create_default_context()
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
 
-    def score(self, text: str, target: str) -> float:
-        import http.client
+    def _exchange(self, request: bytes) -> tuple[int, str, bytes]:
+        """(status, reason, body) of `request`, sent over a socket of its own."""
+        import socket
 
+        sock = socket.create_connection((self._host, self._port), self.timeout)
+        try:
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+            sock.sendall(request)
+            reply = bytearray()
+            while chunk := sock.recv(65536):
+                reply += chunk
+        finally:
+            sock.close()
+        return _parse_reply(bytes(reply))
+
+    def score(self, text: str, target: str) -> float:
         body = json.dumps({"text": text, "target": target}).encode()
-        headers = {"Content-Type": "application/json", "Connection": "close"}
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         last_error = None
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff * attempt)
-            conn = self._connection(self._host, self._port, timeout=self.timeout)
             try:
-                conn.request("POST", self._path, body, headers)
-                response = conn.getresponse()
-                payload = response.read()
-                if response.status != 200:
-                    last_error = f"HTTP {response.status} {response.reason}"
+                status, reason, payload = self._exchange(request)
+                if status != 200:
+                    last_error = f"HTTP {status} {reason}"
                     continue
                 value = json.loads(payload)["score"]
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -228,11 +279,9 @@ class HttpScorer:
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite score {value!r}")
                 return float(value)
-            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError,
+            except (OSError, ValueError, KeyError, TypeError,
                     OverflowError) as e:  # OverflowError: an integer score beyond float
                 last_error = e
-            finally:
-                conn.close()
         raise ScorerError(f"scoring failed after {self.retries} attempts: {last_error}")
 
 
@@ -246,11 +295,12 @@ class FrequencyStubScorer:
         self.table = table
         self.vocab = vocab
         self.mask_token = mask_token
+        self._object_names = set(vocab.object_names)
+        self._predicate_names = set(vocab.predicate_names)
 
     def _parse_phrase(self, phrase: str) -> Triplet:
         tokens = phrase.split()
-        object_names = set(self.vocab.object_names)
-        predicate_names = set(self.vocab.predicate_names)
+        object_names, predicate_names = self._object_names, self._predicate_names
         for i in range(1, len(tokens)):
             subject = " ".join(tokens[:i])
             if subject not in object_names:
@@ -297,38 +347,59 @@ def score_graphs(
 
     With records, the masked node is a uniformly chosen perturbed node (one
     with graph context); without, a uniformly chosen non-isolated node.
-    Graphs offering no such node are skipped and counted. Queries are built
-    sequentially for determinism; up to max_workers (>= 1) queries run
-    concurrently. `rng` is a numpy `Generator` or a `perturb._Stream`; both
-    give the same queries from the same seed. The mean is numpy's `np.mean`
-    of the scores, bit for bit, and NaN when no graph was scored. The
-    dataset is dropped once the queries are built, so a caller that keeps
-    no reference to it frees it before the first request.
+    Graphs offering no such node are skipped and counted. The queries are
+    built first, in dataset order, by `_build_queries`, which `sggkit
+    plausibility` runs on the graphs as it reads them; up to max_workers
+    (>= 1) queries then run concurrently. `rng` is a numpy `Generator` or a
+    `perturb._Stream`; both give the same queries from the same seed. The
+    mean is numpy's `np.mean` of the scores, bit for bit, and NaN when no
+    graph was scored. The dataset is dropped once the queries are built, so
+    a caller that keeps no reference to it frees it before the first request.
     """
+    queries, skipped = _build_queries(dataset.graphs, dataset.vocabulary, rng, records,
+                                      mask_token)
+    del dataset  # the requests need only the queries
+    return _score_queries(scorer, queries, skipped, max_workers)
+
+
+def _build_queries(
+    graphs: Iterable[SceneGraph],
+    vocab: Vocabulary,
+    rng: np.random.Generator | _Stream,
+    records: Iterable[PerturbationRecord] | None,
+    mask_token: str,
+) -> tuple[list[tuple[str, PlausibilityQuery]], int]:
+    """((image id, query) of each graph scored, in order; the count skipped), from
+    `graphs` taken one at a time and not kept, with `records` paired and checked by
+    `_with_records`. With records, a graph without one is a ValueError at once."""
+    queries: list[tuple[str, PlausibilityQuery]] = []
+    skipped = 0
+    for graph, record in _with_records(() if records is None else records, graphs):
+        if records is None:
+            candidates = [n for n in range(graph.num_nodes) if graph.incident_edges(n)]
+        elif record is None:
+            raise ValueError(f"no perturbation record for image {graph.image_id!r}")
+        else:
+            candidates = [n for n, _, _ in record.replacements if graph.incident_edges(n)]
+        if candidates:
+            node = candidates[int(rng.integers(len(candidates)))]
+            queries.append((graph.image_id, build_query(graph, node, vocab, rng, mask_token)))
+        else:
+            skipped += 1
+        del graph, record  # so that two graphs are never held at once
+    return queries, skipped
+
+
+def _score_queries(
+    scorer: PlausibilityScorer,
+    queries: list[tuple[str, PlausibilityQuery]],
+    skipped: int,
+    max_workers: int,
+) -> PlausibilityReport:
+    """The report of `_build_queries`' queries, up to max_workers (>= 1) in flight."""
     from concurrent.futures import ThreadPoolExecutor
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    by_id = {} if records is None else _records_by_image(records, dataset)
-
-    queries: list[tuple[str, PlausibilityQuery]] = []
-    skipped = 0
-    for graph in dataset.graphs:
-        if records is not None:
-            record = by_id.get(graph.image_id)
-            if record is None:
-                raise ValueError(f"no perturbation record for image {graph.image_id!r}")
-            candidates = [
-                n for n, _, _ in record.replacements if graph.incident_edges(n)
-            ]
-        else:
-            candidates = [n for n in range(graph.num_nodes) if graph.incident_edges(n)]
-        if not candidates:
-            skipped += 1
-            continue
-        node = candidates[int(rng.integers(len(candidates)))]
-        queries.append((graph.image_id, build_query(graph, node, dataset.vocabulary, rng, mask_token)))
-
-    del dataset, by_id  # the requests need only the queries
 
     def run(item):
         image_id, query = item

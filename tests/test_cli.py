@@ -449,6 +449,107 @@ class TestPlausibility:
         assert "retries must be >= 1" in capsys.readouterr().err
 
 
+class TestPlausibilityStreaming:
+    """`plausibility` reads its records, then builds each graph's query as the graph is
+    read; it sends nothing until both files are read and checked."""
+
+    @staticmethod
+    def argv(workspace, dataset, url, records=None):
+        return ["plausibility", "--dataset", dataset, "--vocab", workspace / "vocab.json",
+                *(["--records", records] if records else []), "--endpoint", url,
+                "--jobs", "2", "--seed", "5", "--out", workspace / "p.json"]
+
+    @staticmethod
+    def write_records(workspace):
+        vocab = load_vocabulary(workspace / "vocab.json")
+        graphs = load_dataset(workspace / "train.jsonl", vocab).graphs
+        write_jsonl(workspace / "r.jsonl",
+                    [replacing_record(g, i % 3) for i, g in enumerate(graphs)])
+        return workspace / "r.jsonl"
+
+    @pytest.mark.parametrize("with_records", [False, True], ids=["graphs", "records"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier report\n"], ids=["new", "existing"])
+    def test_malformed_last_dataset_line_exit_2_sending_nothing(self, workspace, capsys,
+                                                                 with_records, existing):
+        from .lm_stub import stub_lm_server
+
+        records = self.write_records(workspace) if with_records else None
+        dataset = workspace / "bad.jsonl"
+        dataset.write_bytes((workspace / "train.jsonl").read_bytes() + b"{not json\n")
+        report = workspace / "p.json"
+        if existing is not None:
+            report.write_bytes(existing)
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(self.argv(workspace, dataset, url, records))
+        assert code == 2
+        assert f"error: {dataset}:31: invalid JSON" in capsys.readouterr().err
+        assert state["connections"] == 0
+        assert (report.read_bytes() if report.exists() else None) == existing
+
+    def test_record_of_an_absent_image_exit_2_after_the_pass_sending_nothing(self, workspace,
+                                                                              capsys):
+        from .lm_stub import stub_lm_server
+
+        records = self.write_records(workspace)
+        with open(records, "a", encoding="utf-8") as f:
+            f.write('{"image_id": "elsewhere", "replacements": [], "affected_edges": []}\n')
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(self.argv(workspace, workspace / "train.jsonl", url, records))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: record image 'elsewhere' missing from perturbed dataset\n")
+        assert state["connections"] == 0
+        assert not (workspace / "p.json").exists()
+
+    def test_bad_records_file_is_reported_before_a_bad_dataset_line(self, workspace, capsys):
+        from .lm_stub import stub_lm_server
+
+        (workspace / "r.jsonl").write_text("[1, 2]\n")
+        (workspace / "bad.jsonl").write_text("{not json\n")
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            code = run(self.argv(workspace, workspace / "bad.jsonl", url, workspace / "r.jsonl"))
+        assert code == 2
+        assert f"error: {workspace / 'r.jsonl'}:1: expected a JSON object" in (
+            capsys.readouterr().err)
+        assert state["connections"] == 0
+
+    @pytest.mark.parametrize("with_records", [False, True], ids=["graphs", "records"])
+    def test_each_graph_is_dropped_before_the_next_line_is_read(self, workspace, monkeypatch,
+                                                                with_records):
+        """A weakref to every graph built: all are dead at each `json.loads`, that of the
+        next dataset line and those of the requests and replies."""
+        import weakref
+
+        from sggkit import ingest, model
+
+        from .lm_stub import stub_lm_server
+        from .test_streaming import TrackedGraph
+
+        records = self.write_records(workspace) if with_records else None
+        refs, decoded, loads = [], [], json.loads
+
+        def tracked_graph(image_id, width, height, nodes, edges):
+            graph = object.__new__(TrackedGraph)
+            for field, value in zip(("image_id", "width", "height", "nodes", "edges"),
+                                    (image_id, width, height, nodes, edges)):
+                object.__setattr__(graph, field, value)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        def checking_loads(text, *args, **kwargs):
+            decoded.append(sum(ref() is not None for ref in refs))
+            return loads(text, *args, **kwargs)
+
+        for module in (model, ingest):
+            monkeypatch.setattr(module, "_graph", tracked_graph)
+        monkeypatch.setattr(json, "loads", checking_loads)
+        with stub_lm_server(lambda text, target: 1.0) as (url, state):
+            assert run(self.argv(workspace, workspace / "train.jsonl", url, records)) == 0
+        assert len(refs) == 30 and state["connections"] == 30
+        assert len(decoded) >= 30 * 3  # each line, request and reply
+        assert decoded == [0] * len(decoded)
+
+
 class TestEval:
     def write_predictions(self, workspace):
         vocab = load_vocabulary(workspace / "vocab.json")

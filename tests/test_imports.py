@@ -111,12 +111,13 @@ def test_commands_without_array_work_load_no_numpy(tmp_path):
 
 def test_plausibility_loads_no_numpy(tmp_path):
     """plausibility --records in a fresh process, against a scoring service in this one,
-    draws from the plain-Python generator and averages in plain Python: neither numpy
-    nor the stats module loads."""
+    draws from the plain-Python generator, averages in plain Python and sends its queries
+    over plain sockets: neither numpy nor the stats module loads, nor `http.client` and
+    the `ssl` and `email` modules it brings."""
     from .lm_stub import stub_lm_server
 
     files = _array_free_inputs(tmp_path)
-    watched = ["numpy", "sggkit.stats"]
+    watched = ["numpy", "sggkit.stats", "http.client", "ssl", "email"]
     with stub_lm_server(lambda text, target: 0.5) as (url, state):
         argv = ["plausibility", "--dataset", files["perturbed.jsonl"], "--vocab",
                 files["vocab.json"], "--records", files["records.jsonl"], "--endpoint", url,

@@ -3,11 +3,15 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
+import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -390,17 +394,17 @@ class TestHttpScorer:
         assert state["connections"] == 2
 
     @pytest.mark.parametrize("server", [{"fail_first": 1, "bodies": (b"{}",)}, {"delay": 1.0}])
-    def test_every_attempt_closes_its_connection(self, server):
+    def test_every_attempt_closes_its_connection(self, server, monkeypatch):
+        sockets = []
+        create_connection = socket.create_connection
+
+        def tracked(*args, **kwargs):
+            sockets.append(create_connection(*args, **kwargs))
+            return sockets[-1]
+
+        monkeypatch.setattr(socket, "create_connection", tracked)
         with stub_lm_server(lambda text, target: 2.5, **server) as (url, _):
             scorer = HttpScorer(url, timeout=0.2, retries=3, backoff=0.01)
-            sockets = []
-
-            class Tracked(scorer._connection):
-                def connect(self):
-                    super().connect()
-                    sockets.append(self.sock)
-
-            scorer._connection = Tracked
             try:
                 assert scorer.score("a on [MASK]", "b") == 2.5
             except ScorerError:
@@ -499,3 +503,131 @@ class TestHttpScorer:
         scorer = HttpScorer("http://127.0.0.1:9", timeout=0.2, retries=1, backoff=0.01)
         with pytest.raises(ScorerError, match="imgX"):
             score_graphs(scorer, ds, rng)
+
+    def test_error_status_names_its_reason(self):
+        with stub_lm_server(lambda text, target: 2.5, fail_first=2) as (url, state):
+            scorer = HttpScorer(url, timeout=5, retries=2, backoff=0.01)
+            with pytest.raises(ScorerError, match="scoring failed after 2 attempts: "
+                                                  "HTTP 500 Internal Server Error"):
+                scorer.score("a on [MASK]", "b")
+        assert state["connections"] == 2
+
+    @pytest.mark.parametrize("endpoint", [
+        "http://127.0.0.1/lm model/", "http://127.0.0.1/lm\x00/", "http://127.0.0.1/lm\x1b/",
+        "http://127.0.0.1/lm\x7f/", "http://bad\x01host/", "http://127.0.0.1/l\u00e9/",
+    ])
+    def test_rejects_space_or_control_character_in_host_or_path(self, endpoint):
+        with pytest.raises(ValueError, match="bad scorer endpoint"):
+            HttpScorer(endpoint)
+
+    def test_https_endpoint_of_a_plain_http_server_fails_after_its_retries(self):
+        """The TLS handshake fails on each attempt, which is retried like any transport
+        error, not raised."""
+        with stub_lm_server(lambda text, target: 2.5) as (url, state):
+            scorer = HttpScorer(url.replace("http://", "https://"), timeout=2, retries=2,
+                                backoff=0.01)
+            with pytest.raises(ScorerError, match="scoring failed after 2 attempts"):
+                scorer.score("a on [MASK]", "b")
+        assert state["connections"] == 2
+
+
+@contextmanager
+def raw_server(reply: bytes):
+    """Answer each request on an ephemeral port with the raw bytes `reply`, then close the
+    connection; yields the base URL and a state dict counting the connections and keeping
+    each request's bytes."""
+    state = {"connections": 0, "requests": []}
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                state["connections"] += 1
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                length = int(re.search(rb"Content-Length: (\d+)", request)[1])
+                while len(request.partition(b"\r\n\r\n")[2]) < length:
+                    request += conn.recv(65536)
+                state["requests"].append(request)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", state
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+class TestHttpFraming:
+    """The reply to an HTTP/1.0 request, read until the server closes: each malformed
+    one is retried like a transport error."""
+
+    @pytest.mark.parametrize("reply, message", [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b'e\r\n{"score": 1.5}\r\n0\r\n\r\n', "Transfer-Encoding"),
+        (b'HTTP/1.0 200 OK\r\nContent-Length: 20\r\n\r\n{"score": 1.5}',
+         "a 14-byte body, Content-Length b'20'"),
+        (b'HTTP/1.0 200 OK\r\nContent-Length: 9\r\n\r\n{"score": 1.5}',
+         "a 14-byte body, Content-Length b'9'"),
+        (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n",
+         "no blank line after the headers"),
+        (b"", "no blank line after the headers"),
+        (b'HTTP/1.0 2OO OK\r\n\r\n{"score": 1.5}', "status line b'HTTP/1.0 2OO OK'"),
+        (b'ICY 200 OK\r\n\r\n{"score": 1.5}', "status line b'ICY 200 OK'"),
+    ], ids=["chunked", "short-body", "long-body", "close-in-headers", "empty", "bad-status",
+            "not-http"])
+    def test_malformed_reply_fails_after_every_attempt(self, reply, message):
+        with raw_server(reply) as (url, state):
+            scorer = HttpScorer(url, timeout=5, retries=3, backoff=0.01)
+            with pytest.raises(ScorerError, match=re.escape(
+                    f"scoring failed after 3 attempts: malformed reply: {message}")):
+                scorer.score("a on [MASK]", "b")
+        assert state["connections"] == 3
+
+    @pytest.mark.parametrize("reply", [
+        b'HTTP/1.0 200 OK\r\nContent-Length: 14\r\n\r\n{"score": 1.5}',
+        b'HTTP/1.1 200\r\ncontent-length:14\r\n\r\n{"score": 1.5}',
+        b'HTTP/1.0 200 OK\n\n{"score": 1.5}',
+    ], ids=["content-length", "no-reason", "bare-newlines"])
+    def test_well_formed_reply_is_read_to_the_close(self, reply):
+        with raw_server(reply) as (url, state):
+            assert HttpScorer(url, timeout=5, retries=1).score("a on [MASK]", "b") == 1.5
+        assert state["connections"] == 1
+
+    def test_request_is_one_http_1_0_post(self):
+        body = b'{"text": "a on [MASK]", "target": "b"}'
+        with raw_server(b'HTTP/1.0 200 OK\r\n\r\n{"score": 1.5}') as (url, state):
+            assert HttpScorer(url + "/lm/", timeout=5, retries=1).score("a on [MASK]", "b") == 1.5
+        assert state["requests"] == [
+            b"POST /lm/score HTTP/1.0\r\nHost: " + url.removeprefix("http://").encode()
+            + b"\r\nContent-Type: application/json\r\nConnection: close\r\n"
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body]
+
+    def test_ipv6_literal_connects_to_its_address_and_names_it_in_host(self, monkeypatch):
+        """The connection is redirected to an IPv4 test server, which sees the Host line."""
+        addresses = []
+        create_connection = socket.create_connection
+        with raw_server(b'HTTP/1.0 200 OK\r\n\r\n{"score": 1.5}') as (url, state):
+            port = int(url.rpartition(":")[2])
+
+            def redirected(address, *args, **kwargs):
+                addresses.append(address)
+                return create_connection(("127.0.0.1", port), *args, **kwargs)
+
+            monkeypatch.setattr(socket, "create_connection", redirected)
+            scorer = HttpScorer("http://[::1]:8123", timeout=5, retries=1)
+            assert scorer.score("x [MASK]", "y") == 1.5
+        assert addresses == [("::1", 8123)]
+        assert b"\r\nHost: [::1]:8123\r\n" in state["requests"][0]

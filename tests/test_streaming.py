@@ -1,7 +1,9 @@
 """The augment commands stream: `stats`, `subsets`, `perturb` and `hit-rate` build one
 scene graph at a time, and leave their outputs as they were unless they succeed:
 `stats`, `subsets` and `perturb` write each through a temporary file that replaces it
-on success, and `hit-rate` writes its report once every input is read."""
+on success, and `hit-rate` writes its report once every input is read. `plausibility`,
+which also builds one graph at a time, is held to the same contract under mutated
+inputs, and sends no query unless every input is read and checked."""
 from __future__ import annotations
 
 import contextlib
@@ -70,9 +72,10 @@ def inputs(tmp_path_factory) -> Path:
     return root
 
 
-def command(name: str, i: Path, o: Path, **paths) -> tuple[list, list[Path]]:
-    """(argv, outputs) of the command `name` on the inputs in `i`, writing into `o`; a
-    keyword names an input file to read in place of the one in `i`."""
+def command(name: str, i: Path, o: Path, endpoint: str = "", **paths) -> tuple[list, list[Path]]:
+    """(argv, outputs) of the command `name` on the inputs in `i`, writing into `o`, with
+    `plausibility` scored at `endpoint`; a keyword names an input file to read in place of
+    the one in `i`."""
     file = {"vocab": i / "vocab.json", "train": i / "train.jsonl", "test": i / "test.jsonl",
             "stats": i / "stats.json", "zs": i / "subsets" / "zs_triplets.json",
             "few10": i / "subsets" / "few10_triplets.json", "records": i / "records.jsonl",
@@ -90,6 +93,10 @@ def command(name: str, i: Path, o: Path, **paths) -> tuple[list, list[Path]]:
         return (["hit-rate", "--records", file["records"], "--perturbed", file["perturbed"],
                  *vocab, "--reference", f"zs={file['zs']}", "--reference",
                  f"few10={file['few10']}", "--out", o / "hits.json"], [o / "hits.json"])
+    if name == "plausibility":
+        return (["plausibility", "--dataset", file["perturbed"], *vocab, "--records",
+                 file["records"], "--endpoint", endpoint, "--jobs", "2",
+                 "--out", o / "plausibility.json"], [o / "plausibility.json"])
     method = name.removeprefix("perturb-").removesuffix("-counted")
     extra = {"rand": [], "neigh": ["--embeddings", i / "glove.txt"],
              "graphn": ["--embeddings", i / "glove.txt", "--stats", file["stats"]],
@@ -307,7 +314,8 @@ SENTINEL = "\x00raw\x00"
 READS = {"stats": ["vocab", "train"], "subsets": ["vocab", "train", "test"],
          "perturb-rand": ["vocab", "train"], "perturb-neigh": ["vocab", "train"],
          "perturb-graphn": ["vocab", "train", "stats"], "perturb-oracle_zs": ["vocab", "train", "zs"],
-         "hit-rate": ["vocab", "records", "perturbed", "zs", "few10"]}
+         "hit-rate": ["vocab", "records", "perturbed", "zs", "few10"],
+         "plausibility": ["vocab", "perturbed", "records"]}
 SOURCE = {"vocab": "vocab.json", "train": "train.jsonl", "test": "test.jsonl",
           "stats": "stats.json", "zs": "subsets/zs_triplets.json",
           "few10": "subsets/few10_triplets.json", "records": "records.jsonl",
@@ -322,12 +330,22 @@ def json_paths(value, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
+@pytest.fixture(scope="module")
+def lm():
+    """A scoring service for `plausibility`: its base URL and its state."""
+    from .lm_stub import stub_lm_server
+
+    with stub_lm_server(lambda text, target: len(text) / 8) as server:
+        yield server
+
+
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_one_mutated_input_exits_0_or_2_leaving_outputs_on_2(inputs, data):
+def test_one_mutated_input_exits_0_or_2_leaving_outputs_on_2(inputs, lm, data):
     """One value changed, one key or element deleted, or 1e400, NaN or Infinity written,
-    in one JSON input of `stats`, `subsets`, a `perturb` method or `hit-rate`: the
-    command exits 0 or 2 without a traceback, and on 2 leaves every output as it was."""
+    in one JSON input of `stats`, `subsets`, a `perturb` method, `hit-rate` or
+    `plausibility`: the command exits 0 or 2 without a traceback, and on 2 leaves every
+    output as it was, and the scoring service saw no connection."""
     name, which = data.draw(st.sampled_from([(n, f) for n in READS for f in READS[n]]))
     source = inputs / SOURCE[which]
     lines = source.suffix == ".jsonl"
@@ -355,11 +373,11 @@ def test_one_mutated_input_exits_0_or_2_leaving_outputs_on_2(inputs, data):
         mutated_file.write_text(mutated_text)
         out = work / "out"
         out.mkdir()
-        argv, outputs = command(name, inputs, out, **{which: mutated_file})
+        argv, outputs = command(name, inputs, out, lm[0], **{which: mutated_file})
         for k, output in enumerate(outputs):
             if data.draw(st.booleans()):
                 output.write_bytes(f"earlier {k}\n".encode())
-        before = files_in(out)
+        before, connections = files_in(out), lm[1]["connections"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(argv)
@@ -368,5 +386,6 @@ def test_one_mutated_input_exits_0_or_2_leaving_outputs_on_2(inputs, data):
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert files_in(out) == before
+            assert lm[1]["connections"] == connections
         else:
             assert sorted(files_in(out)) == sorted(str(p.relative_to(out)) for p in outputs)
